@@ -110,16 +110,6 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"cannot parse float list {text!r}") from exc
 
 
-def _apply_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass  # results are deterministic regardless of BLAS thread count
-
-
 # ---------------------------------------------------------------- beta-table
 
 def cmd_beta_table(args: argparse.Namespace, config: dict) -> int:
@@ -128,13 +118,13 @@ def cmd_beta_table(args: argparse.Namespace, config: dict) -> int:
     params = _effective(args, config, defaults)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    p_values = _parse_floats(params["p_values"])
-    if any(p <= 2 for p in p_values):
-        raise UsageError("all p values must exceed 2")
     rows = []
-    for p in p_values:
-        bp = beta_p(p)
-        rows.append((p, bp, aperture_L(bp, p)))
+    try:
+        for p in _parse_floats(params["p_values"]):
+            bp = beta_p(p)
+            rows.append((p, bp, aperture_L(bp, p)))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     csv_path = out_dir / "beta_table.csv"
     _write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], rows)
     manifest = _write_manifest(out_dir, "beta-table", params, [csv_path], t0)
@@ -192,6 +182,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
                 "max_iters": 100, "out_dir": ".", "tag": "solve"}
     params = _effective(args, config, defaults)
     try:
+        p = EnergyParams(p=float(params["p"])).p
         spec = GridSpec(r_min=float(params["r_min"]),
                         r_max=float(params["r_max"]),
                         n_s=int(params["n_s"]), n_phi=int(params["n_phi"]))
@@ -202,7 +193,7 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
             max_iters_per_stage=int(params["max_iters"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = solve_extremal(spec, float(params["p"]), solver_config)
+    result = solve_extremal(spec, p, solver_config)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / str(params["tag"])
@@ -400,9 +391,10 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     params = _effective(args, config, defaults)
     if params["mode"] not in ("quick", "full"):
         raise UsageError("--mode must be quick or full")
-    p = float(params["p"])
-    if p <= 2:
-        raise UsageError("p must exceed 2")
+    try:
+        p = EnergyParams(p=float(params["p"])).p
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     perturb = bool(params["inject_perturbation"])
     report = {
         "p": p,
@@ -442,7 +434,6 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--out-dir", dest="out_dir", default=None)
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--config", default=None)
 
     sp = sub.add_parser("beta-table", help="critical exponent table")
@@ -499,7 +490,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_threads(getattr(args, "threads", None))
         config = _load_config(getattr(args, "config", None))
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:

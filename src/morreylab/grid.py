@@ -18,14 +18,17 @@ second-order accurate for smooth fields.  Averaging the differences to a
 single cell-center gradient instead would make the energy blind to the
 checkerboard lattice mode, which then concentrates at the pinned node;
 the corner form has no such kernel and the energy is strictly convex on
-the unconstrained nodes.  The gradient of the discrete energy follows by
-summation by parts and has a 3x3 stencil.  Dirichlet data u = 0 is
-imposed on all four edges of the rectangle (the two axis rays and the two
-truncation circles); the node at (r=1, phi=pi/2) is the pinning point
-used by the solver.  The four cells touching that node carry a refined
-sub-quadrature of the same bilinear data (EnergyParams.pin_subquad),
-because the pinned minimizer has a cusp there and a two-point rule
-misjudges the nearly singular integrand by tens of percent.
+the unconstrained nodes.  Dirichlet data u = 0 is imposed on all four
+edges of the rectangle (the two axis rays and the two truncation
+circles); the node at (r=1, phi=pi/2) is the pinning point used by the
+solver.  The four cells touching that node carry an 8x8 midpoint rule of
+the same bilinear data instead, because the pinned minimizer has a cusp
+there and a two-point rule misjudges the nearly singular integrand by
+tens of percent.
+
+The two rules form the grid's quadrature, and one kernel evaluates the
+energy, its exact gradient (a 3x3 stencil) and its sparse Hessian from
+the same per-sample gradients.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "EnergyParams",
     "build_grid",
     "energy",
+    "energy_eps2_derivative",
     "energy_gradient",
     "energy_hessian",
     "interpolate",
@@ -53,6 +57,8 @@ __all__ = [
 ]
 
 _FIELD_MAGIC = "# morreylab field v1"
+# midpoint samples per direction in the four cells around the pinned node
+_PIN_SUBQUAD = 8
 
 
 @dataclass(frozen=True)
@@ -176,32 +182,23 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponent p > 2 and regularization length eps >= 0.
-
-    pin_subquad refines the quadrature (midpoint sub-samples per
-    direction) in the four cells touching the pinned node, where the
-    minimizer has a cusp and the plain two-point rule overestimates the
-    integrand by tens of percent; 1 disables the refinement.
-    """
+    """Exponent p > 2 and regularization length eps >= 0."""
 
     p: float
     eps: float = 0.0
-    pin_subquad: int = 8
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 2.0):
             raise ValueError(f"p must be finite and > 2, got {self.p}")
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.pin_subquad < 1:
-            raise ValueError("pin_subquad must be at least 1")
 
 
 def _cell_gradients(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Difference quotients averaged to cell centers, shapes (n_s-1, n_phi-1).
 
     Used for output quantities (gradient profiles, norms); the energy
-    itself uses the per-corner differences below.
+    itself uses the per-corner differences of the grid's quadrature.
     """
     g = field.grid
     v = field.values
@@ -212,127 +209,119 @@ def _cell_gradients(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return us, up
 
 
-def _edge_differences(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided differences: us over s-edges (n_s-1, n_phi), up over
-    phi-edges (n_s, n_phi-1)."""
-    g = field.grid
-    v = field.values
-    return (v[1:, :] - v[:-1, :]) / g.ds, (v[:, 1:] - v[:, :-1]) / g.dphi
+# a cell's nodes, in the order (i,j), (i+1,j), (i,j+1), (i+1,j+1)
+_CORNERS = ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(None, -1)),
+            (slice(None, -1), slice(1, None)), (slice(1, None), slice(1, None)))
 
 
-def _corner_q(field: ScalarField, params: EnergyParams):
-    """The four corner integrands q_kl per cell, plus the edge differences.
+def _cell_corners(a: np.ndarray) -> np.ndarray:
+    """The four corner values of every cell of a nodal array, (4, n_cells)."""
+    return np.stack([a[c] for c in _CORNERS]).reshape(4, -1)
 
-    Corner (k, l) of a cell pairs the s-difference on phi-row j+l with the
-    phi-difference on s-column i+k; all four use the radial factor at the
-    cell center.
+
+def _quadrature(grid: LogPolarGrid) -> tuple:
+    """The energy's quadrature on a grid: two rules (cells, w, em, Jus, Jup).
+
+    A rule samples the gradient of the bilinear interpolant of each of
+    its cells.  Sample k of cell c has mass w[k, c] and radial factor
+    em[k, c] = e^{-2s} (a single row where all samples share it); its
+    gradient components are Jus[k] and Jup[k] applied to the cell's
+    four nodal values, ordered as in _CORNERS.  The 2x2 corner rule
+    samples every cell at its corners, with mass cell_weight/4 and
+    e^{-2s} at the cell center, but with zero mass on the four cells
+    around the pinned node.  Those carry the midpoint rule of
+    _PIN_SUBQUAD**2 samples with the exact mass of e^{2s} over each
+    radial strip.
     """
-    g = field.grid
-    us, up = _edge_differences(field)
-    em = g.em2s_c[:, None]
-    us_a, us_b = us[:, :-1], us[:, 1:]      # rows j and j+1 of each cell
-    up_a, up_b = up[:-1, :], up[1:, :]      # columns i and i+1
-    e2 = params.eps**2
-    q = ((us_a * us_a + up_a * up_a) * em + e2,
-         (us_a * us_a + up_b * up_b) * em + e2,
-         (us_b * us_b + up_a * up_a) * em + e2,
-         (us_b * us_b + up_b * up_b) * em + e2)
-    return q, us, up
-
-
-def _pin_cells(grid: LogPolarGrid) -> list[tuple[int, int]]:
-    """The four cells having the pinned node as a corner."""
+    k, n_c = _PIN_SUBQUAD, grid.n_phi - 1
     i0, j0 = grid.pin_index
-    return [(i0 - 1, j0 - 1), (i0 - 1, j0), (i0, j0 - 1), (i0, j0)]
+    pin = np.array([i0 - 1, i0 - 1, i0, i0]) * n_c + [j0 - 1, j0, j0 - 1, j0]
+    w = 0.25 * grid.cell_weight.reshape(1, -1)
+    w[0, pin] = 0.0
+    em = np.repeat(grid.em2s_c, n_c)[None, :]
+    # (a, b): position of each sample along s and phi within its cell
+    t = (np.arange(k) + 0.5) / k
+    a, b = (x.reshape(-1, 1) for x in np.meshgrid(t, t, indexing="ij"))
+    strips = grid.s[pin // n_c] + np.arange(k + 1)[:, None] * grid.ds / k
+    w_pin = np.repeat(0.5 * np.diff(np.exp(2.0 * strips), axis=0), k, axis=0)
+    # corners (a, b) = (0,0), (1,0), (0,1), (1,1): this order fixes how E is
+    # rounded, and solves that stop at the roundoff floor depend on it
+    rules = ((slice(None), w, em, np.array([0.0, 1, 0, 1])[:, None],
+              np.array([0.0, 0, 1, 1])[:, None]),
+             (pin, w_pin * grid.dphi / k, np.exp(-2.0 * (strips[0] + a * grid.ds)),
+              a, b))
+    return tuple((cells, w, em, np.hstack([b - 1, 1 - b, -b, b]) / grid.ds,
+                  np.hstack([a - 1, -a, 1 - a, a]) / grid.dphi)
+                 for cells, w, em, a, b in rules)
 
 
-def _cell_rules(grid: LogPolarGrid, k: int):
-    """Quadrature rules for single-cell evaluation, cached on the grid.
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample outer products of two (K, 4) jacobians, as (16, K)."""
+    return (x[:, :, None] * y[:, None, :]).reshape(-1, 16).T
 
-    Each rule is (w, em, Jus, Jup): sample masses summing exactly to the
-    cell mass, radial factors, and the jacobians of the bilinear field's
-    gradient components with respect to the four nodal values, ordered
-    (i,j), (i+1,j), (i,j+1), (i+1,j+1).  Rules depend on the radial index
-    only (the angular direction is uniform).
+
+def _evaluate(field: ScalarField, params: EnergyParams, order: int):
+    """The discrete energy and its derivatives, up to the given order.
+
+    Returns (E, dE/d(eps**2), g, H): order 0 fills only E, order 1 adds
+    dE/d(eps**2) and the unmasked nodal gradient g, order 2 adds the sparse
+    Hessian H.  All of them come from the same per-sample gradient
+    (us, up) and integrand q of the grid's quadrature rules; g and H are
+    summed per cell first and then scattered to the nodes once.
     """
-    cache = getattr(grid, "_cell_rule_cache", None)
-    if cache is None:
-        cache = {}
-        grid._cell_rule_cache = cache
-    if k in cache:
-        return cache[k]
-    corner, sub = {}, {}
-    for ci in {c[0] for c in _pin_cells(grid)}:
-        w_cell = grid.cell_weight[ci, 0]
-        corner[ci] = (
-            np.full(4, w_cell / 4.0),
-            np.full(4, grid.em2s_c[ci]),
-            np.array([[-1, 1, 0, 0], [-1, 1, 0, 0],
-                      [0, 0, -1, 1], [0, 0, -1, 1]], float) / grid.ds,
-            np.array([[-1, 0, 1, 0], [0, -1, 0, 1],
-                      [-1, 0, 1, 0], [0, -1, 0, 1]], float) / grid.dphi,
-        )
-        t = (np.arange(k) + 0.5) / k
-        a, b = [x.ravel() for x in np.meshgrid(t, t, indexing="ij")]
-        bounds = grid.s[ci] + np.arange(k + 1) * grid.ds / k
-        strip_mass = 0.5 * np.diff(np.exp(2.0 * bounds))  # exact per strip
-        w = np.repeat(strip_mass, k) * grid.dphi / k
-        em = np.exp(-2.0 * (grid.s[ci] + a * grid.ds))
-        Jus = np.column_stack([-(1 - b), 1 - b, -b, b]) / grid.ds
-        Jup = np.column_stack([-(1 - a), -a, 1 - a, a]) / grid.dphi
-        sub[ci] = (w, em, Jus, Jup)
-    cache[k] = (corner, sub)
-    return cache[k]
-
-
-def _cell_eval(v4: np.ndarray, params: EnergyParams, rule, want: int):
-    """Energy (and optionally gradient, Hessian) of one cell under a rule."""
-    p = params.p
-    w, em, Jus, Jup = rule
-    us = Jus @ v4
-    up = Jup @ v4
-    q = (us * us + up * up) * em + params.eps**2
-    e_val = float((w * q ** (p / 2.0)).sum() / p)
-    if want == 0:
-        return e_val, None, None
-    coef = w * q ** (p / 2.0 - 1.0) * em
-    g4 = (coef * us) @ Jus + (coef * up) @ Jup
-    if want == 1:
-        return e_val, g4, None
-    c = us[:, None] * Jus + up[:, None] * Jup
-    beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
-    h4 = (Jus.T * coef) @ Jus + (Jup.T * coef) @ Jup + (c.T * beta) @ c
-    return e_val, g4, h4
-
-
-def _pin_corrections(field: ScalarField, params: EnergyParams, want: int):
-    """Per pin cell, the (sub-rule minus corner-rule) contribution."""
-    grid = field.grid
-    corner, sub = _cell_rules(grid, params.pin_subquad)
     v = field.values
-    out = []
-    for (ci, cj) in _pin_cells(grid):
-        v4 = np.array([v[ci, cj], v[ci + 1, cj], v[ci, cj + 1],
-                       v[ci + 1, cj + 1]])
-        es, gs, hs = _cell_eval(v4, params, sub[ci], want)
-        ec, gc, hc = _cell_eval(v4, params, corner[ci], want)
-        out.append(((ci, cj), es - ec,
-                    None if want < 1 else gs - gc,
-                    None if want < 2 else hs - hc))
-    return out
+    if not np.all(np.isfinite(v)):
+        raise ValueError("field contains non-finite values")
+    p = params.p
+    v4_all = _cell_corners(v)
+    e = de2 = 0.0
+    g4_all = np.zeros_like(v4_all) if order >= 1 else None
+    blocks = np.zeros((16, v4_all.shape[1])) if order == 2 else None
+    for cells, w, em, Jus, Jup in _quadrature(field.grid):
+        v4 = v4_all[:, cells]
+        us, up = Jus @ v4, Jup @ v4
+        q = (us * us + up * up) * em + params.eps**2
+        e += float((w * q ** (p / 2.0)).sum()) / p
+        if order == 0:
+            continue
+        wq = w * q ** (p / 2.0 - 1.0)
+        de2 += 0.5 * float(wq.sum())
+        coef = wq * em
+        g4_all[:, cells] += Jus.T @ (coef * us) + Jup.T @ (coef * up)
+        if order == 2:
+            # the Hessian of w q^(p/2) / p in the cell's nodal values is
+            # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
+            beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
+            blk = _outer(Jus, Jus) @ (coef + beta * us * us)
+            blk += (_outer(Jus, Jup) + _outer(Jup, Jus)) @ (beta * us * up)
+            blk += _outer(Jup, Jup) @ (coef + beta * up * up)
+            blocks[:, cells] += blk
+    if order == 0:
+        return e, None, None, None
+    grad = np.zeros_like(v)
+    for k, c in enumerate(_CORNERS):
+        grad[c] += g4_all[k].reshape(grad[c].shape)
+    if order == 1:
+        return e, de2, grad, None
+    nodes = _cell_corners(np.arange(v.size).reshape(v.shape))
+    rows = np.repeat(nodes, 4, axis=0).ravel()
+    cols = np.tile(nodes, (4, 1)).ravel()
+    hess = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(v.size, v.size))
+    return e, de2, grad, hess.tocsr()
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
     """Discrete regularized p-Dirichlet energy of the field."""
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field contains non-finite values")
-    q, _, _ = _corner_q(field, params)
-    ph = params.p / 2.0
-    total = sum((field.grid.cell_weight * qk**ph).sum() for qk in q)
-    total = float(total / (4.0 * params.p))
-    if params.pin_subquad > 1:
-        total += sum(de for _, de, _, _ in _pin_corrections(field, params, 0))
-    return total
+    return _evaluate(field, params, 0)[0]
+
+
+def energy_eps2_derivative(field: ScalarField, params: EnergyParams) -> float:
+    """Derivative of the discrete energy with respect to eps**2.
+
+    The integrand is convex in eps**2, so eps**2 times this derivative
+    bounds the energy change when eps is dropped to zero.
+    """
+    return _evaluate(field, params, 1)[1]
 
 
 def energy_gradient(field: ScalarField, params: EnergyParams,
@@ -343,86 +332,24 @@ def energy_gradient(field: ScalarField, params: EnergyParams,
     mask_constrained is False (the unmasked value at the pinned node is
     the strength of the discrete point source enforcing the constraint).
     """
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("field contains non-finite values")
-    g = field.grid
-    (q_aa, q_ab, q_ba, q_bb), us, up = _corner_q(field, params)
-    e = params.p / 2.0 - 1.0
-    w4 = 0.25 * g.cell_weight * g.em2s_c[:, None]
-
-    # per-edge coefficients: each q touches one s-edge and one phi-edge
-    cs = np.zeros_like(us)
-    cs[:, :-1] += w4 * (q_aa**e + q_ab**e) * us[:, :-1]
-    cs[:, 1:] += w4 * (q_ba**e + q_bb**e) * us[:, 1:]
-    cp = np.zeros_like(up)
-    cp[:-1, :] += w4 * (q_aa**e + q_ba**e) * up[:-1, :]
-    cp[1:, :] += w4 * (q_ab**e + q_bb**e) * up[1:, :]
-
-    out = np.zeros_like(field.values)
-    out[:-1, :] -= cs / g.ds
-    out[1:, :] += cs / g.ds
-    out[:, :-1] -= cp / g.dphi
-    out[:, 1:] += cp / g.dphi
-    if params.pin_subquad > 1:
-        for (ci, cj), _, dg, _ in _pin_corrections(field, params, 1):
-            out[ci, cj] += dg[0]
-            out[ci + 1, cj] += dg[1]
-            out[ci, cj + 1] += dg[2]
-            out[ci + 1, cj + 1] += dg[3]
+    out = _evaluate(field, params, 1)[2]
     if mask_constrained:
-        out[g.constrained_mask()] = 0.0
-    return ScalarField(g, out)
+        out[field.grid.constrained_mask()] = 0.0
+    return ScalarField(field.grid, out)
 
 
 def energy_hessian(field: ScalarField, params: EnergyParams) -> sp.csr_matrix:
     """Sparse Hessian of the discrete energy over all nodes (no masking).
 
     Requires eps > 0 so the integrand is twice differentiable everywhere.
-    Each corner integrand contributes a 4x4 block on the cell's nodes; the
-    assembled matrix is symmetric positive semidefinite, and positive
-    definite after removing the constrained nodes.
+    Each quadrature sample contributes a 4x4 block on its cell's nodes;
+    the blocks are summed per cell before assembly.  The matrix is
+    symmetric positive semidefinite, and positive definite after removing
+    the constrained nodes.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    g = field.grid
-    p = params.p
-    (q_aa, q_ab, q_ba, q_bb), us, up = _corner_q(field, params)
-    us_a, us_b = us[:, :-1].ravel(), us[:, 1:].ravel()
-    up_a, up_b = up[:-1, :].ravel(), up[1:, :].ravel()
-
-    n_phi = g.n_phi
-    ii, jj = np.meshgrid(np.arange(g.n_s - 1), np.arange(n_phi - 1), indexing="ij")
-    k00 = (ii * n_phi + jj).ravel()
-    # node order per cell: (i,j), (i+1,j), (i,j+1), (i+1,j+1)
-    corners = np.stack([k00, k00 + n_phi, k00 + 1, k00 + n_phi + 1], axis=1)
-    a_row_j = np.array([-1.0, 1.0, 0.0, 0.0]) / g.ds
-    a_row_j1 = np.array([0.0, 0.0, -1.0, 1.0]) / g.ds
-    b_col_i = np.array([-1.0, 0.0, 1.0, 0.0]) / g.dphi
-    b_col_i1 = np.array([0.0, -1.0, 0.0, 1.0]) / g.dphi
-
-    w4 = (0.25 * g.cell_weight).ravel()
-    em = np.broadcast_to(g.em2s_c[:, None],
-                         (g.n_s - 1, n_phi - 1)).ravel()
-    blocks = np.zeros((len(k00), 4, 4))
-    for q, a_vec, b_vec, us_k, up_k in (
-            (q_aa, a_row_j, b_col_i, us_a, up_a),
-            (q_ab, a_row_j, b_col_i1, us_a, up_b),
-            (q_ba, a_row_j1, b_col_i, us_b, up_a),
-            (q_bb, a_row_j1, b_col_i1, us_b, up_b)):
-        qf = q.ravel()
-        alpha = w4 * qf ** (p / 2.0 - 1.0) * em
-        beta = (p - 2.0) * w4 * qf ** (p / 2.0 - 2.0) * em * em
-        base = np.outer(a_vec, a_vec) + np.outer(b_vec, b_vec)
-        c = us_k[:, None] * a_vec[None, :] + up_k[:, None] * b_vec[None, :]
-        blocks += alpha[:, None, None] * base[None, :, :]
-        blocks += beta[:, None, None] * (c[:, :, None] * c[:, None, :])
-    if params.pin_subquad > 1:
-        for (ci, cj), _, _, dh in _pin_corrections(field, params, 2):
-            blocks[ci * (n_phi - 1) + cj] += dh
-    rows = np.repeat(corners, 4, axis=1).ravel()
-    cols = np.tile(corners, (1, 4)).ravel()
-    n = g.n_s * g.n_phi
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _evaluate(field, params, 2)[3]
 
 
 def interpolate(field: ScalarField, r, phi):

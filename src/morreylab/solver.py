@@ -24,8 +24,8 @@ from scipy.sparse.linalg import splu
 
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
-                   build_grid, energy, energy_gradient, energy_hessian,
-                   interpolate, load_field, save_field)
+                   build_grid, energy, energy_eps2_derivative, energy_gradient,
+                   energy_hessian, interpolate, load_field, save_field)
 
 __all__ = [
     "SolverConfig",
@@ -139,11 +139,7 @@ def _initial_field(grid: LogPolarGrid, p: float, pin_value: float) -> ScalarFiel
 
 def _predicted_drift_bound(field: ScalarField, p: float, eps_prev: float) -> float:
     """Bound on the energy change when eps_prev is dropped from the integrand."""
-    from .grid import _corner_q
-    q, _, _ = _corner_q(field, EnergyParams(p=p, eps=eps_prev))
-    w4 = 0.25 * field.grid.cell_weight
-    return float(0.5 * eps_prev**2
-                 * sum((w4 * qk ** (p / 2.0 - 1.0)).sum() for qk in q))
+    return eps_prev**2 * energy_eps2_derivative(field, EnergyParams(p=p, eps=eps_prev))
 
 
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
@@ -179,11 +175,13 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
         stage = StageInfo(eps=eps)
         e_now = energy(field, params)
         stage.energy_history.append(e_now)
-        for _ in range(config.max_iters_per_stage):
+        stalled = False
+        while True:
             g = energy_gradient(field, params).values
             stage.grad_sup = float(np.abs(g).max())
-            if stage.grad_sup <= config.grad_tol:
-                stage.converged = True
+            stage.converged = stage.grad_sup <= config.grad_tol
+            if (stage.converged or stalled
+                    or stage.iterations == config.max_iters_per_stage):
                 break
             hess = energy_hessian(field, params)
             h_ff = hess[free_idx][:, free_idx].tocsc()
@@ -214,15 +212,8 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             stage.iterations += 1
             e_prev_it, e_now = e_now, e_trial
             stage.energy_history.append(e_now)
-            if abs(e_prev_it - e_now) <= config.energy_rel_tol * max(1.0, abs(e_now)):
-                g = energy_gradient(field, params).values
-                stage.grad_sup = float(np.abs(g).max())
-                stage.converged = stage.grad_sup <= config.grad_tol
-                break
-        else:
-            g = energy_gradient(field, params).values
-            stage.grad_sup = float(np.abs(g).max())
-            stage.converged = stage.grad_sup <= config.grad_tol
+            stalled = (abs(e_prev_it - e_now)
+                       <= config.energy_rel_tol * max(1.0, abs(e_now)))
         stage.energy = e_now
         if prev_energy is not None:
             stage.energy_drift_from_prev = abs(prev_energy - e_now)

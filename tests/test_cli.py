@@ -77,6 +77,7 @@ def test_aronsson_by_aperture(tmp_path):
     ["aronsson", "--p", "4", "--kappa", "1", "--L", "1"],      # both
     ["aronsson", "--p", "4", "--kappa", "-1"],                 # bad kappa
     ["aronsson", "--p", "4", "--L", "-0.5"],                   # unattainable
+    ["aronsson", "--p", "4", "--kappa", "1", "--threads", "2"],  # no such option
 ])
 def test_aronsson_usage_errors(argv, tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -134,6 +135,18 @@ def test_solve_usage_error(tmp_path):
     rc = main(["solve", "--p", "4", "--r-min", "0.5", "--r-max", "256",
                "--n-s", "96", "--n-phi", "16", "--out-dir", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "1.5"],
+    ["solve", "--p", "2"],
+    ["solve", "--p", "nan"],
+    ["verify", "--p", "nan"],
+    ["beta-table", "--p-values", "nan"],
+])
+def test_invalid_p_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert "usage error: p must be" in capsys.readouterr().err
 
 
 def test_analyze_corrupt_checkpoint(tmp_path):
