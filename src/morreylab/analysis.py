@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aronsson import (AngularProfile, angular_profile, beta_p, invert_phi,
-                       _f_of_theta)
+from .aronsson import angular_profile, beta_p, evaluate_w
 from .grid import ScalarField, _cell_gradients
 from .solver import FullPlaneField, SolveResult
 
@@ -330,13 +329,6 @@ def estimate_morrey_constant(result: SolveResult,
                           argmax_pair=(holder.point_a, holder.point_b))
 
 
-def _angular_factor(profile: AngularProfile, grid_phi: np.ndarray) -> np.ndarray:
-    """f evaluated at the half-plane angles (grid phi shifted to the axis)."""
-    return np.array([_f_of_theta(profile.params,
-                                 invert_phi(profile.params, ph - 0.5 * np.pi))
-                     for ph in grid_phi])
-
-
 def barrier_check(result, beta: float, tau: float, eps: float | None = None,
                   r_inner: float = 1.0, r_outer: float | None = None,
                   n_theta: int = 513) -> BarrierReport:
@@ -367,7 +359,7 @@ def barrier_check(result, beta: float, tau: float, eps: float | None = None,
     delta = (profile.params.aperture_L - 1.0) * np.pi / 2.0
 
     g = field.grid
-    f_ang = _angular_factor(profile, g.phi)
+    f_ang = evaluate_w(profile, 1.0, g.phi - 0.5 * np.pi)  # f at the grid angles
     c_f = float(f_ang.min())
     if eps is None:
         eps = 1.5 / c_f

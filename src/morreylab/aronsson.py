@@ -191,29 +191,25 @@ def _phi_of_theta(params: ConeParams, theta):
         theta - coef * np.arctan(params.mu * np.tan(np.where(interior, theta, 0.0))),
         theta - np.sign(theta) * coef * (np.pi / 2),
     )
-    return out if out.ndim else float(out)
+    return out
 
 
-def _dphi_dtheta(params: ConeParams, theta: float) -> float:
-    c2 = math.cos(theta) ** 2
+def _dphi_dtheta(params: ConeParams, theta):
+    c2 = np.cos(theta) ** 2
     return (c2 - params.a) / (c2 + params.a * params.kappa)
 
 
 def _f_of_theta(params: ConeParams, theta):
-    theta = np.asarray(theta, dtype=float)
     c2 = np.cos(theta) ** 2
-    out = (1.0 + c2 / (params.a * params.kappa)) ** (-(params.kappa + 1.0) / 2.0) \
+    return (1.0 + c2 / (params.a * params.kappa)) ** (-(params.kappa + 1.0) / 2.0) \
         * np.cos(theta)
-    return out if out.ndim else float(out)
 
 
 def _fprime_of_theta(params: ConeParams, theta):
-    theta = np.asarray(theta, dtype=float)
     c2 = np.cos(theta) ** 2
-    out = params.kappa \
+    return params.kappa \
         * (1.0 + c2 / (params.a * params.kappa)) ** (-(params.kappa + 1.0) / 2.0) \
         * np.sin(theta)
-    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -296,67 +292,64 @@ def angular_profile(kappa: float, p: float, n_samples: int) -> AngularProfile:
                           fprime=fprime, g=g)
 
 
-def invert_phi(params: ConeParams, phi: float) -> float:
+def invert_phi(params: ConeParams, phi):
     """Solve phi(theta) = phi on the strictly decreasing branch.
 
-    Bisection down to 1e-13, then a single Newton polish using the exact
-    derivative; the bracketing is guaranteed by monotonicity.
+    phi is a scalar or an array; a scalar gives a float.  Each element is
+    bisected from [-pi/2, pi/2] down to 1e-13, then polished by a single
+    Newton step using the exact derivative; the bracketing is guaranteed
+    by monotonicity.  A phi outside the closed cone, or NaN, is an error.
     """
-    phi = float(phi)
+    phi = np.asarray(phi, dtype=float)
     pm = params.phi_max
-    if abs(phi) > pm:
-        raise ValueError(f"phi={phi} outside the closed cone [-{pm}, {pm}]")
-    if phi >= pm:
-        return -np.pi / 2
-    if phi <= -pm:
-        return np.pi / 2
-    lo, hi = -np.pi / 2, np.pi / 2  # phi(lo) = +pm > phi > -pm = phi(hi)
-    while hi - lo > 1e-13:
+    inside = np.abs(phi) <= pm
+    if not inside.all():
+        raise ValueError(f"phi={phi.flat[np.argmin(inside)]} outside the "
+                         f"closed cone [-{pm}, {pm}]")
+    # 1-d, since NumPy rounds some 0-d operations differently.  All brackets
+    # start equal, so every element takes the scalar bisection's halvings.
+    flat = phi.ravel()
+    lo, hi = np.full(flat.shape, -np.pi / 2), np.full(flat.shape, np.pi / 2)
+    while np.any(hi - lo > 1e-13):  # phi(lo) = +pm >= phi >= -pm = phi(hi)
         mid = 0.5 * (lo + hi)
-        if _phi_of_theta(params, mid) > phi:
-            lo = mid
-        else:
-            hi = mid
+        above = _phi_of_theta(params, mid) > flat
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     theta = 0.5 * (lo + hi)
-    theta -= (_phi_of_theta(params, theta) - phi) / _dphi_dtheta(params, theta)
-    return min(max(theta, -np.pi / 2), np.pi / 2)
+    theta -= (_phi_of_theta(params, theta) - flat) / _dphi_dtheta(params, theta)
+    theta = np.where(flat >= pm, -np.pi / 2, np.where(
+        flat <= -pm, np.pi / 2, np.clip(theta, -np.pi / 2, np.pi / 2)))
+    return theta.reshape(phi.shape) if phi.ndim else float(theta[0])
 
 
-def evaluate_w(profile: AngularProfile, r: float, phi: float,
-               radial_exponent: float | None = None) -> float:
+def evaluate_w(profile: AngularProfile, r, phi,
+               radial_exponent: float | None = None):
     """Evaluate w(r, phi) = r**(-kappa) * f(phi) inside the cone.
 
-    phi is measured from the cone axis; the boundary rays give 0 and
-    points outside the closed cone are a domain error.  radial_exponent
-    replaces kappa in the radial factor only (the angular profile is kept),
-    which deliberately breaks p-harmonicity; it is used as a negative
-    control in residual checks.
+    r and phi are scalars or arrays that broadcast together; scalars give
+    a float.  phi is measured from the cone axis; the boundary rays give 0,
+    and a point outside the closed cone or a non-positive r is an error.
+    radial_exponent replaces kappa in the radial factor only (the angular
+    profile is kept), which deliberately breaks p-harmonicity; it is used
+    as a negative control in residual checks.
     """
-    r = float(r)
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"r must be positive, got {r}")
-    theta = invert_phi(profile.params, phi)
-    if abs(theta) >= np.pi / 2:
-        return 0.0  # boundary ray, exact limit
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    valid = np.isfinite(r) & (r > 0)
+    if not valid.all():
+        raise ValueError(f"r must be positive, got {r.flat[np.argmin(valid)]}")
+    theta = invert_phi(profile.params, phi.ravel())  # 1-d, as in invert_phi
     k = profile.params.kappa if radial_exponent is None else float(radial_exponent)
-    return r ** (-k) * _f_of_theta(profile.params, theta)
+    w = np.where(np.abs(theta) >= np.pi / 2, 0.0,  # boundary ray, exact limit
+                 r.ravel() ** (-k) * _f_of_theta(profile.params, theta))
+    return w.reshape(r.shape) if r.ndim else float(w[0])
 
 
-def _cartesian_w(profile: AngularProfile, radial_exponent: float | None):
-    """w as a function of plane coordinates with the cone axis along +y."""
-    def w(x: float, y: float) -> float:
-        r = math.hypot(x, y)
-        return evaluate_w(profile, r, math.atan2(x, y),
-                          radial_exponent=radial_exponent)
-    return w
+def plaplace_residual_at(profile: AngularProfile, p: float, r, phi,
+                         h: float, radial_exponent: float | None = None):
+    """Finite-difference p-Laplacian residual of w at cone points.
 
-
-def plaplace_residual_at(profile: AngularProfile, p: float, r: float,
-                         phi: float, h: float,
-                         radial_exponent: float | None = None) -> float:
-    """Finite-difference p-Laplacian residual of w at one cone point.
-
-    Uses the normalized form
+    r and phi are scalars or arrays that broadcast together; a scalar
+    point gives a float.  Uses the normalized form
 
         N(w) = Lap(w) + (p-2) <grad w, D2 w grad w> / |grad w|**2,
 
@@ -366,16 +359,27 @@ def plaplace_residual_at(profile: AngularProfile, p: float, r: float,
     of the residual for the exact solution.
     """
     p = _check_p(p)
-    r, phi, h = float(r), float(phi), float(h)
+    h = float(h)
     if h <= 0:
         raise ValueError("step h must be positive")
-    margin = min(r, r * math.sin(min(profile.params.phi_max - abs(phi), np.pi / 2)))
-    if margin <= 0 or math.sqrt(2.0) * h > margin / 2.0:
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                 np.asarray(phi, dtype=float))
+    shape = r.shape
+    r, phi = r.ravel(), phi.ravel()  # 1-d, as in invert_phi
+    margin = np.minimum(r, r * np.sin(np.minimum(
+        profile.params.phi_max - np.abs(phi), np.pi / 2)))
+    too_close = ~(margin > 0) | (math.sqrt(2.0) * h > margin / 2.0)
+    if too_close.any():
+        i = np.argmax(too_close)
         raise ValueError(
-            f"step h={h} too large for the interior margin {margin:.3e} "
-            f"at (r={r}, phi={phi})")
-    w = _cartesian_w(profile, radial_exponent)
-    x, y = r * math.sin(phi), r * math.cos(phi)
+            f"step h={h} too large for the interior margin {margin[i]:.3e} "
+            f"at (r={r[i]}, phi={phi[i]})")
+
+    def w(x, y):  # plane coordinates, cone axis along +y
+        return evaluate_w(profile, np.hypot(x, y), np.arctan2(x, y),
+                          radial_exponent=radial_exponent)
+
+    x, y = r * np.sin(phi), r * np.cos(phi)
     c = w(x, y)
     wxp, wxm = w(x + h, y), w(x - h, y)
     wyp, wym = w(x, y + h), w(x, y - h)
@@ -386,10 +390,11 @@ def plaplace_residual_at(profile: AngularProfile, p: float, r: float,
     wxy = (w(x + h, y + h) - w(x + h, y - h)
            - w(x - h, y + h) + w(x - h, y - h)) / (4 * h * h)
     grad2 = wx * wx + wy * wy
-    if grad2 == 0.0:
+    if np.any(grad2 == 0.0):
         raise ArithmeticError("vanishing gradient in residual stencil")
-    return abs(wxx + wyy
-               + (p - 2) * (wx * wx * wxx + 2 * wx * wy * wxy + wy * wy * wyy) / grad2)
+    res = np.abs(wxx + wyy
+                 + (p - 2) * (wx * wx * wxx + 2 * wx * wy * wxy + wy * wy * wyy) / grad2)
+    return res.reshape(shape) if shape else float(res[0])
 
 
 def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
@@ -397,12 +402,11 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
                        radial_exponent: float | None = None) -> float:
     """Max finite-difference p-Laplacian residual over interior points.
 
-    sample_points is a sequence of (r, phi) pairs strictly inside the
-    cone; points whose margin is too small for the stencil are rejected.
+    sample_points is a non-empty sequence of (r, phi) pairs strictly inside
+    the cone; points whose margin is too small for the stencil are rejected.
     """
-    pts = list(sample_points)
-    if not pts:
-        raise ValueError("sample_points must be non-empty")
-    return max(plaplace_residual_at(profile, p, r, phi, h,
-                                    radial_exponent=radial_exponent)
-               for r, phi in pts)
+    pts = np.asarray(list(sample_points), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
+    return float(np.max(plaplace_residual_at(
+        profile, p, pts[:, 0], pts[:, 1], h, radial_exponent=radial_exponent)))

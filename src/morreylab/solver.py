@@ -312,8 +312,11 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
         meta = json.load(fh)
-    if meta.get("format") != "morreylab-checkpoint":
+    if not isinstance(meta, dict) or meta.get("format") != "morreylab-checkpoint":
         raise ValueError(f"not a checkpoint: {path_base}.json")
+    if not (isinstance(meta.get("stages"), list)
+            and all(isinstance(d, dict) for d in meta["stages"])):
+        raise ValueError("checkpoint stages must be a list of objects")
     field, header = load_field(path_base + ".field")
     if GridSpec.from_dict(meta["spec"]) != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")

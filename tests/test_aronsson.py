@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,68 @@ def test_phi_inversion_round_trip():
         assert abs(back - theta) < 1e-12
 
 
+@pytest.mark.parametrize("kappa,p", [(0.6, 4.0), (0.3, 8.0), (2.0, 3.0)])
+def test_invert_phi_array_matches_scalar_calls(kappa, p):
+    params = m.angular_profile(kappa, p, 16).params
+    pm = params.phi_max
+    rng = np.random.default_rng(3)
+    phi = np.concatenate([[pm, -pm, 0.0], rng.uniform(-pm, pm, 297)])
+    theta = m.invert_phi(params, phi.reshape(10, 30))
+    assert theta.shape == (10, 30)
+    scalar = [m.invert_phi(params, float(x)) for x in phi]
+    assert all(type(t) is float for t in scalar)
+    assert np.array_equal(theta.ravel(), scalar)
+    assert m.invert_phi(params, np.empty(0)).shape == (0,)
+
+
+def test_evaluate_w_array_matches_scalar_calls():
+    p = 4.0
+    prof = m.angular_profile(0.9 * m.beta_p(p), p, 64)
+    pm = prof.params.phi_max
+    rng = np.random.default_rng(4)
+    phi = np.concatenate([[pm, -pm, 0.0], rng.uniform(-pm, pm, 197)])
+    r = rng.uniform(0.05, 20.0, phi.size)
+    for exponent in (None, 0.7):
+        pairwise = m.evaluate_w(prof, r, phi, radial_exponent=exponent)
+        assert np.array_equal(pairwise, [
+            m.evaluate_w(prof, float(a), float(b), radial_exponent=exponent)
+            for a, b in zip(r, phi)])
+        broadcast = m.evaluate_w(prof, 1.7, phi, radial_exponent=exponent)
+        assert np.array_equal(broadcast, [
+            m.evaluate_w(prof, 1.7, float(b), radial_exponent=exponent)
+            for b in phi])
+    grid = m.evaluate_w(prof, r[:5, None], phi[None, :7])
+    assert grid.shape == (5, 7)
+    assert grid[3, 6] == m.evaluate_w(prof, float(r[3]), float(phi[6]))
+    assert pairwise[0] == pairwise[1] == 0.0
+
+
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_array_calls_reject_one_bad_element(where):
+    prof = m.angular_profile(1.0, 4.0, 64)
+    pm = prof.params.phi_max
+    for bad in (1.01 * pm, -1.01 * pm, float("nan"), float("inf")):
+        phi = np.linspace(-pm, pm, 12)
+        phi[where] = bad
+        with pytest.raises(ValueError):
+            m.invert_phi(prof.params, phi)
+        with pytest.raises(ValueError):
+            m.evaluate_w(prof, 1.0, phi)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        r = np.linspace(0.5, 2.0, 12)
+        r[where] = bad
+        with pytest.raises(ValueError):
+            m.evaluate_w(prof, r, 0.1)
+
+
+def test_nan_angle_is_a_domain_error():
+    prof = m.angular_profile(1.0, 4.0, 64)
+    with pytest.raises(ValueError):
+        m.invert_phi(prof.params, float("nan"))
+    with pytest.raises(ValueError):
+        m.evaluate_w(prof, 1.0, float("nan"))
+
+
 # ------------------------------------------------- p-harmonicity residuals
 
 def interior_points(n: int, phi_max: float, seed: int = 1):
@@ -257,3 +320,39 @@ def test_residual_rejects_large_step_near_boundary():
     near_edge = 0.999 * prof.params.phi_max
     with pytest.raises(ValueError):
         m.plaplace_residual_at(prof, 4.0, 1.0, near_edge, h=1e-2)
+
+
+def test_residual_over_points_matches_pointwise_calls():
+    p = 4.0
+    kappa = m.beta_p(p)
+    prof = m.angular_profile(kappa, p, 64)
+    pts = interior_points(30, prof.params.phi_max, seed=5)
+    r, phi = np.array(pts).T
+    for h, exponent in ((1e-2, None), (1e-3, None), (1e-3, 1.1 * kappa)):
+        pointwise = [m.plaplace_residual_at(prof, p, a, b, h,
+                                            radial_exponent=exponent)
+                     for a, b in pts]
+        assert np.array_equal(
+            m.plaplace_residual_at(prof, p, r, phi, h, radial_exponent=exponent),
+            pointwise)
+        assert m.pharmonic_residual(prof, p, pts, h=h,
+                                    radial_exponent=exponent) == max(pointwise)
+
+
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_residual_rejects_one_inadmissible_point(where):
+    prof = m.angular_profile(1.0, 4.0, 64)
+    pts = interior_points(10, prof.params.phi_max, seed=6)
+    pts[where] = (1.0, 0.999 * prof.params.phi_max)
+    with pytest.raises(ValueError, match=re.escape(f"phi={pts[where][1]})")):
+        m.pharmonic_residual(prof, 4.0, pts, h=1e-2)
+    r, phi = np.array(pts).T
+    with pytest.raises(ValueError, match=re.escape(f"phi={pts[where][1]})")):
+        m.plaplace_residual_at(prof, 4.0, r, phi, h=1e-2)
+
+
+@pytest.mark.parametrize("pts", [[], [(1.0, 0.1, 0.2)], [1.0, 0.1]])
+def test_residual_rejects_malformed_point_lists(pts):
+    prof = m.angular_profile(1.0, 4.0, 64)
+    with pytest.raises(ValueError):
+        m.pharmonic_residual(prof, 4.0, pts)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import morreylab as m
@@ -155,6 +156,24 @@ def test_analyze_corrupt_checkpoint(tmp_path):
     rc = main(["analyze", "--checkpoint", str(tmp_path / "junk"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("edit", [lambda meta: [],
+                                  lambda meta: {**meta, "stages": None},
+                                  lambda meta: {**meta, "stages": [1]}],
+                         ids=["list", "null-stages", "non-object-stage"])
+def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
+    values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
+    result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
+                           stages=[], converged=True, p=4.0)
+    m.save_checkpoint(result, m.SolverConfig(), tmp_path / "ckpt")
+    sidecar = tmp_path / "ckpt.json"
+    sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error")
 
 
 # ------------------------------------------------------------------- config
