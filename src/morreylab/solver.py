@@ -7,10 +7,15 @@ is the strength of the discrete measure concentrated there.
 
 The degenerate limit eps -> 0 is reached by continuation: each stage
 minimizes the energy at one eps, warm-starting from the previous stage.
-A stage runs damped Newton steps (exact sparse Hessian, Armijo
-backtracking with halving) until the gradient sup-norm or the relative
-energy change drops below tolerance.  The energy is convex for every
-eps >= 0, so the minimizer does not depend on the descent path.
+A stage runs damped Newton steps (exact sparse Hessian factored by SuperLU
+under a minimum-degree ordering, Armijo backtracking with halving) until
+the gradient sup-norm or the relative energy change drops below
+tolerance.  The Armijo test allows an energy rise of _ENERGY_ROUNDOFF
+relative: near the optimum a full Newton step changes the energy by a few
+ulp, and without the allowance summation order would decide where a
+stage ends.
+The energy is convex for every eps >= 0, so the minimizer does not depend
+on the descent path.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+# Relative energy rise the Armijo test treats as roundoff.
+_ENERGY_ROUNDOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,11 @@ class SolverConfig:
 
 @dataclass
 class StageInfo:
-    """Diagnostics of one continuation stage."""
+    """Diagnostics of one continuation stage.
+
+    fallbacks counts the gradient steps taken because the factorization
+    failed or the Newton direction was not a descent direction.
+    """
 
     eps: float
     iterations: int = 0
@@ -95,6 +107,7 @@ class StageInfo:
     grad_sup: float = math.inf
     converged: bool = False
     line_search_failures: int = 0
+    fallbacks: int = 0
     energy_history: list = dataclass_field(default_factory=list)
     energy_drift_from_prev: float = math.nan
     predicted_drift_bound: float = math.nan
@@ -104,6 +117,7 @@ class StageInfo:
                 "energy": self.energy, "grad_sup": self.grad_sup,
                 "converged": self.converged,
                 "line_search_failures": self.line_search_failures,
+                "fallbacks": self.fallbacks,
                 "energy_drift_from_prev": self.energy_drift_from_prev,
                 "predicted_drift_bound": self.predicted_drift_bound}
 
@@ -131,8 +145,13 @@ class SolveResult:
 
 
 def _initial_field(grid: LogPolarGrid, p: float, pin_value: float) -> ScalarField:
-    """Start in the expected decay regime: min(1, r^-beta_p) * sin(phi)."""
-    radial = np.minimum(1.0, grid.r ** (-beta_p(p)))
+    """Start in the expected decay regime: min(r, r^-beta_p) * sin(phi).
+
+    The radial factor is continuous: it rises linearly to the pin radius
+    r = 1 and decays at the critical rate beyond it, so the start has no
+    jump at r_min and its energy is of the order of the minimum's.
+    """
+    radial = np.minimum(grid.r, grid.r ** (-beta_p(p)))
     values = pin_value * radial[:, None] * np.sin(grid.phi)[None, :]
     return ScalarField(grid, values).apply_dirichlet(pin_value=pin_value)
 
@@ -187,11 +206,12 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             h_ff = hess[free_idx][:, free_idx].tocsc()
             g_f = g.ravel()[free_idx]
             try:
-                direction = splu(h_ff).solve(-g_f)
+                direction = splu(h_ff, permc_spec="MMD_AT_PLUS_A").solve(-g_f)
+                slope = float(g_f @ direction)
             except RuntimeError:
-                direction = -g_f
-            slope = float(g_f @ direction)
+                slope = 0.0     # singular factor: take the gradient step
             if slope >= 0.0:
+                stage.fallbacks += 1
                 direction, slope = -g_f, float(-g_f @ g_f)
 
             step = 1.0
@@ -201,7 +221,8 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
                 trial.ravel()[free_idx] += step * direction
                 trial_field = ScalarField(grid, trial)
                 e_trial = energy(trial_field, params)
-                if e_trial <= e_now + config.armijo_c * step * slope:
+                if e_trial <= (e_now + config.armijo_c * step * slope
+                               + _ENERGY_ROUNDOFF * max(1.0, abs(e_now))):
                     accepted = True
                     break
                 step *= 0.5
@@ -318,7 +339,15 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
             and all(isinstance(d, dict) for d in meta["stages"])):
         raise ValueError("checkpoint stages must be a list of objects")
     field, header = load_field(path_base + ".field")
-    if GridSpec.from_dict(meta["spec"]) != field.grid.spec:
+    try:
+        spec = GridSpec.from_dict(meta["spec"])
+        config = SolverConfig.from_dict(meta["config"])
+        p = float(meta["p"])
+        pin_value = float(meta.get("pin_value", 1.0))
+        dipole = float(meta.get("dipole_strength", math.nan))
+    except TypeError as exc:    # a field of the wrong JSON type, e.g. null
+        raise ValueError(f"malformed checkpoint sidecar: {exc}") from exc
+    if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
     stages = []
     for d in meta["stages"]:
@@ -326,10 +355,10 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
             eps=d["eps"], iterations=d["iterations"], energy=d["energy"],
             grad_sup=d["grad_sup"], converged=d["converged"],
             line_search_failures=d["line_search_failures"],
+            fallbacks=d.get("fallbacks", 0),
             energy_drift_from_prev=d.get("energy_drift_from_prev", math.nan),
             predicted_drift_bound=d.get("predicted_drift_bound", math.nan)))
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
-                         converged=meta["converged"], p=float(meta["p"]),
-                         pin_value=float(meta.get("pin_value", 1.0)),
-                         dipole_strength=float(meta.get("dipole_strength", math.nan)))
-    return result, SolverConfig.from_dict(meta["config"])
+                         converged=meta["converged"], p=p, pin_value=pin_value,
+                         dipole_strength=dipole)
+    return result, config

@@ -24,16 +24,22 @@ def solve_p4():
     return result
 
 
-@pytest.fixture(scope="session")
-def solve_p4_fine(solve_p4):
-    """Refined solve warm-started from the base solution."""
+def warm_refine(coarse: m.SolveResult) -> m.SolveResult:
+    """Re-solve a desk-scale result on the refined grid, warm-started from
+    its interpolant."""
     grid = m.build_grid(ACC_SPEC_FINE)
     rr, pp = np.meshgrid(grid.r, grid.phi, indexing="ij")
     values = np.asarray(
-        m.interpolate(solve_p4.field, rr.ravel(), pp.ravel())).reshape(rr.shape)
+        m.interpolate(coarse.field, rr.ravel(), pp.ravel())).reshape(rr.shape)
     init = m.ScalarField(grid, values)
     config = m.SolverConfig(eps_schedule=(1e-5, 1e-6))
-    result = m.solve_extremal(ACC_SPEC_FINE, 4.0, config, initial=init)
+    return m.solve_extremal(ACC_SPEC_FINE, coarse.p, config, initial=init)
+
+
+@pytest.fixture(scope="session")
+def solve_p4_fine(solve_p4):
+    """Refined solve warm-started from the base solution."""
+    result = warm_refine(solve_p4)
     assert result.converged
     return result
 

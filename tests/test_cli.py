@@ -160,8 +160,12 @@ def test_analyze_corrupt_checkpoint(tmp_path):
 
 @pytest.mark.parametrize("edit", [lambda meta: [],
                                   lambda meta: {**meta, "stages": None},
-                                  lambda meta: {**meta, "stages": [1]}],
-                         ids=["list", "null-stages", "non-object-stage"])
+                                  lambda meta: {**meta, "stages": [1]},
+                                  lambda meta: {**meta, "spec": None},
+                                  lambda meta: {**meta, "config": None},
+                                  lambda meta: {**meta, "p": None}],
+                         ids=["list", "null-stages", "non-object-stage",
+                              "null-spec", "null-config", "null-p"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
     values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import morreylab as m
+from morreylab import solver
+from conftest import warm_refine
 
 
 TINY_SPEC = m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9)
@@ -108,6 +111,66 @@ def test_minimizer_independent_of_start(solve_small):
     other = m.solve_extremal(spec, 4.0, initial=init)
     assert other.converged
     assert np.abs(other.field.values - solve_small.field.values).max() < 1e-6
+
+
+def test_closed_form_start_shortens_first_stage(solve_p4, solve_p8):
+    # min(1, r^-beta_p) sin(phi), which jumps to 0 at r_min, took 23 and 54
+    assert solve_p4.stages[0].iterations <= 15
+    assert solve_p8.stages[0].iterations <= 30
+
+
+def test_stage_end_robust_to_roundoff_in_direction(monkeypatch, solve_p4,
+                                                   solve_p4_fine):
+    # The refinement's last step in stage one changes the energy by a few
+    # ulp; a relative perturbation of 1e-14 in every Newton direction must
+    # not decide whether it is accepted.
+    factor = solver.splu
+
+    class PerturbedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            d = self.lu.solve(rhs)
+            return d * (1.0 + 1e-14 * np.cos(np.arange(d.size)))
+
+    monkeypatch.setattr(solver, "splu",
+                        lambda *args, **kw: PerturbedLU(factor(*args, **kw)))
+    result = warm_refine(solve_p4)
+    assert result.converged
+    assert ([st.iterations for st in result.stages]
+            == [st.iterations for st in solve_p4_fine.stages])
+    assert np.abs(result.field.values - solve_p4_fine.field.values).max() < 1e-10
+
+
+def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
+                                                   solve_small):
+    assert all(st.fallbacks == 0 for st in solve_small.stages)
+    factor, calls = solver.splu, []
+
+    def fails_once(*args, **kw):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(*args, **kw)
+
+    monkeypatch.setattr(solver, "splu", fails_once)
+    result = m.solve_extremal(solve_small.grid.spec, 4.0)
+    assert result.converged
+    assert [st.fallbacks for st in result.stages] == [1, 0, 0, 0, 0]
+    assert np.abs(result.field.values - solve_small.field.values).max() < 1e-6
+    # written to the sidecar, read back, and 0 when an older sidecar lacks it
+    base = tmp_path / "ck"
+    m.save_checkpoint(result, m.SolverConfig(), base)
+    meta = json.loads((tmp_path / "ck.json").read_text())
+    assert [d["fallbacks"] for d in meta["stages"]] == [1, 0, 0, 0, 0]
+    loaded, _ = m.load_checkpoint(base)
+    assert [st.fallbacks for st in loaded.stages] == [1, 0, 0, 0, 0]
+    for d in meta["stages"]:
+        del d["fallbacks"]
+    (tmp_path / "ck.json").write_text(json.dumps(meta))
+    loaded, _ = m.load_checkpoint(base)
+    assert [st.fallbacks for st in loaded.stages] == [0, 0, 0, 0, 0]
 
 
 # ------------------------------------------------------------ odd extension
