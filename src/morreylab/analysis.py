@@ -46,6 +46,13 @@ __all__ = [
     "barrier_check",
 ]
 
+# local refinement rounds of the Hoelder search
+_HOLDER_REFINE_ROUNDS = 3
+# inner radius of the barrier annulus (its outer radius is r_max / 8, the
+# end of the fit window) and samples of the barrier's angular profile
+_BARRIER_R_INNER = 1.0
+_BARRIER_N_THETA = 513
+
 
 @dataclass
 class DecayProfile:
@@ -224,8 +231,7 @@ def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
 
 
 def holder_seminorm(evaluator, alpha: float, sample_budget: int,
-                    sample_points: np.ndarray | None = None,
-                    refine_rounds: int = 3) -> HolderResult:
+                    sample_points: np.ndarray | None = None) -> HolderResult:
     """Search the Hoelder quotient sup |u(x)-u(y)| / |x-y|**alpha.
 
     Three stages: the deterministic pair (e, -e) on the last coordinate
@@ -279,7 +285,7 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     offsets_1d = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     grids = np.meshgrid(*([offsets_1d] * dim), indexing="ij")
     cloud = np.column_stack([g.ravel() for g in grids])
-    for _ in range(refine_rounds):
+    for _ in range(_HOLDER_REFINE_ROUNDS):
         cand = np.vstack([best_pair[0] + scale * cloud,
                           best_pair[1] + scale * cloud])
         if domain is not None:
@@ -329,9 +335,8 @@ def estimate_morrey_constant(result: SolveResult,
                           argmax_pair=(holder.point_a, holder.point_b))
 
 
-def barrier_check(result, beta: float, tau: float, eps: float | None = None,
-                  r_inner: float = 1.0, r_outer: float | None = None,
-                  n_theta: int = 513) -> BarrierReport:
+def barrier_check(result, beta: float, tau: float,
+                  eps: float | None = None) -> BarrierReport:
     """Count grid points where u exceeds the exterior supersolution.
 
     The barrier is b = S(r_out) + eps * S(r_in) * (r/r_in)**(-kappa) * f(phi)
@@ -355,7 +360,7 @@ def barrier_check(result, beta: float, tau: float, eps: float | None = None,
         raise ValueError(
             f"beta + tau = {kappa} is not below the critical exponent {bp}; "
             "no cone barrier exists at that rate")
-    profile = angular_profile(kappa, p, n_theta)
+    profile = angular_profile(kappa, p, _BARRIER_N_THETA)
     delta = (profile.params.aperture_L - 1.0) * np.pi / 2.0
 
     g = field.grid
@@ -367,12 +372,10 @@ def barrier_check(result, beta: float, tau: float, eps: float | None = None,
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    if r_outer is None:
-        r_outer = g.spec.r_max / 8.0
-    i_in = int(np.argmin(np.abs(g.r - r_inner)))
-    i_out = int(np.argmin(np.abs(g.r - r_outer)))
-    if g.r[i_in] < 1.0 or i_out <= i_in:
-        raise ValueError("annulus [r_inner, r_outer] is empty or below r = 1")
+    i_in = int(np.argmin(np.abs(g.r - _BARRIER_R_INNER)))
+    i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / 8.0)))
+    if i_out <= i_in:
+        raise ValueError("annulus [1, r_max / 8] is empty")
     sup = np.abs(field.values).max(axis=1)
     s_in, s_out = float(sup[i_in]), float(sup[i_out])
 

@@ -9,9 +9,10 @@ Subcommands
 
 Every run writes a manifest JSON listing the command, the full effective
 parameter set, the artifact paths and the wall clock.  Parameters may come
-from a JSON config file (--config); explicit flags win.  Data files carry
-no timestamps, so identical invocations produce byte-identical outputs;
-only the manifest records time.
+from a JSON config file (--config) keyed by the flag names with
+underscores; explicit flags win.  Data files carry no timestamps, so
+identical invocations produce byte-identical outputs; only the manifest
+records time.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
 3 verification failure.
@@ -23,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from . import __version__
 from .aronsson import (angular_profile, aperture_L, beta_p, kappa_of_L,
                        pharmonic_residual)
 from .grid import (EnergyParams, GridSpec, ScalarField, build_grid, energy,
-                   energy_gradient)
+                   energy_gradient, from_fields)
 from .solver import (SolveResult, SolverConfig, load_checkpoint,
                      save_checkpoint, solve_extremal)
 from .analysis import (barrier_check, decay_profile, estimate_morrey_constant,
@@ -53,37 +55,105 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    """Full-precision scientific notation, 17 significant digits."""
-    return f"{x:.16e}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows in full-precision scientific notation, 17 significant digits."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _typed(kind, *types):
+    """Converter to kind from a flag string or config value of given types."""
+    def parse(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {kind.__name__}, got {json.dumps(value)}")
+        return kind(value)
+    return parse
+
+
+_float = _typed(float, str, int, float)
+_int = _typed(int, str, int)
+_text = _typed(str, str)
+_flag = _typed(bool, bool)      # JSON true or false; the flag is store_true
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _float_list(value) -> str:
+    """A comma-separated float list, checked and kept as its string."""
+    _floats(_text(value))
+    return value
+
+
+def _choice(*choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {choices}, got {value!r}")
+        return value
+    parse.choices = choices
+    return parse
+
+
+# subcommand -> parameter -> (parse, default); the flag is --name with
+# "_" -> "-", and a default of None means unset
+_PARAMS = {
+    "beta-table": {"p_values": (_float_list, "2.5,3,4,8,16,1000,1000000"),
+                   "out_dir": (_text, ".")},
+    "aronsson": {"p": (_float, 4.0), "kappa": (_float, None),
+                 "L": (_float, None), "n_samples": (_int, 1001),
+                 "out_dir": (_text, ".")},
+    "solve": {"p": (_float, 4.0), "r_min": (_float, 2.0**-6),
+              "r_max": (_float, 2.0**12), "n_s": (_int, 577),
+              "n_phi": (_int, 65),
+              "eps_schedule": (_float_list, "1e-2,1e-3,1e-4,1e-5,1e-6"),
+              "grad_tol": (_float, 1e-9), "energy_rel_tol": (_float, 1e-12),
+              "max_iters": (_int, 100), "tag": (_text, "solve"),
+              "out_dir": (_text, ".")},
+    "analyze": {"checkpoint": (_text, None), "window": (_float_list, None),
+                "budget": (_int, 600), "out_dir": (_text, ".")},
+    "verify": {"p": (_float, 4.0), "mode": (_choice("quick", "full"), "quick"),
+               "inject_perturbation": (_flag, False), "out_dir": (_text, ".")},
+}
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return cfg
 
 
-def _effective(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags into one parameter set."""
-    params = dict(defaults)
-    for key in defaults:
-        if key in config:
-            params[key] = config[key]
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            params[key] = flag_val
+def _effective(args: argparse.Namespace, config: dict) -> dict:
+    """Merge defaults < config file (null is unset) < flags, each converted."""
+    table = _PARAMS[args.command]
+    unknown = sorted(set(config) - set(table))
+    if unknown:
+        raise UsageError(f"{args.command} takes no config key {unknown}")
+    params = {}
+    for key, (parse, default) in table.items():
+        params[key] = None
+        for value in (default, config.get(key), getattr(args, key)):
+            if value is None:
+                continue
+            try:
+                params[key] = parse(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise UsageError(f"bad value for {key}: {exc}") from exc
     return params
 
 
@@ -97,30 +167,19 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
         "version": __version__,
     }
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse float list {text!r}") from exc
 
 
 # ---------------------------------------------------------------- beta-table
 
-def cmd_beta_table(args: argparse.Namespace, config: dict) -> int:
+def cmd_beta_table(params: dict) -> int:
     t0 = time.time()
-    defaults = {"p_values": "2.5,3,4,8,16,1000,1000000", "out_dir": "."}
-    params = _effective(args, config, defaults)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     try:
-        for p in _parse_floats(params["p_values"]):
+        for p in _floats(params["p_values"]):
             bp = beta_p(p)
             rows.append((p, bp, aperture_L(bp, p)))
     except ValueError as exc:
@@ -134,18 +193,15 @@ def cmd_beta_table(args: argparse.Namespace, config: dict) -> int:
 
 # ------------------------------------------------------------------ aronsson
 
-def cmd_aronsson(args: argparse.Namespace, config: dict) -> int:
+def cmd_aronsson(params: dict) -> int:
     t0 = time.time()
-    defaults = {"p": 4.0, "kappa": None, "L": None, "n_samples": 1001,
-                "out_dir": "."}
-    params = _effective(args, config, defaults)
     if (params["kappa"] is None) == (params["L"] is None):
         raise UsageError("give exactly one of --kappa and --L")
-    p = float(params["p"])
+    p = params["p"]
     try:
-        kappa = (float(params["kappa"]) if params["kappa"] is not None
-                 else kappa_of_L(float(params["L"]), p))
-        profile = angular_profile(kappa, p, int(params["n_samples"]))
+        kappa = (params["kappa"] if params["kappa"] is not None
+                 else kappa_of_L(params["L"], p))
+        profile = angular_profile(kappa, p, params["n_samples"])
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
     out_dir = Path(params["out_dir"])
@@ -162,9 +218,7 @@ def cmd_aronsson(args: argparse.Namespace, config: dict) -> int:
         "invariants": profile.invariant_report(),
     }
     json_path = out_dir / "aronsson_summary.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, summary)
     manifest = _write_manifest(out_dir, "aronsson", params,
                                [csv_path, json_path], t0)
     print(f"wrote {csv_path}, {json_path} and {manifest}")
@@ -173,30 +227,22 @@ def cmd_aronsson(args: argparse.Namespace, config: dict) -> int:
 
 # --------------------------------------------------------------------- solve
 
-def cmd_solve(args: argparse.Namespace, config: dict) -> int:
+def cmd_solve(params: dict) -> int:
     t0 = time.time()
-    defaults = {"p": 4.0, "r_min": 2.0**-6, "r_max": 2.0**12,
-                "n_s": 577, "n_phi": 65,
-                "eps_schedule": "1e-2,1e-3,1e-4,1e-5,1e-6",
-                "grad_tol": 1e-9, "energy_rel_tol": 1e-12,
-                "max_iters": 100, "out_dir": ".", "tag": "solve"}
-    params = _effective(args, config, defaults)
     try:
-        p = EnergyParams(p=float(params["p"])).p
-        spec = GridSpec(r_min=float(params["r_min"]),
-                        r_max=float(params["r_max"]),
-                        n_s=int(params["n_s"]), n_phi=int(params["n_phi"]))
+        p = EnergyParams(p=params["p"]).p
+        spec = from_fields(GridSpec, params)
         solver_config = SolverConfig(
-            eps_schedule=tuple(_parse_floats(params["eps_schedule"])),
-            grad_tol=float(params["grad_tol"]),
-            energy_rel_tol=float(params["energy_rel_tol"]),
-            max_iters_per_stage=int(params["max_iters"]))
+            eps_schedule=_floats(params["eps_schedule"]),
+            grad_tol=params["grad_tol"],
+            energy_rel_tol=params["energy_rel_tol"],
+            max_iters_per_stage=params["max_iters"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = solve_extremal(spec, p, solver_config)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / str(params["tag"])
+    base = out_dir / params["tag"]
     field_path, meta_path = save_checkpoint(result, solver_config, base)
     artifacts = [Path(field_path), Path(meta_path)]
     manifest = _write_manifest(out_dir, "solve", params, artifacts, t0)
@@ -211,11 +257,8 @@ def cmd_solve(args: argparse.Namespace, config: dict) -> int:
 
 # ------------------------------------------------------------------- analyze
 
-def cmd_analyze(args: argparse.Namespace, config: dict) -> int:
+def cmd_analyze(params: dict) -> int:
     t0 = time.time()
-    defaults = {"checkpoint": None, "window": None, "budget": 600,
-                "out_dir": "."}
-    params = _effective(args, config, defaults)
     if params["checkpoint"] is None:
         raise UsageError("--checkpoint is required")
     try:
@@ -225,9 +268,8 @@ def cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     if not result.converged:
         print("checkpoint is not converged", file=sys.stderr)
         return EXIT_NUMERICAL
-    r_max = result.grid.spec.r_max
-    window = (tuple(_parse_floats(params["window"]))
-              if params["window"] else (4.0, r_max / 8.0))
+    window = (tuple(_floats(params["window"])) if params["window"]
+              else (4.0, result.grid.spec.r_max / 8.0))
     if len(window) != 2:
         raise UsageError("--window must be 'r_lo,r_hi'")
 
@@ -235,7 +277,7 @@ def cmd_analyze(args: argparse.Namespace, config: dict) -> int:
     try:
         fit = fit_exponent(profile, window)
         gprofile, gfit = gradient_profile(result, window)
-        morrey = estimate_morrey_constant(result, int(params["budget"]))
+        morrey = estimate_morrey_constant(result, params["budget"])
     except ValueError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -268,9 +310,7 @@ def cmd_analyze(args: argparse.Namespace, config: dict) -> int:
         },
     }
     json_path = out_dir / "fit_summary.json"
-    with open(json_path, "w") as fh:
-        json.dump(fit_json, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, fit_json)
     artifacts = [decay_csv, grad_csv, json_path]
     manifest = _write_manifest(out_dir, "analyze", params, artifacts, t0)
     print(f"beta_hat={fit.beta_hat:.7f} beta_p={bp:.7f} "
@@ -336,7 +376,6 @@ def _verify_gradient_consistency(p: float) -> dict:
 
 def _verify_barrier_synthetic(p: float) -> dict:
     """Barrier comparison on closed-form fields, positive and negative."""
-    from dataclasses import asdict
     bp = beta_p(p)
     spec = GridSpec(r_min=2.0**-4, r_max=2.0**10, n_s=113, n_phi=17)
     grid = build_grid(spec)
@@ -371,35 +410,28 @@ def _verify_coarse_solve(p: float) -> dict:
     """Small solve plus decay fit, gated at a coarse-grid tolerance."""
     spec = GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=145, n_phi=33)
     result = solve_extremal(spec, p, SolverConfig())
-    ok = result.converged
     v = result.field.values
-    ok = ok and bool(v.min() >= 0.0 and v.max() <= 1.0)
+    bounds_ok = bool(v.min() >= 0.0 and v.max() <= 1.0)
     fit = fit_exponent(decay_profile(result), (4.0, spec.r_max / 8.0))
     bp = beta_p(p)
     gate = abs(fit.beta_hat - bp) < 0.15
-    return {"converged": result.converged,
-            "bounds_ok": bool(v.min() >= 0.0 and v.max() <= 1.0),
+    return {"converged": result.converged, "bounds_ok": bounds_ok,
             "beta_hat": fit.beta_hat, "beta_p": bp,
             "beta_gate_0p15": bool(gate),
-            "pass": bool(ok and gate)}
+            "pass": bool(result.converged and bounds_ok and gate)}
 
 
-def cmd_verify(args: argparse.Namespace, config: dict) -> int:
+def cmd_verify(params: dict) -> int:
     t0 = time.time()
-    defaults = {"p": 4.0, "mode": "quick", "out_dir": ".",
-                "inject_perturbation": False}
-    params = _effective(args, config, defaults)
-    if params["mode"] not in ("quick", "full"):
-        raise UsageError("--mode must be quick or full")
     try:
-        p = EnergyParams(p=float(params["p"])).p
+        p = EnergyParams(p=params["p"]).p
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    perturb = bool(params["inject_perturbation"])
     report = {
         "p": p,
         "mode": params["mode"],
-        "aronsson_identities": _verify_aronsson_suite(p, perturb),
+        "aronsson_identities": _verify_aronsson_suite(
+            p, params["inject_perturbation"]),
         "gradient_consistency": _verify_gradient_consistency(p),
         "barrier_synthetic": _verify_barrier_synthetic(p),
     }
@@ -411,9 +443,7 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "verify_report.json"
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, report)
     _write_manifest(out_dir, "verify", params, [json_path], t0)
     for key, section in report.items():
         if isinstance(section, dict):
@@ -431,58 +461,26 @@ def _build_parser() -> _Parser:
                      description="Morrey extremal laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out-dir", dest="out_dir", default=None)
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, (parse, _) in _PARAMS[command].items():
+            flag = "--" + name.replace("_", "-")
+            if parse is _flag:      # the hidden verification hook
+                sp.add_argument(flag, dest=name, action="store_true",
+                                default=None, help=argparse.SUPPRESS)
+            else:
+                sp.add_argument(flag, dest=name,
+                                choices=getattr(parse, "choices", None))
         sp.add_argument("--config", default=None)
-
-    sp = sub.add_parser("beta-table", help="critical exponent table")
-    sp.add_argument("--p-values", dest="p_values", default=None)
-    common(sp)
-
-    sp = sub.add_parser("aronsson", help="angular profile of a cone solution")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--kappa", type=float, default=None)
-    sp.add_argument("--L", type=float, default=None)
-    sp.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("solve", help="compute the discrete extremal")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--r-min", dest="r_min", type=float, default=None)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-    sp.add_argument("--n-s", dest="n_s", type=int, default=None)
-    sp.add_argument("--n-phi", dest="n_phi", type=int, default=None)
-    sp.add_argument("--eps-schedule", dest="eps_schedule", default=None)
-    sp.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
-    sp.add_argument("--energy-rel-tol", dest="energy_rel_tol", type=float,
-                    default=None)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    sp.add_argument("--tag", default=None)
-    common(sp)
-
-    sp = sub.add_parser("analyze", help="profiles, fits and constant estimate")
-    sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--window", default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="invariant verification suites")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--mode", choices=("quick", "full"), default=None)
-    sp.add_argument("--inject-perturbation", dest="inject_perturbation",
-                    action="store_true", default=None,
-                    help=argparse.SUPPRESS)
-    common(sp)
     return parser
 
 
 _COMMANDS = {
-    "beta-table": cmd_beta_table,
-    "aronsson": cmd_aronsson,
-    "solve": cmd_solve,
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
+    "beta-table": (cmd_beta_table, "critical exponent table"),
+    "aronsson": (cmd_aronsson, "angular profile of a cone solution"),
+    "solve": (cmd_solve, "compute the discrete extremal"),
+    "analyze": (cmd_analyze, "profiles, fits and constant estimate"),
+    "verify": (cmd_verify, "invariant verification suites"),
 }
 
 
@@ -490,8 +488,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, config)
+        params = _effective(args, _load_config(args.config))
+        return _COMMANDS[args.command][0](params)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

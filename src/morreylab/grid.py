@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,14 +89,16 @@ class GridSpec:
                 "s = 0 (the circle r = 1) must be a grid node; choose n_s so "
                 "that ln(r_min) is an integer multiple of the spacing")
 
-    def to_dict(self) -> dict:
-        return {"r_min": self.r_min, "r_max": self.r_max,
-                "n_s": self.n_s, "n_phi": self.n_phi}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(r_min=float(d["r_min"]), r_max=float(d["r_max"]),
-                   n_s=int(d["n_s"]), n_phi=int(d["n_phi"]))
+def from_fields(cls, data: dict):
+    """Dataclass cls from the entries of data that name its fields.
+
+    Other keys are ignored and absent fields keep their defaults; a
+    missing required field or data that is not a dict raises TypeError.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 class LogPolarGrid:
@@ -391,7 +393,7 @@ def interpolate(field: ScalarField, r, phi):
 def save_field(field: ScalarField, path, p: float | None = None) -> None:
     """Write a self-describing textual dump: JSON header, then nodal rows."""
     header = {"format": "morreylab-field", "version": 1,
-              "p": p, **field.grid.spec.to_dict()}
+              "p": p, **asdict(field.grid.spec)}
     with open(path, "w") as fh:
         fh.write(_FIELD_MAGIC + "\n")
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -406,7 +408,7 @@ def load_field(path) -> tuple[ScalarField, dict]:
         if magic != _FIELD_MAGIC:
             raise ValueError(f"not a field dump: {path}")
         header = json.loads(fh.readline())
-        spec = GridSpec.from_dict(header)
+        spec = from_fields(GridSpec, header)
         values = np.loadtxt(fh, ndmin=2)
     grid = build_grid(spec)
     if values.shape != (spec.n_s, spec.n_phi):

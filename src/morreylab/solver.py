@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -30,7 +30,8 @@ from scipy.sparse.linalg import splu
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
                    build_grid, energy, energy_eps2_derivative, energy_gradient,
-                   energy_hessian, interpolate, load_field, save_field)
+                   energy_hessian, from_fields, interpolate, load_field,
+                   save_field)
 
 __all__ = [
     "SolverConfig",
@@ -76,21 +77,11 @@ class SolverConfig:
             raise ValueError("max_iters_per_stage must be at least 1")
 
     def to_dict(self) -> dict:
-        return {"eps_schedule": list(self.eps_schedule),
-                "grad_tol": self.grad_tol,
-                "energy_rel_tol": self.energy_rel_tol,
-                "max_iters_per_stage": self.max_iters_per_stage,
-                "armijo_c": self.armijo_c,
-                "max_halvings": self.max_halvings}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(eps_schedule=tuple(d["eps_schedule"]),
-                   grad_tol=float(d["grad_tol"]),
-                   energy_rel_tol=float(d["energy_rel_tol"]),
-                   max_iters_per_stage=int(d["max_iters_per_stage"]),
-                   armijo_c=float(d.get("armijo_c", 1e-4)),
-                   max_halvings=int(d.get("max_halvings", 60)))
+        return from_fields(cls, d)
 
 
 @dataclass
@@ -111,15 +102,6 @@ class StageInfo:
     energy_history: list = dataclass_field(default_factory=list)
     energy_drift_from_prev: float = math.nan
     predicted_drift_bound: float = math.nan
-
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "iterations": self.iterations,
-                "energy": self.energy, "grad_sup": self.grad_sup,
-                "converged": self.converged,
-                "line_search_failures": self.line_search_failures,
-                "fallbacks": self.fallbacks,
-                "energy_drift_from_prev": self.energy_drift_from_prev,
-                "predicted_drift_bound": self.predicted_drift_bound}
 
 
 @dataclass
@@ -314,13 +296,14 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         "format": "morreylab-checkpoint",
         "version": 1,
         "p": result.p,
-        "spec": result.grid.spec.to_dict(),
+        "spec": asdict(result.grid.spec),
         "config": config.to_dict(),
         "energy": result.energy,
         "converged": result.converged,
         "pin_value": result.pin_value,
         "dipole_strength": result.dipole_strength,
-        "stages": [st.to_dict() for st in result.stages],
+        "stages": [{k: v for k, v in asdict(st).items()
+                    if k != "energy_history"} for st in result.stages],
     }
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -335,29 +318,20 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         meta = json.load(fh)
     if not isinstance(meta, dict) or meta.get("format") != "morreylab-checkpoint":
         raise ValueError(f"not a checkpoint: {path_base}.json")
-    if not (isinstance(meta.get("stages"), list)
-            and all(isinstance(d, dict) for d in meta["stages"])):
+    if not isinstance(meta.get("stages"), list):
         raise ValueError("checkpoint stages must be a list of objects")
-    field, header = load_field(path_base + ".field")
     try:
-        spec = GridSpec.from_dict(meta["spec"])
+        field, _ = load_field(path_base + ".field")
+        spec = from_fields(GridSpec, meta["spec"])
         config = SolverConfig.from_dict(meta["config"])
+        stages = [from_fields(StageInfo, d) for d in meta["stages"]]
         p = float(meta["p"])
         pin_value = float(meta.get("pin_value", 1.0))
         dipole = float(meta.get("dipole_strength", math.nan))
-    except TypeError as exc:    # a field of the wrong JSON type, e.g. null
-        raise ValueError(f"malformed checkpoint sidecar: {exc}") from exc
+    except TypeError as exc:    # a missing or wrong-typed field, e.g. null
+        raise ValueError(f"malformed checkpoint: {exc}") from exc
     if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
-    stages = []
-    for d in meta["stages"]:
-        stages.append(StageInfo(
-            eps=d["eps"], iterations=d["iterations"], energy=d["energy"],
-            grad_sup=d["grad_sup"], converged=d["converged"],
-            line_search_failures=d["line_search_failures"],
-            fallbacks=d.get("fallbacks", 0),
-            energy_drift_from_prev=d.get("energy_drift_from_prev", math.nan),
-            predicted_drift_bound=d.get("predicted_drift_bound", math.nan)))
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
                          converged=meta["converged"], p=p, pin_value=pin_value,
                          dipole_strength=dipole)

@@ -1,11 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import re
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import morreylab as m
+from morreylab import cli
 from morreylab.cli import main
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
@@ -167,17 +175,39 @@ def test_analyze_corrupt_checkpoint(tmp_path):
                          ids=["list", "null-stages", "non-object-stage",
                               "null-spec", "null-config", "null-p"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
-    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
-    values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
-    result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
-                           stages=[], converged=True, p=4.0)
-    m.save_checkpoint(result, m.SolverConfig(), tmp_path / "ckpt")
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
     sidecar = tmp_path / "ckpt.json"
     sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
     rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("usage error")
+
+
+@pytest.mark.parametrize("edit", [lambda header: {**header, "r_min": None},
+                                  lambda header: {k: v for k, v in header.items()
+                                                  if k != "n_s"},
+                                  lambda header: []],
+                         ids=["null-r-min", "no-n-s", "list"])
+def test_analyze_malformed_field_header(edit, tmp_path, capsys):
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    dump = tmp_path / "ckpt.field"
+    lines = dump.read_text().splitlines(keepends=True)
+    lines[1] = json.dumps(edit(json.loads(lines[1]))) + "\n"
+    dump.write_text("".join(lines))
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot read checkpoint")
+
+
+def _write_synthetic_checkpoint(base):
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
+    values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
+    result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
+                           stages=[], converged=True, p=4.0)
+    m.save_checkpoint(result, m.SolverConfig(), base)
 
 
 # ------------------------------------------------------------------- config
@@ -197,22 +227,137 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert [r[0] for r in rows] == [8.0]
 
 
-def test_manifest_parameters_round_trip(tmp_path):
+@pytest.mark.parametrize("argv, data_files", [
+    (["beta-table", "--p-values", "3,4,8"], ["beta_table.csv"]),
+    (["aronsson", "--p", "4", "--kappa", "1.0", "--n-samples", "201"],
+     ["aronsson_profile.csv", "aronsson_summary.json"]),
+    (["verify", "--p", "4", "--mode", "quick"], ["verify_report.json"]),
+    (["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
+      "--n-s", "49", "--n-phi", "17"], ["solve.field", "solve.json"]),
+], ids=["beta-table", "aronsson-kappa", "verify-quick", "solve-49x17"])
+def test_manifest_parameters_round_trip(argv, data_files, tmp_path):
+    manifest_name = argv[0].replace("-", "_") + "_manifest.json"
     out1 = tmp_path / "o1"
-    main(["beta-table", "--p-values", "3,4,8", "--out-dir", str(out1)])
-    manifest = json.loads((out1 / "beta_table_manifest.json").read_text())
+    assert main(argv + ["--out-dir", str(out1)]) == 0
+    manifest = json.loads((out1 / manifest_name).read_text())
     cfg = tmp_path / "replay.json"
     params = dict(manifest["parameters"])
     params.pop("out_dir")
     cfg.write_text(json.dumps(params))
     out2 = tmp_path / "o2"
-    main(["beta-table", "--config", str(cfg), "--out-dir", str(out2)])
-    manifest2 = json.loads((out2 / "beta_table_manifest.json").read_text())
+    assert main([argv[0], "--config", str(cfg), "--out-dir", str(out2)]) == 0
+    manifest2 = json.loads((out2 / manifest_name).read_text())
     p1 = dict(manifest["parameters"]); p1.pop("out_dir")
     p2 = dict(manifest2["parameters"]); p2.pop("out_dir")
     assert p1 == p2
-    assert (out1 / "beta_table.csv").read_bytes() == \
-        (out2 / "beta_table.csv").read_bytes()
+    for name in data_files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("content", [None, "{]", "[1, 2]"],
+                         ids=["missing", "invalid-json", "not-an-object"])
+def test_unreadable_config_is_usage_error(content, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["beta-table", "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(cfg) in err
+
+
+# subcommand -> dest -> (option string, kind of value); every subcommand
+# also takes --config
+OPTIONS = {
+    "beta-table": {"p_values": ("--p-values", "floats"),
+                   "out_dir": ("--out-dir", "text")},
+    "aronsson": {"p": ("--p", "float"), "kappa": ("--kappa", "float"),
+                 "L": ("--L", "float"), "n_samples": ("--n-samples", "int"),
+                 "out_dir": ("--out-dir", "text")},
+    "solve": {"p": ("--p", "float"), "r_min": ("--r-min", "float"),
+              "r_max": ("--r-max", "float"), "n_s": ("--n-s", "int"),
+              "n_phi": ("--n-phi", "int"),
+              "eps_schedule": ("--eps-schedule", "floats"),
+              "grad_tol": ("--grad-tol", "float"),
+              "energy_rel_tol": ("--energy-rel-tol", "float"),
+              "max_iters": ("--max-iters", "int"), "tag": ("--tag", "text"),
+              "out_dir": ("--out-dir", "text")},
+    "analyze": {"checkpoint": ("--checkpoint", "text"),
+                "window": ("--window", "floats"),
+                "budget": ("--budget", "int"), "out_dir": ("--out-dir", "text")},
+    "verify": {"p": ("--p", "float"), "mode": ("--mode", "mode"),
+               "inject_perturbation": ("--inject-perturbation", "bool"),
+               "out_dir": ("--out-dir", "text")},
+}
+
+
+def test_option_strings_and_dests_frozen():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {command: {(opt, a.dest) for a in sp._actions if a.dest != "help"
+                     for opt in a.option_strings}
+           for command, sp in sub.choices.items()}
+    assert got == {command: {(opt, dest) for dest, (opt, _) in options.items()}
+                   | {("--config", "config")}
+                   for command, options in OPTIONS.items()}
+
+
+def _rejects(convert, text):
+    try:
+        convert(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _float_list(text):
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+_NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_LISTS = st.lists(st.integers(), max_size=3)
+_OBJECTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+_CONTAINERS = st.booleans() | _LISTS | _OBJECTS
+# JSON values of a type each kind of parameter does not accept
+_WRONG = {
+    "float": (_CONTAINERS | st.integers(min_value=2**1024)
+              | st.text(max_size=8).filter(lambda s: _rejects(float, s))),
+    "int": (_CONTAINERS | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(max_size=8).filter(lambda s: _rejects(int, s))),
+    "floats": (_CONTAINERS | _NUMBERS
+               | st.text(max_size=12).filter(lambda s: _rejects(_float_list, s))),
+    "text": _CONTAINERS | _NUMBERS,
+    "mode": (_CONTAINERS | _NUMBERS
+             | st.text(max_size=8).filter(lambda s: s not in ("quick", "full"))),
+    "bool": _NUMBERS | st.text(max_size=8) | _LISTS | _OBJECTS,
+}
+_KEYS = st.text(string.ascii_letters + "_", min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+@settings(max_examples=50, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_wrong_type_or_unknown_key_is_usage_error(command, data,
+                                                         tmp_path):
+    options = OPTIONS[command]
+    key = data.draw(st.sampled_from(sorted(options))
+                    | _KEYS.filter(lambda k: k not in options), label="key")
+    value = data.draw(_WRONG[options[key][1]] if key in options else _NUMBERS,
+                      label="value")
+    cfg = tmp_path / "cfg.json"
+    # a new file each time: rewriting one in place can force a disk flush
+    cfg.unlink(missing_ok=True)
+    cfg.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with mock.patch.object(cli, "solve_extremal",
+                           side_effect=AssertionError("a solve started")), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert err.getvalue().startswith("usage error:")
+    assert key in err.getvalue()
 
 
 # ------------------------------------------------------------------- verify
