@@ -33,7 +33,7 @@ from . import __version__
 from .aronsson import (angular_profile, aperture_L, beta_p, kappa_of_L,
                        pharmonic_residual)
 from .grid import (EnergyParams, GridSpec, ScalarField, build_grid, energy,
-                   energy_gradient, from_fields)
+                   energy_gradient, from_fields, write_csv, write_json)
 from .solver import (SolveResult, SolverConfig, load_checkpoint,
                      save_checkpoint, solve_extremal)
 from .analysis import (barrier_check, decay_profile, estimate_morrey_constant,
@@ -53,20 +53,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract here is 1
     def error(self, message):
         raise UsageError(message)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Rows in full-precision scientific notation, 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _typed(kind, *types):
@@ -167,7 +153,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
         "version": __version__,
     }
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -185,7 +171,7 @@ def cmd_beta_table(params: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     csv_path = out_dir / "beta_table.csv"
-    _write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], rows)
+    write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], rows)
     manifest = _write_manifest(out_dir, "beta-table", params, [csv_path], t0)
     print(f"wrote {csv_path} and {manifest}")
     return EXIT_OK
@@ -207,9 +193,9 @@ def cmd_aronsson(params: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "aronsson_profile.csv"
-    _write_csv(csv_path, ["theta", "phi", "f", "fprime", "g"],
-               zip(profile.theta, profile.phi, profile.f, profile.fprime,
-                   profile.g))
+    write_csv(csv_path, ["theta", "phi", "f", "fprime", "g"],
+              zip(profile.theta, profile.phi, profile.f, profile.fprime,
+                  profile.g))
     summary = {
         "p": p,
         "kappa": kappa,
@@ -218,7 +204,7 @@ def cmd_aronsson(params: dict) -> int:
         "invariants": profile.invariant_report(),
     }
     json_path = out_dir / "aronsson_summary.json"
-    _write_json(json_path, summary)
+    write_json(json_path, summary)
     manifest = _write_manifest(out_dir, "aronsson", params,
                                [csv_path, json_path], t0)
     print(f"wrote {csv_path}, {json_path} and {manifest}")
@@ -285,9 +271,9 @@ def cmd_analyze(params: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     decay_csv = out_dir / "decay_profile.csv"
-    _write_csv(decay_csv, ["r", "S_r"], zip(profile.radii, profile.sup_values))
+    write_csv(decay_csv, ["r", "S_r"], zip(profile.radii, profile.sup_values))
     grad_csv = out_dir / "gradient_profile.csv"
-    _write_csv(grad_csv, ["r", "G_r"], zip(gprofile.radii, gprofile.sup_values))
+    write_csv(grad_csv, ["r", "G_r"], zip(gprofile.radii, gprofile.sup_values))
     bp = beta_p(result.p)
     fit_json = {
         "p": result.p,
@@ -310,7 +296,7 @@ def cmd_analyze(params: dict) -> int:
         },
     }
     json_path = out_dir / "fit_summary.json"
-    _write_json(json_path, fit_json)
+    write_json(json_path, fit_json)
     artifacts = [decay_csv, grad_csv, json_path]
     manifest = _write_manifest(out_dir, "analyze", params, artifacts, t0)
     print(f"beta_hat={fit.beta_hat:.7f} beta_p={bp:.7f} "
@@ -443,7 +429,7 @@ def cmd_verify(params: dict) -> int:
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "verify_report.json"
-    _write_json(json_path, report)
+    write_json(json_path, report)
     _write_manifest(out_dir, "verify", params, [json_path], t0)
     for key, section in report.items():
         if isinstance(section, dict):

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,9 +77,9 @@ class GridSpec:
     n_phi: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < 1.0 < self.r_max):
-            raise ValueError(
-                f"need 0 < r_min < 1 < r_max, got ({self.r_min}, {self.r_max})")
+        if not (0.0 < self.r_min < 1.0 < self.r_max < math.inf):
+            raise ValueError(f"need 0 < r_min < 1 < r_max < inf, "
+                             f"got ({self.r_min}, {self.r_max})")
         if self.n_s < 3:
             raise ValueError(f"n_s must be at least 3, got {self.n_s}")
         if self.n_phi < 3 or self.n_phi % 2 == 0:
@@ -119,10 +120,13 @@ class LogPolarGrid:
         self.r = np.exp(s)
         # cell centers and the exact integral of e^{2s} over each s-cell
         self.s_c = 0.5 * (s[:-1] + s[1:])
-        self.phi_c = 0.5 * (phi[:-1] + phi[1:])
         self.em2s_c = np.exp(-2.0 * self.s_c)
-        radial_mass = 0.5 * (self.r[1:] ** 2 - self.r[:-1] ** 2)
-        self.cell_weight = radial_mass[:, None] * np.full(spec.n_phi - 1, self.dphi)
+        self.radial_mass = 0.5 * (self.r[1:] ** 2 - self.r[:-1] ** 2)
+
+    @property
+    def cell_weight(self) -> np.ndarray:
+        """Exact integral of e^{2s} over each cell, (n_s-1, n_phi-1)."""
+        return self.radial_mass[:, None] * np.full(self.n_phi - 1, self.dphi)
 
     @property
     def n_s(self) -> int:
@@ -390,11 +394,37 @@ def interpolate(field: ScalarField, r, phi):
     return float(out[0]) if scalar else out
 
 
+def open_new(path):
+    """Open path for writing as a new file, unlinking any old one first.
+
+    On ext4, truncating or renaming over a written file waits about 90 ms
+    for its old data to be flushed.  A link at path is replaced, not written
+    through.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w")
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Rows in full-precision scientific notation, 17 significant digits."""
+    with open_new(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """Indented JSON with sorted keys and a final newline, as a new file."""
+    with open_new(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_field(field: ScalarField, path, p: float | None = None) -> None:
     """Write a self-describing textual dump: JSON header, then nodal rows."""
     header = {"format": "morreylab-field", "version": 1,
               "p": p, **asdict(field.grid.spec)}
-    with open(path, "w") as fh:
+    with open_new(path) as fh:
         fh.write(_FIELD_MAGIC + "\n")
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for row in field.values:
@@ -418,10 +448,6 @@ def load_field(path) -> tuple[ScalarField, dict]:
 
 def field_to_csv(field: ScalarField, path) -> None:
     """CSV export with columns r, phi, value at every node."""
-    g = field.grid
-    with open(path, "w") as fh:
-        fh.write("r,phi,value\n")
-        for i in range(g.n_s):
-            for j in range(g.n_phi):
-                fh.write(f"{g.r[i]:.16e},{g.phi[j]:.16e},"
-                         f"{field.values[i, j]:.16e}\n")
+    r, phi = np.meshgrid(field.grid.r, field.grid.phi, indexing="ij")
+    write_csv(path, ["r", "phi", "value"],
+              zip(r.ravel(), phi.ravel(), field.values.ravel()))

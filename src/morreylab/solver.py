@@ -31,7 +31,7 @@ from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
                    build_grid, energy, energy_eps2_derivative, energy_gradient,
                    energy_hessian, from_fields, interpolate, load_field,
-                   save_field)
+                   save_field, write_json)
 
 __all__ = [
     "SolverConfig",
@@ -66,13 +66,13 @@ class SolverConfig:
 
     def __post_init__(self):
         sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0 for e in sched):
-            raise ValueError("eps_schedule must be positive")
+        if not sched or not all(0 < e < math.inf for e in sched):
+            raise ValueError("eps_schedule must be positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         object.__setattr__(self, "eps_schedule", sched)
-        if self.grad_tol <= 0 or self.energy_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.grad_tol < math.inf and 0 < self.energy_rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters_per_stage < 1:
             raise ValueError("max_iters_per_stage must be at least 1")
 
@@ -165,9 +165,7 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
         field = _initial_field(grid, p, pin_value)
     field.apply_dirichlet(pin_value=pin_value)
 
-    n_phi = grid.n_phi
-    free = ~grid.constrained_mask()
-    free_idx = np.flatnonzero(free.ravel())
+    free_idx = np.flatnonzero(~grid.constrained_mask().ravel())
 
     stages: list[StageInfo] = []
     prev_energy = None
@@ -305,9 +303,7 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         "stages": [{k: v for k, v in asdict(st).items()
                     if k != "energy_history"} for st in result.stages],
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     return field_path, meta_path
 
 

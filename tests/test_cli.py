@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import string
 from unittest import mock
@@ -158,6 +159,27 @@ def test_invalid_p_is_usage_error(argv, tmp_path, capsys):
     assert "usage error: p must be" in capsys.readouterr().err
 
 
+SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
+            "--n-s", "49", "--n-phi", "17"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--grad-tol", "inf"), ("--grad-tol", "nan"),
+    ("--energy-rel-tol", "inf"), ("--energy-rel-tol", "nan"),
+    ("--eps-schedule", "inf,1e-3"), ("--eps-schedule", "1e-2,nan"),
+    ("--r-max", "inf"), ("--r-max", "nan"), ("--r-min", "nan"),
+])
+def test_non_finite_solve_parameter_is_usage_error(flag, value, tmp_path,
+                                                   capsys):
+    with mock.patch.object(cli, "solve_extremal",
+                           side_effect=AssertionError("solve was called")):
+        rc = main(SOLVE_49 + [flag, value, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
 def test_analyze_corrupt_checkpoint(tmp_path):
     (tmp_path / "junk.json").write_text("{]")
     (tmp_path / "junk.field").write_text("nonsense\n")
@@ -208,6 +230,38 @@ def _write_synthetic_checkpoint(base):
     result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
                            stages=[], converged=True, p=4.0)
     m.save_checkpoint(result, m.SolverConfig(), base)
+
+
+# ------------------------------------------------------------------ outputs
+
+@pytest.mark.parametrize("argv, data_files", [
+    (["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"],
+     ["decay_profile.csv", "gradient_profile.csv", "fit_summary.json"]),
+    (SOLVE_49, ["solve.field", "solve.json"]),
+    (["verify", "--p", "4", "--mode", "quick"], ["verify_report.json"]),
+], ids=["analyze", "solve", "verify"])
+def test_rerun_replaces_outputs(argv, data_files, tmp_path):
+    """A second run into the same out-dir creates its files afresh.
+
+    The data files come out byte-identical, so only a hard link made
+    between the runs tells a replaced file from one rewritten in place:
+    the link must still be the first run's file.
+    """
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    argv = [str(tmp_path / "ckpt") if a == "CKPT" else a for a in argv]
+    out = tmp_path / "out"
+    outputs = data_files + [argv[0] + "_manifest.json"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in outputs}
+    for name in outputs:
+        os.link(out / name, tmp_path / (name + ".link"))
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    for name in outputs:
+        link = tmp_path / (name + ".link")
+        assert link.read_bytes() == first[name]
+        assert not link.samefile(out / name)
+    for name in data_files:
+        assert (out / name).read_bytes() == first[name]
 
 
 # ------------------------------------------------------------------- config

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import morreylab as m
+from morreylab.grid import open_new
 
 
 def small_spec(n_s=81, n_phi=17):
@@ -305,3 +306,17 @@ def test_csv_export_format(tmp_path):
     assert len(lines) == 1 + 9
     num = r"-?\d\.\d{16}e[+-]\d+"
     assert re.fullmatch(f"{num},{num},{num}", lines[1])
+
+
+def test_open_new_replaces_links(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "out.csv"
+    link.symlink_to(target)
+    with open_new(link) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "old\n"
+    assert not link.is_symlink() and link.read_text() == "new\n"
+    with open_new(tmp_path / "fresh.csv") as fh:
+        fh.write("x\n")
+    assert (tmp_path / "fresh.csv").read_text() == "x\n"
