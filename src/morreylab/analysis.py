@@ -120,14 +120,12 @@ class BarrierReport:
     n_points: int
 
 
-def _field_of(result) -> ScalarField:
-    if isinstance(result, SolveResult):
-        if not result.converged:
-            raise ValueError("result is not converged")
-        return result.field
-    if isinstance(result, ScalarField):
-        return result
-    raise TypeError(f"expected SolveResult or ScalarField, got {type(result)}")
+def _field_of(result: SolveResult) -> ScalarField:
+    if not isinstance(result, SolveResult):
+        raise TypeError(f"expected SolveResult, got {type(result)}")
+    if not result.converged:
+        raise ValueError("result is not converged")
+    return result.field
 
 
 def decay_profile(result) -> DecayProfile:
@@ -348,9 +346,7 @@ def barrier_check(result, beta: float, tau: float,
     u <= b.  Scaling eps up can only remove violations.
     """
     field = _field_of(result)
-    p = result.p if isinstance(result, SolveResult) else None
-    if p is None:
-        raise TypeError("barrier_check needs a SolveResult (carries p)")
+    p = result.p
     bp = beta_p(p)
     beta, tau = float(beta), float(tau)
     if beta <= 0 or tau <= 0:

@@ -1,11 +1,12 @@
-"""Command-line front end: tables, solves, analyses, verification suites.
+"""Command-line front end: tables, solves, analyses, verification.
 
 Subcommands
     beta-table   critical exponents over a list of p values (CSV)
     aronsson     angular profile of one cone solution (CSV + JSON summary)
     solve        minimize the energy, write a checkpoint (field + sidecar)
     analyze      decay/gradient profiles and fits from a checkpoint
-    verify       invariant suites; full mode adds a coarse solve and fit
+    verify       the suites of checks.py; full mode adds the residual
+                 refinement and a coarse solve with its fit
 
 Every run writes a manifest JSON listing the command, the full effective
 parameter set, the artifact paths and the wall clock.  Parameters may come
@@ -24,20 +25,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .aronsson import (angular_profile, aperture_L, beta_p, kappa_of_L,
-                       pharmonic_residual)
-from .grid import (EnergyParams, GridSpec, ScalarField, build_grid, energy,
-                   energy_gradient, from_fields, write_csv, write_json)
-from .solver import (SolveResult, SolverConfig, load_checkpoint,
-                     save_checkpoint, solve_extremal)
-from .analysis import (barrier_check, decay_profile, estimate_morrey_constant,
-                       fit_exponent, gradient_profile)
+from . import __version__, checks
+from .aronsson import angular_profile, aperture_L, beta_p, kappa_of_L
+from .grid import EnergyParams, GridSpec, from_fields, write_csv, write_json
+from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
+                     solve_extremal)
+from .analysis import (decay_profile, estimate_morrey_constant, fit_exponent,
+                       gradient_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -306,107 +302,6 @@ def cmd_analyze(params: dict) -> int:
 
 # -------------------------------------------------------------------- verify
 
-def _verify_aronsson_suite(p: float, perturb: bool) -> dict:
-    """Structural identities of the cone family at several powers."""
-    bp = beta_p(p)
-    kappas = [0.3, bp, 1.0, 2.0]
-    checks = {}
-    worst_identity = 0.0
-    worst_spread = 0.0
-    worst_lk2 = 0.0
-    for kappa in kappas:
-        kappa_used = kappa * (1.0001 if perturb else 1.0)
-        profile = angular_profile(kappa_used, p, 1000)
-        rep = profile.invariant_report()
-        worst_identity = max(worst_identity, rep["identity_max_abs_err"])
-        worst_spread = max(worst_spread, rep["power_combination_rel_spread"])
-        worst_lk2 = max(worst_lk2, abs(rep["aperture_identity_residual"]))
-        if perturb:
-            # the hidden hook must trip a gate: compare the perturbed
-            # profile against the unperturbed closed form
-            ref = angular_profile(kappa, p, 1000)
-            worst_identity = max(worst_identity, float(np.max(np.abs(
-                profile.f - ref.f))))
-    inv_err = abs(kappa_of_L(1.0, p) - bp)
-    checks["identity_max_abs_err"] = worst_identity
-    checks["power_combination_rel_spread"] = worst_spread
-    checks["aperture_identity_residual"] = worst_lk2
-    checks["kappa_of_unit_aperture_vs_beta_p"] = inv_err
-    checks["pass"] = bool(worst_identity < 1e-10 and worst_spread < 1e-10
-                          and worst_lk2 < 1e-12 and inv_err < 1e-10)
-    return checks
-
-
-def _verify_gradient_consistency(p: float) -> dict:
-    """Central-difference check of the energy gradient on a small grid."""
-    spec = GridSpec(r_min=np.exp(-2.0), r_max=np.exp(2.0), n_s=17, n_phi=9)
-    grid = build_grid(spec)
-    rng = np.random.default_rng(20240811)
-    field = ScalarField(grid, rng.standard_normal((spec.n_s, spec.n_phi)))
-    field.apply_dirichlet(pin_value=1.0)
-    params = EnergyParams(p=p, eps=1e-2)
-    g = energy_gradient(field, params).values
-    free = ~grid.constrained_mask()
-    h = 1e-5
-    worst = 0.0
-    for _ in range(20):
-        delta = np.zeros_like(field.values)
-        delta[free] = rng.standard_normal(int(free.sum()))
-        up = ScalarField(grid, field.values + h * delta)
-        dn = ScalarField(grid, field.values - h * delta)
-        fd = (energy(up, params) - energy(dn, params)) / (2 * h)
-        worst = max(worst, abs(fd - float((g * delta).sum()))
-                    / max(1.0, abs(fd)))
-    return {"max_rel_error": worst, "pass": bool(worst < 1e-7)}
-
-
-def _verify_barrier_synthetic(p: float) -> dict:
-    """Barrier comparison on closed-form fields, positive and negative."""
-    bp = beta_p(p)
-    spec = GridSpec(r_min=2.0**-4, r_max=2.0**10, n_s=113, n_phi=17)
-    grid = build_grid(spec)
-    sinphi = np.sin(grid.phi)[None, :]
-    fast = ScalarField(grid, np.minimum(1.0, grid.r**-bp)[:, None] * sinphi)
-    slow = ScalarField(grid, np.minimum(1.0, grid.r**-0.1)[:, None] * sinphi)
-    fake_fast = SolveResult(field=fast, energy=0.0, stages=[], converged=True, p=p)
-    fake_slow = SolveResult(field=slow, energy=0.0, stages=[], converged=True, p=p)
-    good = barrier_check(fake_fast, beta=0.9 * bp, tau=0.05 * bp, eps=None)
-    bad = barrier_check(fake_slow, beta=0.9 * bp, tau=0.05 * bp, eps=0.05)
-    return {"fast_decay_report": asdict(good),
-            "slow_decay_report": asdict(bad),
-            "pass": bool(good.violations == 0 and bad.violations > 0)}
-
-
-def _verify_pharmonic(p: float) -> dict:
-    """Finite-difference residual refinement on the cone solution."""
-    kappa = beta_p(p)
-    profile = angular_profile(kappa, p, 200)
-    rng = np.random.default_rng(7)
-    pts = [(rng.uniform(0.7, 2.0), rng.uniform(-0.8, 0.8) * profile.params.phi_max)
-           for _ in range(25)]
-    r_coarse = pharmonic_residual(profile, p, pts, h=1e-2)
-    r_fine = pharmonic_residual(profile, p, pts, h=1e-3)
-    ratio = r_coarse / r_fine
-    return {"residual_h_1e2": r_coarse, "residual_h_1e3": r_fine,
-            "refinement_ratio": ratio,
-            "pass": bool(50.0 <= ratio <= 200.0 and r_fine < 1e-4)}
-
-
-def _verify_coarse_solve(p: float) -> dict:
-    """Small solve plus decay fit, gated at a coarse-grid tolerance."""
-    spec = GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=145, n_phi=33)
-    result = solve_extremal(spec, p, SolverConfig())
-    v = result.field.values
-    bounds_ok = bool(v.min() >= 0.0 and v.max() <= 1.0)
-    fit = fit_exponent(decay_profile(result), (4.0, spec.r_max / 8.0))
-    bp = beta_p(p)
-    gate = abs(fit.beta_hat - bp) < 0.15
-    return {"converged": result.converged, "bounds_ok": bounds_ok,
-            "beta_hat": fit.beta_hat, "beta_p": bp,
-            "beta_gate_0p15": bool(gate),
-            "pass": bool(result.converged and bounds_ok and gate)}
-
-
 def cmd_verify(params: dict) -> int:
     t0 = time.time()
     try:
@@ -416,14 +311,14 @@ def cmd_verify(params: dict) -> int:
     report = {
         "p": p,
         "mode": params["mode"],
-        "aronsson_identities": _verify_aronsson_suite(
+        "aronsson_identities": checks.cone_identities(
             p, params["inject_perturbation"]),
-        "gradient_consistency": _verify_gradient_consistency(p),
-        "barrier_synthetic": _verify_barrier_synthetic(p),
+        "gradient_consistency": checks.gradient_consistency(p),
+        "barrier_synthetic": checks.barrier_controls(p),
     }
     if params["mode"] == "full":
-        report["pharmonic_residual"] = _verify_pharmonic(p)
-        report["coarse_solve"] = _verify_coarse_solve(p)
+        report["pharmonic_residual"] = checks.cone_residual(p)
+        report["coarse_solve"] = checks.coarse_solve(p)
     report["pass"] = all(section["pass"] for key, section in report.items()
                          if isinstance(section, dict))
     out_dir = Path(params["out_dir"])

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 _FIELD_MAGIC = "# morreylab field v1"
+# the grid uses r**2 and r**-2, which overflow beyond these radii
+_R_MAX = math.sqrt(sys.float_info.max)
+_R_MIN = 1.0 / _R_MAX
 # midpoint samples per direction in the four cells around the pinned node
 _PIN_SUBQUAD = 8
 
@@ -68,7 +72,8 @@ class GridSpec:
 
     n_s nodes span [ln r_min, ln r_max] uniformly and must contain s = 0;
     n_phi is odd so that phi = pi/2 is a node.  The spec therefore always
-    resolves the point (r=1, phi=pi/2) exactly.
+    resolves the point (r=1, phi=pi/2) exactly.  The radii lie strictly
+    between about 7.46e-155 and 1.34e154, where r**2 and r**-2 are finite.
     """
 
     r_min: float
@@ -77,9 +82,9 @@ class GridSpec:
     n_phi: int
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < 1.0 < self.r_max < math.inf):
-            raise ValueError(f"need 0 < r_min < 1 < r_max < inf, "
-                             f"got ({self.r_min}, {self.r_max})")
+        if not (_R_MIN < self.r_min < 1.0 < self.r_max < _R_MAX):
+            raise ValueError(f"need {_R_MIN:.3g} < r_min < 1 < r_max < "
+                             f"{_R_MAX:.3g}, got ({self.r_min}, {self.r_max})")
         if self.n_s < 3:
             raise ValueError(f"n_s must be at least 3, got {self.n_s}")
         if self.n_phi < 3 or self.n_phi % 2 == 0:

@@ -76,13 +76,6 @@ class SolverConfig:
         if self.max_iters_per_stage < 1:
             raise ValueError("max_iters_per_stage must be at least 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        return from_fields(cls, d)
-
 
 @dataclass
 class StageInfo:
@@ -295,7 +288,7 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         "version": 1,
         "p": result.p,
         "spec": asdict(result.grid.spec),
-        "config": config.to_dict(),
+        "config": asdict(config),
         "energy": result.energy,
         "converged": result.converged,
         "pin_value": result.pin_value,
@@ -319,7 +312,7 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     try:
         field, _ = load_field(path_base + ".field")
         spec = from_fields(GridSpec, meta["spec"])
-        config = SolverConfig.from_dict(meta["config"])
+        config = from_fields(SolverConfig, meta["config"])
         stages = [from_fields(StageInfo, d) for d in meta["stages"]]
         p = float(meta["p"])
         pin_value = float(meta.get("pin_value", 1.0))

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 import morreylab as m
-from conftest import ACC_SPEC, synthetic_result
+from conftest import ACC_SPEC
+from morreylab import checks
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -37,22 +38,13 @@ def test_criterion_1_exponent_formula():
 # ---------------------------------------------------------------------- 2
 
 def test_criterion_2_angular_identity_suite():
-    ok = True
-    worst_id, worst_spread, worst_lk2 = 0.0, 0.0, 0.0
-    for p in (3.0, 4.0, 8.0):
-        a = (p - 1.0) / (p - 2.0)
-        for kappa in (0.3, m.beta_p(p), 1.0, 2.0):
-            prof = m.angular_profile(kappa, p, 1000)
-            worst_id = max(worst_id, prof.identity_residual())
-            combo = prof.power_combination()
-            worst_spread = max(worst_spread,
-                               (combo.max() - combo.min()) / combo.mean())
-            L = prof.params.aperture_L
-            worst_lk2 = max(worst_lk2, abs(
-                (L + 1.0) ** 2 - (kappa + 1.0) ** 2 / (kappa**2 + kappa / a)))
-            ok &= bool(np.all(prof.g > 0))
-        ok &= abs(m.kappa_of_L(1.0, p) - m.beta_p(p)) < 1e-10
-    ok &= worst_id < 1e-12 and worst_spread < 1e-10 and worst_lk2 < 1e-12
+    reports = [checks.cone_identities(p) for p in (3.0, 4.0, 8.0)]
+    worst_id, worst_spread, worst_lk2 = (
+        max(r[key] for r in reports)
+        for key in ("identity_max_abs_err", "power_combination_rel_spread",
+                    "aperture_identity_residual"))
+    ok = all(r["pass"] and r["g_min"] > 0 for r in reports)
+    ok &= worst_id < 1e-12
     report(2, "angular identity suite", ok,
            f"identity={worst_id:.1e} spread={worst_spread:.1e} "
            f"aperture={worst_lk2:.1e}")
@@ -140,15 +132,11 @@ def test_criterion_7_barrier_comparison(solve_p4):
     bp = m.beta_p(4.0)
     good = m.barrier_check(solve_p4, beta=0.9 * bp, tau=0.05 * bp)
     ok = good.violations == 0 and good.eps * good.c_f >= 1.0
-    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**10,
-                                   n_s=113, n_phi=17))
-    slow = synthetic_result(
-        grid, np.minimum(1.0, grid.r**-0.1)[:, None] * np.sin(grid.phi)[None, :])
-    bad = m.barrier_check(slow, beta=0.9 * bp, tau=0.05 * bp, eps=0.05)
-    ok &= bad.violations > 0
+    bad = checks.barrier_controls(4.0)["slow_decay_report"]
+    ok &= bad["violations"] > 0
     report(7, "barrier comparison", ok,
            f"solve violations={good.violations}, "
-           f"negative control violations={bad.violations}")
+           f"negative control violations={bad['violations']}")
 
 
 # ---------------------------------------------------------------------- 8

@@ -46,6 +46,11 @@ def test_decay_profile_requires_convergence(solve_small):
         m.decay_profile(broke)
 
 
+def test_decay_profile_rejects_bare_field(solve_small):
+    with pytest.raises(TypeError):
+        m.decay_profile(solve_small.field)
+
+
 def test_decay_profile_rejects_increasing_sup():
     grid = medium_grid()
     values = (grid.r**0.3)[:, None] * np.sin(grid.phi)[None, :]

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import morreylab as m
-from morreylab import cli
+from morreylab import aronsson, cli, solver
 from morreylab.cli import main
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
@@ -163,17 +163,21 @@ SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
             "--n-s", "49", "--n-phi", "17"]
 
 
-@pytest.mark.parametrize("flag, value", [
+@pytest.mark.parametrize("flags", [
     ("--grad-tol", "inf"), ("--grad-tol", "nan"),
     ("--energy-rel-tol", "inf"), ("--energy-rel-tol", "nan"),
     ("--eps-schedule", "inf,1e-3"), ("--eps-schedule", "1e-2,nan"),
     ("--r-max", "inf"), ("--r-max", "nan"), ("--r-min", "nan"),
-])
-def test_non_finite_solve_parameter_is_usage_error(flag, value, tmp_path,
-                                                   capsys):
+    # finite radii whose r**2 or r**-2 overflows
+    ("--r-min", "0.015625", "--r-max", "4.784065733063811e+198",
+     "--n-s", "112", "--n-phi", "9"),
+    ("--r-min", repr(2.0**-660), "--r-max", "64", "--n-s", "667",
+     "--n-phi", "9"),
+], ids="-".join)
+def test_non_finite_solve_parameter_is_usage_error(flags, tmp_path, capsys):
     with mock.patch.object(cli, "solve_extremal",
                            side_effect=AssertionError("solve was called")):
-        rc = main(SOLVE_49 + [flag, value, "--out-dir", str(tmp_path)])
+        rc = main(SOLVE_49 + list(flags) + ["--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("usage error:")
@@ -404,8 +408,9 @@ def test_config_wrong_type_or_unknown_key_is_usage_error(command, data,
     cfg.unlink(missing_ok=True)
     cfg.write_text(json.dumps({key: value}))
     err = io.StringIO()
-    with mock.patch.object(cli, "solve_extremal",
-                           side_effect=AssertionError("a solve started")), \
+    started = AssertionError("a solve started")
+    with mock.patch.object(cli, "solve_extremal", side_effect=started), \
+            mock.patch.object(solver, "solve_extremal", side_effect=started), \
             contextlib.redirect_stderr(err):
         rc = main([command, "--config", str(cfg),
                    "--out-dir", str(tmp_path / "out")])
@@ -435,13 +440,37 @@ def test_verify_injected_perturbation_fails(tmp_path):
     assert report["pass"] is False
 
 
-def test_verify_full_includes_coarse_solve(tmp_path):
-    rc = main(["verify", "--p", "4", "--mode", "full",
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_verify_full_includes_coarse_solve(p, tmp_path):
+    rc = main(["verify", "--p", str(p), "--mode", "full",
                "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["coarse_solve"]["pass"] is True
-    assert abs(report["coarse_solve"]["beta_hat"] - m.beta_p(4.0)) < 0.15
+    assert abs(report["coarse_solve"]["beta_hat"] - m.beta_p(p)) < 0.15
+
+
+def test_verify_calls_layers_through_their_modules(tmp_path, monkeypatch):
+    """The suites look layer functions up on their modules at call time,
+    so a wrapper set on the module attribute sees every call."""
+    seen = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(solver, "solve_extremal")
+    record(aronsson, "pharmonic_residual")
+    rc = main(["verify", "--p", "4", "--mode", "full",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    solves = [args[0] for name, args in seen if name == "solve_extremal"]
+    assert [(spec.n_s, spec.n_phi) for spec in solves] == [(145, 33)]
+    assert sum(name == "pharmonic_residual" for name, _ in seen) == 2
 
 
 def test_unknown_command_usage():

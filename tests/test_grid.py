@@ -43,6 +43,9 @@ def test_pin_node_exact_on_production_grid():
     dict(r_min=0.25, r_max=4.0, n_s=9, n_phi=8),     # even n_phi
     dict(r_min=0.25, r_max=4.0, n_s=2, n_phi=9),     # too few s nodes
     dict(r_min=0.5, r_max=math.e, n_s=3, n_phi=9),   # s = 0 not on grid
+    dict(r_min=2.0**-6, r_max=4.784065733063811e+198,
+         n_s=112, n_phi=9),                          # r_max**2 overflows
+    dict(r_min=2.0**-660, r_max=64.0, n_s=667, n_phi=9),  # r_min**-2 overflows
 ])
 def test_spec_rejections(kwargs):
     with pytest.raises(ValueError):

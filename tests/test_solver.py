@@ -27,9 +27,11 @@ def test_config_validation():
         m.SolverConfig(max_iters_per_stage=0)
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path, solve_small):
     cfg = m.SolverConfig(eps_schedule=(1e-3, 1e-5), grad_tol=1e-8)
-    assert m.SolverConfig.from_dict(cfg.to_dict()) == cfg
+    base = tmp_path / "ckpt"
+    m.save_checkpoint(solve_small, cfg, base)
+    assert m.load_checkpoint(base)[1] == cfg
 
 
 # ---------------------------------------------------------------- solutions
