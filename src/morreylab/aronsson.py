@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ConeParams",
@@ -51,20 +50,14 @@ __all__ = [
     "plaplace_residual_at",
 ]
 
-# aperture_L(kappa, p) = L has a unique root kappa for every L > 0; the
-# initial bracket covers all physically relevant exponents and is expanded
-# geometrically if the root falls outside.
-_KAPPA_BRACKET = (1e-6, 1e3)
 
-
-def _check_p(p: float, minimum: float = 2.0, strict: bool = True) -> float:
+def _check_p(p: float, strict: bool = True) -> float:
+    """p as a float; p > 2 is required, or p >= 2 when not strict."""
     p = float(p)
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
-    if strict and p <= minimum:
-        raise ValueError(f"p must be > {minimum}, got {p}")
-    if not strict and p < minimum:
-        raise ValueError(f"p must be >= {minimum}, got {p}")
+    if p < 2.0 or (strict and p == 2.0):
+        raise ValueError(f"p must be {'>' if strict else '>='} 2.0, got {p}")
     return p
 
 
@@ -77,7 +70,7 @@ def beta_p(p: float) -> float:
     in particular beta_p > 1/3 for every finite p.  The value p = 2 is
     accepted as the boundary case of the formula.
     """
-    p = _check_p(p, minimum=2.0, strict=False)
+    p = _check_p(p, strict=False)
     t = -1.0 / 3.0 + 2.0 / (3.0 * (p - 1.0))
     return t + math.sqrt(t * t + 1.0 / 3.0)
 
@@ -104,31 +97,24 @@ def aperture_L(kappa: float, p: float) -> float:
 def kappa_of_L(L: float, p: float) -> float:
     """Invert the aperture relation: the unique kappa with aperture_L = L.
 
-    Uses bracketing root-finding on the strictly decreasing map
-    kappa -> aperture_L(kappa, p).  The attainable range is L > 0
-    (aperture_L grows without bound as kappa -> 0 and tends to 0 as
-    kappa -> inf); other targets are rejected after bracket expansion.
+    Squaring L + 1 = mu*(1 + 1/kappa) gives A*kappa**2 + B*kappa - 1 = 0
+    with A = L(L+2) and B = (L+1)**2/a - 2.  For L > 0 the roots have
+    product -1/A < 0, so exactly one is positive; it is evaluated in the
+    form free of cancellation.  Every L > 0 is attained in exact
+    arithmetic; past about 1e77, B**2 overflows and L is rejected.
     """
     p = _check_p(p)
     L = float(L)
     if not math.isfinite(L):
         raise ValueError(f"L must be finite, got {L}")
-    lo, hi = _KAPPA_BRACKET
-    # decreasing map: need aperture_L(lo) > L > aperture_L(hi)
-    expansions = 0
-    while aperture_L(lo, p) <= L:
-        lo /= 8.0
-        expansions += 1
-        if expansions > 40 or lo < 1e-300:
-            raise ValueError(f"aperture L={L} not attainable for p={p}")
-    expansions = 0
-    while aperture_L(hi, p) >= L:
-        hi *= 8.0
-        expansions += 1
-        if expansions > 40:
-            raise ValueError(f"aperture L={L} not attainable for p={p}")
-    kappa = brentq(lambda k: aperture_L(k, p) - L, lo, hi,
-                   xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=200)
+    if L <= 0:
+        raise ValueError(f"aperture L={L} not attainable for p={p}")
+    a = _a_of_p(p)
+    A, B = L * (L + 2.0), (L + 1.0) * (L + 1.0) / a - 2.0
+    D = math.sqrt(B * B + 4.0 * A)
+    kappa = (D - B) / (2.0 * A) if B < 0 else 2.0 / (B + D)
+    if kappa == 0.0:
+        raise ValueError(f"aperture L={L} too large for p={p}: kappa underflows")
     resid = aperture_L(kappa, p) - L
     if abs(resid) > 1e-12 * max(1.0, abs(L)):
         raise ArithmeticError(

@@ -63,7 +63,6 @@ def _typed(kind, *types):
 _float = _typed(float, str, int, float)
 _int = _typed(int, str, int)
 _text = _typed(str, str)
-_flag = _typed(bool, bool)      # JSON true or false; the flag is store_true
 
 
 def _floats(text: str) -> list[float]:
@@ -103,7 +102,7 @@ _PARAMS = {
     "analyze": {"checkpoint": (_text, None), "window": (_float_list, None),
                 "budget": (_int, 600), "out_dir": (_text, ".")},
     "verify": {"p": (_float, 4.0), "mode": (_choice("quick", "full"), "quick"),
-               "inject_perturbation": (_flag, False), "out_dir": (_text, ".")},
+               "out_dir": (_text, ".")},
 }
 
 
@@ -311,8 +310,7 @@ def cmd_verify(params: dict) -> int:
     report = {
         "p": p,
         "mode": params["mode"],
-        "aronsson_identities": checks.cone_identities(
-            p, params["inject_perturbation"]),
+        "aronsson_identities": checks.cone_identities(p),
         "gradient_consistency": checks.gradient_consistency(p),
         "barrier_synthetic": checks.barrier_controls(p),
     }
@@ -345,13 +343,8 @@ def _build_parser() -> _Parser:
     for command, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for name, (parse, _) in _PARAMS[command].items():
-            flag = "--" + name.replace("_", "-")
-            if parse is _flag:      # the hidden verification hook
-                sp.add_argument(flag, dest=name, action="store_true",
-                                default=None, help=argparse.SUPPRESS)
-            else:
-                sp.add_argument(flag, dest=name,
-                                choices=getattr(parse, "choices", None))
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            choices=getattr(parse, "choices", None))
         sp.add_argument("--config", default=None)
     return parser
 

@@ -181,13 +181,12 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def apply_dirichlet(self, pin_value: float | None = None) -> "ScalarField":
-        """Zero the edges in place; optionally set the pinned node."""
+    def apply_dirichlet(self) -> "ScalarField":
+        """Zero the edges and set the pinned node to 1, in place."""
         v = self.values
         v[0, :] = v[-1, :] = 0.0
         v[:, 0] = v[:, -1] = 0.0
-        if pin_value is not None:
-            v[self.grid.i_pin, self.grid.j_pin] = float(pin_value)
+        v[self.grid.i_pin, self.grid.j_pin] = 1.0
         return self
 
 
@@ -366,22 +365,23 @@ def energy_hessian(field: ScalarField, params: EnergyParams) -> sp.csr_matrix:
 def interpolate(field: ScalarField, r, phi):
     """Bilinear interpolation in (s, phi); exact on bilinear fields.
 
-    Accepts scalars or arrays; queries outside the grid rectangle are
-    rejected (a relative slack of a few ulp absorbs rounding at the rim).
+    Accepts scalars or arrays; NaN and queries outside the grid rectangle
+    are rejected (a relative slack of a few ulp absorbs rounding at the
+    rim).
     """
     g = field.grid
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     scalar = r.ndim == 0 and phi.ndim == 0
     r, phi = np.broadcast_arrays(np.atleast_1d(r), np.atleast_1d(phi))
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise ValueError("r must be positive")
     s = np.log(r)
     s_lo, s_hi = g.s[0], g.s[-1]
     tol_s = 1e-12 * max(1.0, abs(s_lo), abs(s_hi))
-    if np.any(s < s_lo - tol_s) or np.any(s > s_hi + tol_s):
+    if not np.all((s >= s_lo - tol_s) & (s <= s_hi + tol_s)):
         raise ValueError("query radius outside the grid annulus")
-    if np.any(phi < -1e-12) or np.any(phi > np.pi + 1e-12):
+    if not np.all((phi >= -1e-12) & (phi <= np.pi + 1e-12)):
         raise ValueError("query angle outside [0, pi]")
     s = np.clip(s, s_lo, s_hi)
     phi = np.clip(phi, 0.0, np.pi)
@@ -425,7 +425,7 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def save_field(field: ScalarField, path, p: float | None = None) -> None:
+def save_field(field: ScalarField, path, p: float) -> None:
     """Write a self-describing textual dump: JSON header, then nodal rows."""
     header = {"format": "morreylab-field", "version": 1,
               "p": p, **asdict(field.grid.spec)}
@@ -437,7 +437,10 @@ def save_field(field: ScalarField, path, p: float | None = None) -> None:
 
 
 def load_field(path) -> tuple[ScalarField, dict]:
-    """Read a field dump; returns the field and its header dict."""
+    """Read a field dump; returns the field and its header dict.
+
+    A body of the wrong shape or with a non-finite value is rejected.
+    """
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != _FIELD_MAGIC:
@@ -448,6 +451,8 @@ def load_field(path) -> tuple[ScalarField, dict]:
     grid = build_grid(spec)
     if values.shape != (spec.n_s, spec.n_phi):
         raise ValueError(f"corrupt field dump: body shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("corrupt field dump: non-finite value in the body")
     return ScalarField(grid, values), header
 
 

@@ -44,6 +44,9 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# Sufficient-decrease constant and step-halving cap of the line search.
+_ARMIJO_C = 1e-4
+_MAX_HALVINGS = 60
 # Relative energy rise the Armijo test treats as roundoff.
 _ENERGY_ROUNDOFF = 1e-15
 
@@ -61,8 +64,6 @@ class SolverConfig:
     grad_tol: float = 1e-9
     energy_rel_tol: float = 1e-12
     max_iters_per_stage: int = 100
-    armijo_c: float = 1e-4
-    max_halvings: int = 60
 
     def __post_init__(self):
         sched = tuple(float(e) for e in self.eps_schedule)
@@ -103,7 +104,7 @@ class SolveResult:
 
     converged means the final stage reached the gradient tolerance; the
     field then satisfies all constraints exactly (edges zero, pinned node
-    at its prescribed value) by construction.
+    at 1) by construction.
     """
 
     field: ScalarField
@@ -111,7 +112,6 @@ class SolveResult:
     stages: list
     converged: bool
     p: float
-    pin_value: float = 1.0
     dipole_strength: float = math.nan
 
     @property
@@ -119,7 +119,7 @@ class SolveResult:
         return self.field.grid
 
 
-def _initial_field(grid: LogPolarGrid, p: float, pin_value: float) -> ScalarField:
+def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
     """Start in the expected decay regime: min(r, r^-beta_p) * sin(phi).
 
     The radial factor is continuous: it rises linearly to the pin radius
@@ -127,8 +127,8 @@ def _initial_field(grid: LogPolarGrid, p: float, pin_value: float) -> ScalarFiel
     jump at r_min and its energy is of the order of the minimum's.
     """
     radial = np.minimum(grid.r, grid.r ** (-beta_p(p)))
-    values = pin_value * radial[:, None] * np.sin(grid.phi)[None, :]
-    return ScalarField(grid, values).apply_dirichlet(pin_value=pin_value)
+    values = radial[:, None] * np.sin(grid.phi)[None, :]
+    return ScalarField(grid, values).apply_dirichlet()
 
 
 def _predicted_drift_bound(field: ScalarField, p: float, eps_prev: float) -> float:
@@ -137,13 +137,14 @@ def _predicted_drift_bound(field: ScalarField, p: float, eps_prev: float) -> flo
 
 
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
-                   pin_value: float = 1.0,
                    initial: ScalarField | None = None) -> SolveResult:
     """Minimize the regularized p-energy with continuation in eps.
 
-    The field is pinned to pin_value at (r=1, phi=pi/2) and zero on the
-    rectangle edges.  A non-converged stage (iteration cap or failed line
-    search) flags the result but keeps the partial data.  An explicit
+    The field is pinned to 1 at (r=1, phi=pi/2) and zero on the
+    rectangle edges; the inequality is invariant under u -> c*u, so any
+    other pin value would only rescale the field.  A non-converged stage
+    (iteration cap or failed line search) flags the result but keeps the
+    partial data.  An explicit
     initial field serves as a warm start, e.g. a coarse solution
     interpolated onto a refined grid.
     """
@@ -155,8 +156,8 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             raise ValueError("initial field lives on a different grid")
         field = initial.copy()
     else:
-        field = _initial_field(grid, p, pin_value)
-    field.apply_dirichlet(pin_value=pin_value)
+        field = _initial_field(grid, p)
+    field.apply_dirichlet()
 
     free_idx = np.flatnonzero(~grid.constrained_mask().ravel())
 
@@ -189,12 +190,12 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
 
             step = 1.0
             accepted = False
-            for _ in range(config.max_halvings):
+            for _ in range(_MAX_HALVINGS):
                 trial = field.values.copy()
                 trial.ravel()[free_idx] += step * direction
                 trial_field = ScalarField(grid, trial)
                 e_trial = energy(trial_field, params)
-                if e_trial <= (e_now + config.armijo_c * step * slope
+                if e_trial <= (e_now + _ARMIJO_C * step * slope
                                + _ENERGY_ROUNDOFF * max(1.0, abs(e_now))):
                     accepted = True
                     break
@@ -221,7 +222,7 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
         mask_constrained=False).values[grid.i_pin, grid.j_pin])
     return SolveResult(field=field, energy=stages[-1].energy, stages=stages,
                        converged=stages[-1].converged, p=p,
-                       pin_value=pin_value, dipole_strength=dipole)
+                       dipole_strength=dipole)
 
 
 class FullPlaneField:
@@ -291,7 +292,6 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         "config": asdict(config),
         "energy": result.energy,
         "converged": result.converged,
-        "pin_value": result.pin_value,
         "dipole_strength": result.dipole_strength,
         "stages": [{k: v for k, v in asdict(st).items()
                     if k != "energy_history"} for st in result.stages],
@@ -315,13 +315,11 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         config = from_fields(SolverConfig, meta["config"])
         stages = [from_fields(StageInfo, d) for d in meta["stages"]]
         p = float(meta["p"])
-        pin_value = float(meta.get("pin_value", 1.0))
         dipole = float(meta.get("dipole_strength", math.nan))
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc
     if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
-                         converged=meta["converged"], p=p, pin_value=pin_value,
-                         dipole_strength=dipole)
+                         converged=meta["converged"], p=p, dipole_strength=dipole)
     return result, config

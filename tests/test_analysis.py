@@ -230,7 +230,7 @@ def test_morrey_estimate_lower_bound_ordering(solve_small):
     # a crude admissible candidate scores below the computed extremal
     grid = solve_small.grid
     trial = synthetic_result(grid, power_law_field(grid, 2.0))
-    trial.field.apply_dirichlet(pin_value=1.0)
+    trial.field.apply_dirichlet()
     est_trial = m.estimate_morrey_constant(trial, sample_budget=300)
     assert est_trial.C_estimate < est.C_estimate
 

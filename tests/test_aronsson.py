@@ -90,9 +90,10 @@ def test_kappa_of_L_round_trip(kappa0):
 
 
 def test_kappa_of_L_residual_contract():
-    for L in (0.25, 1.0, 3.0, 50.0):
-        k = m.kappa_of_L(L, 4.0)
-        assert abs(m.aperture_L(k, 4.0) - L) < 1e-12 * max(1.0, L)
+    for p in (2.5, 4.0, 8.0, 1e6):
+        for L in (1e-6, 0.25, 1.0, 3.0, 50.0, 1e6):
+            k = m.kappa_of_L(L, p)
+            assert abs(m.aperture_L(k, p) - L) < 1e-12 * max(1.0, L)
 
 
 def test_kappa_below_beta_p_for_wider_cone():
@@ -107,7 +108,8 @@ def test_kappa_below_beta_p_for_wider_cone():
     assert abs(m.kappa_of_L(1.0 + 1e-10, p) - bp) < 1e-7
 
 
-@pytest.mark.parametrize("bad_L", [0.0, -0.5, -1.0])
+@pytest.mark.parametrize("bad_L", [0.0, -0.5, -1.0, float("nan"), float("inf"),
+                                   1e300])
 def test_kappa_of_L_unattainable(bad_L):
     with pytest.raises(ValueError):
         m.kappa_of_L(bad_L, 4.0)

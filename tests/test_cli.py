@@ -210,22 +210,40 @@ def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error")
 
 
-@pytest.mark.parametrize("edit", [lambda header: {**header, "r_min": None},
-                                  lambda header: {k: v for k, v in header.items()
-                                                  if k != "n_s"},
-                                  lambda header: []],
-                         ids=["null-r-min", "no-n-s", "list"])
+@pytest.mark.parametrize("edit", [
+    lambda header, body: ({**header, "r_min": None}, body),
+    lambda header, body: ({k: v for k, v in header.items() if k != "n_s"}, body),
+    lambda header, body: ([], body),
+    lambda header, body: (header, [body[0].replace("0", "nan", 1)] + body[1:]),
+], ids=["null-r-min", "no-n-s", "list", "nan-value"])
 def test_analyze_malformed_field_header(edit, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
     dump = tmp_path / "ckpt.field"
     lines = dump.read_text().splitlines(keepends=True)
-    lines[1] = json.dumps(edit(json.loads(lines[1]))) + "\n"
-    dump.write_text("".join(lines))
+    header, body = edit(json.loads(lines[1]), lines[2:])
+    dump.write_text("".join([lines[0], json.dumps(header) + "\n"] + body))
     rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "usage error: cannot read checkpoint")
+
+
+def test_analyze_accepts_retired_sidecar_keys(tmp_path):
+    """A sidecar with the keys of older versions loads and analyzes alike."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    argv = ["analyze", "--checkpoint", str(tmp_path / "ckpt"), "--window", "2,7.5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "new")]) == 0
+    sidecar = tmp_path / "ckpt.json"
+    meta = json.loads(sidecar.read_text())
+    meta["pin_value"] = 1.0
+    meta["config"].update(armijo_c=1e-4, max_halvings=60)
+    sidecar.write_text(json.dumps(meta))
+    assert m.load_checkpoint(tmp_path / "ckpt")[1] == m.SolverConfig()
+    assert main(argv + ["--out-dir", str(tmp_path / "old")]) == 0
+    for name in ("decay_profile.csv", "gradient_profile.csv", "fit_summary.json"):
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "new" / name).read_bytes())
 
 
 def _write_synthetic_checkpoint(base):
@@ -344,7 +362,6 @@ OPTIONS = {
                 "window": ("--window", "floats"),
                 "budget": ("--budget", "int"), "out_dir": ("--out-dir", "text")},
     "verify": {"p": ("--p", "float"), "mode": ("--mode", "mode"),
-               "inject_perturbation": ("--inject-perturbation", "bool"),
                "out_dir": ("--out-dir", "text")},
 }
 
@@ -387,7 +404,6 @@ _WRONG = {
     "text": _CONTAINERS | _NUMBERS,
     "mode": (_CONTAINERS | _NUMBERS
              | st.text(max_size=8).filter(lambda s: s not in ("quick", "full"))),
-    "bool": _NUMBERS | st.text(max_size=8) | _LISTS | _OBJECTS,
 }
 _KEYS = st.text(string.ascii_letters + "_", min_size=1, max_size=12)
 
@@ -432,11 +448,20 @@ def test_verify_quick_passes(tmp_path):
     assert report["barrier_synthetic"]["fast_decay_report"]["violations"] == 0
 
 
-def test_verify_injected_perturbation_fails(tmp_path):
+def test_verify_fails_on_perturbed_profile(tmp_path, monkeypatch):
+    """A cone profile off its closed form by 1e-4 fails the identity gate."""
+    exact = aronsson.angular_profile
+
+    def perturbed(*args):
+        profile = exact(*args)
+        profile.f = profile.f * 1.0001
+        return profile
+    monkeypatch.setattr(aronsson, "angular_profile", perturbed)
     rc = main(["verify", "--p", "4", "--mode", "quick",
-               "--inject-perturbation", "--out-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == 3
     report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["aronsson_identities"]["pass"] is False
     assert report["pass"] is False
 
 

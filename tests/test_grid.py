@@ -12,10 +12,10 @@ def small_spec(n_s=81, n_phi=17):
     return m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=n_s, n_phi=n_phi)
 
 
-def random_interior_field(grid, seed=0, pin_value=1.0):
+def random_interior_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     field = m.ScalarField(grid, rng.standard_normal((grid.n_s, grid.n_phi)))
-    return field.apply_dirichlet(pin_value=pin_value), rng
+    return field.apply_dirichlet(), rng
 
 
 # ----------------------------------------------------------------- geometry
@@ -276,6 +276,10 @@ def test_interpolate_rejects_outside():
         m.interpolate(field, g.spec.r_max * 1.5, 1.0)
     with pytest.raises(ValueError):
         m.interpolate(field, 1.0, -0.5)
+    nan = float("nan")
+    for r, phi in ((nan, 1.0), (1.0, nan), (np.array([1.0, nan, 2.0]), 1.0)):
+        with pytest.raises(ValueError):
+            m.interpolate(field, r, phi)
 
 
 # ------------------------------------------------------------ serialization
@@ -296,6 +300,14 @@ def test_field_dump_rejects_garbage(tmp_path):
     path.write_text("not a field\n{}\n")
     with pytest.raises(ValueError):
         m.load_field(path)
+    # a non-finite value in the body
+    g = m.build_grid(small_spec(41, 9))
+    field, _ = random_interior_field(g)
+    for value in ("nan", "inf", "-inf"):
+        field.values[5, 3] = float(value)
+        m.save_field(field, path, p=4.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            m.load_field(path)
 
 
 def test_csv_export_format(tmp_path):

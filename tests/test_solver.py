@@ -36,15 +36,6 @@ def test_config_round_trip(tmp_path, solve_small):
 
 # ---------------------------------------------------------------- solutions
 
-def test_degenerate_pin_zero_gives_zero_field():
-    result = m.solve_extremal(TINY_SPEC, 4.0, pin_value=0.0)
-    assert result.converged
-    assert np.abs(result.field.values).max() < 1e-12
-    eps_last = result.stages[-1].eps
-    expected = eps_last**4 / 4.0 * result.grid.area()
-    assert abs(result.energy - expected) < 1e-12 * expected
-
-
 def test_small_solve_contracts(solve_small):
     result = solve_small
     grid = result.grid
@@ -109,7 +100,7 @@ def test_minimizer_independent_of_start(solve_small):
     grid = m.build_grid(spec)
     rng = np.random.default_rng(11)
     init = m.ScalarField(grid, 0.5 * rng.random((spec.n_s, spec.n_phi)))
-    init.apply_dirichlet(pin_value=1.0)
+    init.apply_dirichlet()
     other = m.solve_extremal(spec, 4.0, initial=init)
     assert other.converged
     assert np.abs(other.field.values - solve_small.field.values).max() < 1e-6
