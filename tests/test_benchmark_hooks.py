@@ -1,0 +1,50 @@
+"""The names the benchmark hooks into exist in the package.
+
+perfbench wraps layer functions by (module, attribute) name and calls the
+public API as ``m.<name>`` with ``import morreylab as m``.  Its own smoke
+test is outside this suite, so a renamed or deleted name would otherwise
+go unnoticed here.  perfbench/tracing.py imports only the standard
+library and is loaded by path; perfbench/workloads.py is read with ast.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import morreylab
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layer_functions_resolve():
+    tracing = _load_tracing()
+    assert tracing.LAYER_FUNCTIONS
+    missing = [f"{module}.{attr}"
+               for module, attr in tracing.LAYER_FUNCTIONS.values()
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert missing == []
+    for module in tracing.MODULES:
+        importlib.import_module(module)
+
+
+def test_workload_package_attributes_resolve():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    aliases = {alias.asname for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "morreylab"}
+    assert aliases == {"m"}
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "m"}
+    assert used
+    assert sorted(name for name in used if not hasattr(morreylab, name)) == []

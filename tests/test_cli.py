@@ -93,6 +93,14 @@ def test_aronsson_usage_errors(argv, tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("L", ["100", "1000", "1e6"])
+def test_aronsson_wide_aperture(L, tmp_path):
+    rc = main(["aronsson", "--p", "4", "--L", L, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "aronsson_summary.json").read_text())
+    assert abs(summary["aperture_L"] - float(L)) < 1e-12 * float(L)
+
+
 # -------------------------------------------------------------------- solve
 
 SOLVE_ARGS = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
@@ -197,9 +205,11 @@ def test_analyze_corrupt_checkpoint(tmp_path):
                                   lambda meta: {**meta, "stages": [1]},
                                   lambda meta: {**meta, "spec": None},
                                   lambda meta: {**meta, "config": None},
-                                  lambda meta: {**meta, "p": None}],
+                                  lambda meta: {**meta, "p": None},
+                                  lambda meta: {**meta, "p": 8.0}],
                          ids=["list", "null-stages", "non-object-stage",
-                              "null-spec", "null-config", "null-p"])
+                              "null-spec", "null-config", "null-p",
+                              "p-mismatch"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
     sidecar = tmp_path / "ckpt.json"
@@ -227,6 +237,32 @@ def test_analyze_malformed_field_header(edit, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "usage error: cannot read checkpoint")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--budget", "1"), ("--budget", "-5"), ("--window", "8,4"),
+    ("--window", "1,16"), ("--window", "4,nan"),
+], ids="=".join)
+def test_analyze_bad_flag_is_usage_error(flags, tmp_path, capsys):
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"), *flags,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_degenerate_field_is_numerical_failure(tmp_path, capsys):
+    """A field that vanishes inside the fit window still exits 2."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    result, config = m.load_checkpoint(tmp_path / "ckpt")
+    result.field.values[result.grid.r >= 3.0] = 0.0
+    m.save_checkpoint(result, config, tmp_path / "flat")
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "flat"),
+               "--window", "2,7.5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "profile must be positive inside the fit window" in \
+        capsys.readouterr().err
 
 
 def test_analyze_accepts_retired_sidecar_keys(tmp_path):
