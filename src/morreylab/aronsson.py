@@ -336,8 +336,8 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
         raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
     p = _check_p(p)
     h = float(h)
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     r, phi = pts[:, 0], pts[:, 1]
     margin = np.minimum(r, r * np.sin(np.minimum(
         profile.params.phi_max - np.abs(phi), np.pi / 2)))

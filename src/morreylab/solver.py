@@ -8,8 +8,8 @@ is the strength of the discrete measure concentrated there.
 The degenerate limit eps -> 0 is reached by continuation: each stage
 minimizes the energy at one eps, warm-starting from the previous stage.
 A stage runs damped Newton steps (exact sparse Hessian factored by SuperLU
-under a minimum-degree ordering, Armijo backtracking with halving) until
-the gradient sup-norm or the relative energy change drops below
+in a nested-dissection order of the grid, Armijo backtracking with halving)
+until the gradient sup-norm or the relative energy change drops below
 tolerance.  The Armijo test allows an energy rise of _ENERGY_ROUNDOFF
 relative: near the optimum a full Newton step changes the energy by a few
 ulp, and without the allowance summation order would decide where a
@@ -136,6 +136,49 @@ def _predicted_drift_bound(field: ScalarField, p: float, eps_prev: float) -> flo
     return eps_prev**2 * energy_eps2_derivative(field, EnergyParams(p=p, eps=eps_prev))
 
 
+def _dissect(i0: int, i1: int, j0: int, j1: int, out: list) -> None:
+    """Append the boxes of a nested-dissection order of [i0, i1) x [j0, j1).
+
+    The box is cut by one grid line across its longer side; the 9-point
+    stencil couples only neighbouring lines, so the line separates the two
+    halves, which come first, and the line comes last.  A box with a side
+    shorter than 3 is a leaf in natural order.  Module-level recursion, not
+    a nested closure: a self-referencing closure is a reference cycle that
+    keeps the index arrays alive until the cyclic collector runs.
+    """
+    if min(i1 - i0, j1 - j0) < 3:
+        out.append((i0, i1, j0, j1))
+    elif i1 - i0 >= j1 - j0:
+        mid = (i0 + i1) // 2
+        _dissect(i0, mid, j0, j1, out)
+        _dissect(mid + 1, i1, j0, j1, out)
+        out.append((mid, mid + 1, j0, j1))
+    else:
+        mid = (j0 + j1) // 2
+        _dissect(i0, i1, j0, mid, out)
+        _dissect(i0, i1, mid + 1, j1, out)
+        out.append((i0, i1, mid, mid + 1))
+
+
+def _elimination_order(grid: LogPolarGrid) -> np.ndarray:
+    """Flat indices of the free nodes in nested-dissection order.
+
+    The free nodes are the interior box minus the pinned node.  Factoring
+    the Hessian in this order fills about as much as a minimum-degree
+    ordering and runs faster in SuperLU's supernodal kernels.
+    """
+    boxes: list = []
+    _dissect(1, grid.n_s - 1, 1, grid.n_phi - 1, boxes)
+    i0, i1, j0, j1 = np.array(boxes, dtype=np.intp).T
+    width = j1 - j0
+    sizes = (i1 - i0) * width
+    box = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(box.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = ((i0[box] + local // width[box]) * grid.n_phi
+             + j0[box] + local % width[box])
+    return order[order != grid.i_pin * grid.n_phi + grid.j_pin]
+
+
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
                    initial: ScalarField | None = None) -> SolveResult:
     """Minimize the regularized p-energy with continuation in eps.
@@ -159,7 +202,7 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
         field = _initial_field(grid, p)
     field.apply_dirichlet()
 
-    free_idx = np.flatnonzero(~grid.constrained_mask().ravel())
+    free_idx = _elimination_order(grid)
 
     stages: list[StageInfo] = []
     prev_energy = None
@@ -176,11 +219,10 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             if (stage.converged or stalled
                     or stage.iterations == config.max_iters_per_stage):
                 break
-            hess = energy_hessian(field, params)
-            h_ff = hess[free_idx][:, free_idx].tocsc()
+            h_ff = energy_hessian(field, params)[free_idx][:, free_idx].tocsc()
             g_f = g.ravel()[free_idx]
             try:
-                direction = splu(h_ff, permc_spec="MMD_AT_PLUS_A").solve(-g_f)
+                direction = splu(h_ff, permc_spec="NATURAL").solve(-g_f)
                 slope = float(g_f @ direction)
             except RuntimeError:
                 slope = 0.0     # singular factor: take the gradient step

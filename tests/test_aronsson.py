@@ -378,6 +378,14 @@ def test_residual_rejects_one_inadmissible_point(where):
         m.pharmonic_residual(prof, 4.0, [pts[where]], h=1e-2)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -1.0, 0.0])
+def test_residual_rejects_bad_step(h):
+    prof = m.angular_profile(1.0, 4.0, 64)
+    with pytest.raises(ValueError, match=re.escape(f"step h must be positive "
+                                                   f"and finite, got {h}")):
+        m.pharmonic_residual(prof, 4.0, [(1.0, 0.1)], h=h)
+
+
 @pytest.mark.parametrize("pts", [[], [(1.0, 0.1, 0.2)], [1.0, 0.1]])
 def test_residual_rejects_malformed_point_lists(pts):
     prof = m.angular_profile(1.0, 4.0, 64)

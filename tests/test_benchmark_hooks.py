@@ -13,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import morreylab
+from morreylab import solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -48,3 +49,23 @@ def test_workload_package_attributes_resolve():
             and isinstance(node.value, ast.Name) and node.value.id == "m"}
     assert used
     assert sorted(name for name in used if not hasattr(morreylab, name)) == []
+
+
+def test_every_newton_step_factors_through_splu(monkeypatch):
+    # perfbench's solver.factor_* layers time the calls to solver.splu; a
+    # solver that factored some other way would leave them empty.
+    factor, calls = solver.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counted)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
+    assert result.converged
+    assert all(st.fallbacks == st.line_search_failures == 0
+               for st in result.stages)
+    steps = sum(st.iterations for st in result.stages)
+    assert steps > 0
+    assert len(calls) == steps

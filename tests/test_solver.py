@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import morreylab as m
 from morreylab import solver
@@ -164,6 +166,55 @@ def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
     (tmp_path / "ck.json").write_text(json.dumps(meta))
     loaded, _ = m.load_checkpoint(base)
     assert [st.fallbacks for st in loaded.stages] == [0, 0, 0, 0, 0]
+
+
+# -------------------------------------------------------- elimination order
+
+def test_elimination_order_is_a_permutation_of_the_free_nodes():
+    for n_s in range(3, 40):
+        k = (n_s - 1) // 2      # r = 1 is node k, so the pin moves with n_s
+        for n_phi in range(3, 40, 2):
+            grid = m.build_grid(m.GridSpec(2.0**-k, 2.0**(n_s - 1 - k),
+                                           n_s, n_phi))
+            order = solver._elimination_order(grid)
+            free = np.flatnonzero(~grid.constrained_mask().ravel())
+            assert order.dtype.kind == "i"
+            assert np.array_equal(np.sort(order), free), (n_s, n_phi)
+
+
+@pytest.mark.parametrize("spec", [
+    m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
+    m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)])
+def test_nested_dissection_matches_minimum_degree(spec):
+    grid = m.build_grid(spec)
+    field = solver._initial_field(grid, 4.0)
+    params = m.EnergyParams(p=4.0, eps=1e-3)
+    hess = m.energy_hessian(field, params)
+    grad = m.energy_gradient(field, params).values.ravel()
+    directions, nnz = [], []
+    for idx, permc_spec in ((solver._elimination_order(grid), "NATURAL"),
+                            (np.flatnonzero(~grid.constrained_mask().ravel()),
+                             "MMD_AT_PLUS_A")):
+        lu = splu(hess[idx][:, idx].tocsc(), permc_spec=permc_spec)
+        d = np.zeros(grad.size)
+        d[idx] = lu.solve(-grad[idx])
+        directions.append(d)
+        nnz.append(lu.nnz)
+    nd, mmd = directions
+    assert np.abs(nd - mmd).max() <= 1e-12 * np.abs(mmd).max()
+    assert nnz[0] <= nnz[1]
+
+
+def test_elimination_order_leaves_no_reference_cycle():
+    grid = m.build_grid(m.GridSpec(2.0**-6, 2.0**12, 145, 33))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            solver._elimination_order(grid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ odd extension
