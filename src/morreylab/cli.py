@@ -233,6 +233,11 @@ def cmd_solve(params: dict) -> int:
         print("solver did not converge; partial outputs retained",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    u = result.field.values
+    if u.min() < 0.0 or u.max() > 1.0:
+        print(f"discrete maximum principle violated: u in [{u.min():.3g}, "
+              f"{u.max():.3g}]; outputs retained", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -343,7 +348,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+        sp = sub.add_parser(command, help=help_text, description=help_text)
         for name, (parse, _) in _PARAMS[command].items():
             sp.add_argument("--" + name.replace("_", "-"), dest=name,
                             choices=getattr(parse, "choices", None))
@@ -352,7 +357,8 @@ def _build_parser() -> _Parser:
 
 
 _COMMANDS = {
-    "beta-table": (cmd_beta_table, "critical exponent table"),
+    "beta-table": (cmd_beta_table,
+                   "critical exponent table, for 2 < p < about 1.8e16"),
     "aronsson": (cmd_aronsson, "angular profile of a cone solution"),
     "solve": (cmd_solve, "compute the discrete extremal"),
     "analyze": (cmd_analyze, "profiles, fits and constant estimate"),

@@ -29,10 +29,21 @@ tens of percent.
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its exact gradient (a 3x3 stencil) and its sparse Hessian from
 the same per-sample gradients.
+
+The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
+pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
+how the grid tells a quarter from a half plane.  On the quarter the
+axis column phi = pi/2 is free apart from the pin, which leaves the
+natural (Neumann) condition there, and only the two pin cells on its
+side of the axis (phi < pi/2) carry the midpoint rule.  Both rules are
+symmetric under phi -> pi - phi, so for a field even in x the half-plane
+energy is twice the quarter's, and the half-plane gradient is the
+quarter's off the axis and twice it on the axis column.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -140,24 +151,39 @@ class LogPolarGrid:
 
     @property
     def n_phi(self) -> int:
-        return self.spec.n_phi
+        return self.phi.size
 
     @property
     def pin_index(self) -> tuple[int, int]:
         """Grid index of the point (r=1, phi=pi/2)."""
         return (self.i_pin, self.j_pin)
 
+    def quarter(self) -> "LogPolarGrid":
+        """This grid's columns 0..j_pin, the quadrant phi <= pi/2.
+
+        The nodes are the same floats as the half plane's first j_pin + 1
+        columns; spec still describes the half plane.
+        """
+        q = copy.copy(self)
+        q.phi = self.phi[:self.j_pin + 1]
+        return q
+
     def constrained_mask(self) -> np.ndarray:
-        """Boolean mask of Dirichlet edge nodes plus the pinned node."""
+        """Boolean mask of Dirichlet edge nodes plus the pinned node.
+
+        On a quarter grid (the pin on the last column) the axis column is
+        free apart from the pin.
+        """
         m = np.zeros((self.n_s, self.n_phi), dtype=bool)
-        m[0, :] = m[-1, :] = True
-        m[:, 0] = m[:, -1] = True
+        m[:, -1] = self.j_pin < self.n_phi - 1
+        m[0, :] = m[-1, :] = m[:, 0] = True
         m[self.i_pin, self.j_pin] = True
         return m
 
     def area(self) -> float:
-        """Exact area of the truncated half plane, pi/2 (r_max^2 - r_min^2)."""
-        return 0.5 * np.pi * (self.spec.r_max ** 2 - self.spec.r_min ** 2)
+        """Exact area of the grid's sector, phi_max/2 (r_max^2 - r_min^2):
+        the truncated half plane, or half of it on a quarter grid."""
+        return 0.5 * self.phi[-1] * (self.spec.r_max ** 2 - self.spec.r_min ** 2)
 
 
 def build_grid(spec: GridSpec) -> LogPolarGrid:
@@ -183,11 +209,9 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
     def apply_dirichlet(self) -> "ScalarField":
-        """Zero the edges and set the pinned node to 1, in place."""
-        v = self.values
-        v[0, :] = v[-1, :] = 0.0
-        v[:, 0] = v[:, -1] = 0.0
-        v[self.grid.i_pin, self.grid.j_pin] = 1.0
+        """Zero the constrained nodes and set the pinned node to 1, in place."""
+        self.values[self.grid.constrained_mask()] = 0.0
+        self.values[self.grid.pin_index] = 1.0
         return self
 
 
@@ -249,14 +273,15 @@ def _quadrature(grid: LogPolarGrid) -> tuple:
     gradient components are Jus[k] and Jup[k] applied to the cell's
     four nodal values, ordered as in _CORNERS.  The 2x2 corner rule
     samples every cell at its corners, with mass cell_weight/4 and
-    e^{-2s} at the cell center, but with zero mass on the four cells
-    around the pinned node.  Those carry the midpoint rule of
-    _PIN_SUBQUAD**2 samples with the exact mass of e^{2s} over each
-    radial strip.
+    e^{-2s} at the cell center, but with zero mass on the cells around
+    the pinned node: four on the half plane, the two with phi < pi/2 on
+    a quarter grid.  Those carry the midpoint rule of _PIN_SUBQUAD**2
+    samples with the exact mass of e^{2s} over each radial strip.
     """
     k, n_c = _PIN_SUBQUAD, grid.n_phi - 1
     i0, j0 = grid.pin_index
-    pin = np.array([i0 - 1, i0 - 1, i0, i0]) * n_c + [j0 - 1, j0, j0 - 1, j0]
+    pin = (np.array([i0 - 1, i0])[:, None] * n_c
+           + [j for j in (j0 - 1, j0) if j < n_c]).ravel()
     w = 0.25 * grid.cell_weight.reshape(1, -1)
     w[0, pin] = 0.0
     em = np.repeat(grid.em2s_c, n_c)[None, :]

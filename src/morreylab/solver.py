@@ -5,6 +5,20 @@ zero Dirichlet data and value 1 at the node (r=1, phi=pi/2).  The pinned
 node replaces an explicit point source: the multiplier of the constraint
 is the strength of the discrete measure concentrated there.
 
+The extremal is even in x: the domain, the zero data and the pin are
+symmetric under phi -> pi - phi, and the energy is strictly convex on the
+free nodes, so the minimizer is unique and even, and so is the discrete
+one, whose quadrature is symmetric too.  The solver therefore minimizes
+over the quarter grid phi in [0, pi/2] only (grid.LogPolarGrid.quarter):
+the axis column phi = pi/2 is free apart from the pin, a natural Neumann
+condition, and the objective is F = 2 E_quarter, which equals the
+half-plane energy of the mirrored field up to roundoff (the doubling is
+exact in floating point).  The half-plane gradient is the quarter's off
+the axis and twice it on the axis column; the stop test takes its
+sup-norm from that.  The field is mirrored back to the half plane on
+output, so results, checkpoints and everything downstream see the
+half-plane field, exactly even.
+
 The degenerate limit eps -> 0 is reached by continuation: each stage
 minimizes the energy at one eps, warm-starting from the previous stage.
 A stage runs damped Newton steps (exact sparse Hessian factored by SuperLU
@@ -131,9 +145,11 @@ def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
     return ScalarField(grid, values).apply_dirichlet()
 
 
-def _predicted_drift_bound(field: ScalarField, p: float, eps_prev: float) -> float:
-    """Bound on the energy change when eps_prev is dropped from the integrand."""
-    return eps_prev**2 * energy_eps2_derivative(field, EnergyParams(p=p, eps=eps_prev))
+def _predicted_drift_bound(quarter: ScalarField, p: float, eps_prev: float) -> float:
+    """Bound on the change of F = 2 E_quarter when eps_prev is dropped from
+    the integrand."""
+    return 2.0 * eps_prev**2 * energy_eps2_derivative(
+        quarter, EnergyParams(p=p, eps=eps_prev))
 
 
 def _dissect(i0: int, i1: int, j0: int, j1: int, out: list) -> None:
@@ -160,23 +176,24 @@ def _dissect(i0: int, i1: int, j0: int, j1: int, out: list) -> None:
         out.append((i0, i1, mid, mid + 1))
 
 
-def _elimination_order(grid: LogPolarGrid) -> np.ndarray:
-    """Flat indices of the free nodes in nested-dissection order.
+def _elimination_order(quarter: LogPolarGrid) -> np.ndarray:
+    """Flat indices of a quarter grid's free nodes in nested-dissection order.
 
-    The free nodes are the interior box minus the pinned node.  Factoring
+    The free nodes are the box of rows 1..n_s-2 and columns 1..n_phi-1
+    (the axis column included) minus the pinned node.  Factoring
     the Hessian in this order fills about as much as a minimum-degree
     ordering and runs faster in SuperLU's supernodal kernels.
     """
     boxes: list = []
-    _dissect(1, grid.n_s - 1, 1, grid.n_phi - 1, boxes)
+    _dissect(1, quarter.n_s - 1, 1, quarter.n_phi, boxes)
     i0, i1, j0, j1 = np.array(boxes, dtype=np.intp).T
     width = j1 - j0
     sizes = (i1 - i0) * width
     box = np.repeat(np.arange(sizes.size), sizes)
     local = np.arange(box.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    order = ((i0[box] + local // width[box]) * grid.n_phi
+    order = ((i0[box] + local // width[box]) * quarter.n_phi
              + j0[box] + local % width[box])
-    return order[order != grid.i_pin * grid.n_phi + grid.j_pin]
+    return order[order != quarter.i_pin * quarter.n_phi + quarter.j_pin]
 
 
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
@@ -187,34 +204,35 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     rectangle edges; the inequality is invariant under u -> c*u, so any
     other pin value would only rescale the field.  A non-converged stage
     (iteration cap or failed line search) flags the result but keeps the
-    partial data.  An explicit
-    initial field serves as a warm start, e.g. a coarse solution
-    interpolated onto a refined grid.
+    partial data.  An explicit initial field serves as a warm start, e.g.
+    a coarse solution interpolated onto a refined grid; only its columns
+    phi <= pi/2 are read.  The Newton iteration runs on the quarter grid
+    and the returned field is its mirror image, even in x.
     """
     if config is None:
         config = SolverConfig()
     grid = build_grid(spec)
-    if initial is not None:
-        if initial.grid.spec != spec:
-            raise ValueError("initial field lives on a different grid")
-        field = initial.copy()
-    else:
-        field = _initial_field(grid, p)
-    field.apply_dirichlet()
+    if initial is not None and initial.grid.spec != spec:
+        raise ValueError("initial field lives on a different grid")
+    start = (initial if initial is not None else _initial_field(grid, p)).values
+    quarter = grid.quarter()
+    field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
 
-    free_idx = _elimination_order(grid)
+    free_idx = _elimination_order(quarter)
 
     stages: list[StageInfo] = []
     prev_energy = None
     for eps in config.eps_schedule:
         params = EnergyParams(p=p, eps=eps)
         stage = StageInfo(eps=eps)
-        e_now = energy(field, params)
+        e_now = 2.0 * energy(field, params)
         stage.energy_history.append(e_now)
         stalled = False
         while True:
             g = energy_gradient(field, params).values
-            stage.grad_sup = float(np.abs(g).max())
+            # the half plane's gradient is g off the axis column, 2 g on it
+            stage.grad_sup = float(max(np.abs(g).max(),
+                                       2.0 * np.abs(g[:, -1]).max()))
             stage.converged = stage.grad_sup <= config.grad_tol
             if (stage.converged or stalled
                     or stage.iterations == config.max_iters_per_stage):
@@ -223,20 +241,20 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             g_f = g.ravel()[free_idx]
             try:
                 direction = splu(h_ff, permc_spec="NATURAL").solve(-g_f)
-                slope = float(g_f @ direction)
+                slope = 2.0 * float(g_f @ direction)
             except RuntimeError:
                 slope = 0.0     # singular factor: take the gradient step
             if slope >= 0.0:
                 stage.fallbacks += 1
-                direction, slope = -g_f, float(-g_f @ g_f)
+                direction, slope = -g_f, -2.0 * float(g_f @ g_f)
 
             step = 1.0
             accepted = False
             for _ in range(_MAX_HALVINGS):
                 trial = field.values.copy()
                 trial.ravel()[free_idx] += step * direction
-                trial_field = ScalarField(grid, trial)
-                e_trial = energy(trial_field, params)
+                trial_field = ScalarField(quarter, trial)
+                e_trial = 2.0 * energy(trial_field, params)
                 if e_trial <= (e_now + _ARMIJO_C * step * slope
                                + _ENERGY_ROUNDOFF * max(1.0, abs(e_now))):
                     accepted = True
@@ -259,10 +277,12 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
         prev_energy = e_now
         stages.append(stage)
 
-    dipole = float(energy_gradient(
+    dipole = 2.0 * float(energy_gradient(
         field, EnergyParams(p=p, eps=config.eps_schedule[-1]),
-        mask_constrained=False).values[grid.i_pin, grid.j_pin])
-    return SolveResult(field=field, energy=stages[-1].energy, stages=stages,
+        mask_constrained=False).values[quarter.pin_index])
+    v = field.values
+    half = ScalarField(grid, np.hstack([v, v[:, -2::-1]]))
+    return SolveResult(field=half, energy=stages[-1].energy, stages=stages,
                        converged=stages[-1].converged, p=p,
                        dipole_strength=dipole)
 
@@ -334,6 +354,8 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         "config": asdict(config),
         "energy": result.energy,
         "converged": result.converged,
+        "u_min": float(result.field.values.min()),
+        "u_max": float(result.field.values.max()),
         "dipole_strength": result.dipole_strength,
         "stages": [{k: v for k, v in asdict(st).items()
                     if k != "energy_history"} for st in result.stages],

@@ -51,6 +51,18 @@ def solve_p8():
     return result
 
 
+def random_even_field(spec: m.GridSpec, seed: int = 3):
+    """A random field on the quarter grid, pinned with zero Dirichlet data,
+    and its mirror image on the half plane, which is even in x."""
+    grid = m.build_grid(spec)
+    quarter = grid.quarter()
+    rng = np.random.default_rng(seed)
+    uq = m.ScalarField(quarter, rng.random((quarter.n_s, quarter.n_phi)))
+    uq.apply_dirichlet()
+    half = m.ScalarField(grid, np.hstack([uq.values, uq.values[:, -2::-1]]))
+    return uq, half
+
+
 def synthetic_result(grid: m.LogPolarGrid, values: np.ndarray,
                      p: float = 4.0) -> m.SolveResult:
     """Wrap a closed-form field as a converged result for analysis tests."""

@@ -113,6 +113,7 @@ def test_solve_and_analyze_pipeline(tmp_path):
     assert (tmp_path / "solve.field").exists()
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["converged"] is True
+    assert (meta["u_min"], meta["u_max"]) == (0.0, 1.0)
     manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
     assert set(manifest) == {"command", "parameters", "artifacts",
                              "wall_clock_seconds", "version"}
@@ -147,6 +148,21 @@ def test_solve_non_convergence_exit_code(tmp_path):
                             "--max-iters", "1"])
     assert rc == 2
     assert (tmp_path / "solve.field").exists()   # partial outputs retained
+
+
+def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
+    # a converged field outside [0, 1] (coarse grid, large p) is a
+    # numerical failure, with the outputs kept for inspection
+    rc = main(["solve", "--p", "16", "--r-min", "0.0625", "--r-max", "256",
+               "--n-s", "49", "--n-phi", "17", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "discrete maximum principle violated" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "solve.json").read_text())
+    assert meta["converged"] is True
+    assert meta["u_min"] < 0.0 or meta["u_max"] > 1.0
+    field, _ = m.load_field(tmp_path / "solve.field")
+    assert (meta["u_min"], meta["u_max"]) == (field.values.min(),
+                                              field.values.max())
 
 
 def test_solve_usage_error(tmp_path):

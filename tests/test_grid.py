@@ -3,9 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import morreylab as m
+from morreylab import grid as grid_module
 from morreylab.grid import open_new
+from conftest import random_even_field
 
 
 def small_spec(n_s=81, n_phi=17):
@@ -163,6 +168,57 @@ def test_energy_reflection_symmetry():
     mirrored = m.ScalarField(g, f.values[:, ::-1])
     e1, e2 = m.energy(f, params), m.energy(mirrored, params)
     assert abs(e1 - e2) < 1e-13 * max(1.0, abs(e1))
+
+
+# ------------------------------------------------------------ quarter plane
+
+QUARTER_SPECS = [m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
+                 m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)]
+
+
+def test_quarter_grid_columns_and_constraints():
+    grid = m.build_grid(QUARTER_SPECS[1])
+    quarter = grid.quarter()
+    assert quarter.n_phi == grid.j_pin + 1
+    assert quarter.pin_index == grid.pin_index == (grid.i_pin, quarter.n_phi - 1)
+    assert np.array_equal(quarter.phi, grid.phi[:quarter.n_phi])
+    assert quarter.phi[-1] == 0.5 * np.pi
+    assert quarter.area() == 0.5 * grid.area()
+    assert abs(quarter.cell_weight.sum() - quarter.area()) < 1e-12 * quarter.area()
+    fixed = quarter.constrained_mask()
+    assert fixed[0].all() and fixed[-1].all() and fixed[:, 0].all()
+    axis = np.flatnonzero(fixed[:, -1])
+    assert list(axis) == [0, grid.i_pin, grid.n_s - 1]
+    assert np.array_equal(fixed[:, :-1], grid.constrained_mask()[:, :quarter.n_phi - 1])
+    # the half plane's Dirichlet column at phi = pi is untouched
+    assert grid.constrained_mask()[:, -1].all()
+
+
+@pytest.mark.parametrize("spec", QUARTER_SPECS)
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_half_plane_energy_is_twice_the_quarter(spec, p):
+    uq, half = random_even_field(spec)
+    for eps in (0.0, 1e-3):
+        params = m.EnergyParams(p=p, eps=eps)
+        e_half = m.energy(half, params)
+        assert abs(e_half - 2.0 * m.energy(uq, params)) <= 1e-14 * e_half
+
+
+@pytest.mark.parametrize("spec", QUARTER_SPECS)
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_half_plane_gradient_from_the_quarter(spec, p):
+    # g off the axis column, 2 g on it; the pin's unmasked entry included
+    uq, half = random_even_field(spec)
+    params = m.EnergyParams(p=p, eps=1e-3)
+    gq = m.energy_gradient(uq, params, mask_constrained=False).values
+    gh = m.energy_gradient(half, params, mask_constrained=False).values
+    expected = gq.copy()
+    expected[:, -1] *= 2.0
+    scale = np.abs(gh).max()
+    assert np.abs(gh[:, :uq.grid.n_phi] - expected).max() <= 1e-14 * scale
+    masked = m.energy_gradient(uq, params).values
+    axis = ~uq.grid.constrained_mask()[:, -1]
+    assert np.any(axis) and np.all(masked[axis, -1] == gq[axis, -1])
 
 
 # ----------------------------------------------------------------- gradient
@@ -335,3 +391,76 @@ def test_open_new_replaces_links(tmp_path):
     with open_new(tmp_path / "fresh.csv") as fh:
         fh.write("x\n")
     assert (tmp_path / "fresh.csv").read_text() == "x\n"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_FUZZ = settings(max_examples=60, deadline=None, database=None)
+_FUZZ_SPECS = st.sampled_from([
+    m.GridSpec(r_min=math.exp(-1), r_max=math.exp(1), n_s=3, n_phi=3),
+    m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9),
+    m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17)])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_RADII = (st.floats() | st.integers(-1074, 1023).map(lambda k: 2.0**k)
+          | st.sampled_from([0.0, -0.0, 1.0, grid_module._R_MIN,
+                             grid_module._R_MAX]))
+
+
+def _field_values(spec):
+    return hnp.arrays(np.float64, (spec.n_s, spec.n_phi), elements=_FINITE)
+
+
+@_FUZZ
+@given(st.one_of(
+    st.tuples(_RADII, _RADII, st.integers(-2, 600), st.integers(-2, 70)),
+    # r_min = 2^-k and r_max = 2^l with s = 0 on a node: often valid
+    st.tuples(st.integers(0, 530), st.integers(0, 530), st.integers(1, 3),
+              st.integers(1, 33)).map(
+        lambda t: (2.0**-t[0], 2.0**t[1], t[2] * (t[0] + t[1]) + 1,
+                   2 * t[3] + 1))))
+def test_grid_spec_constructs_or_raises_value_error(args):
+    try:
+        spec = m.GridSpec(*args)
+    except ValueError:
+        return
+    grid = m.build_grid(spec)
+    assert grid.s[grid.i_pin] == 0.0 and grid.phi[grid.j_pin] == 0.5 * np.pi
+    for a in (grid.r, grid.em2s_c, grid.radial_mass):
+        assert np.all(np.isfinite(a))
+
+
+@_FUZZ
+@given(st.data())
+def test_interpolate_exact_at_nodes_and_rejects_bad_queries(data):
+    spec = data.draw(_FUZZ_SPECS)
+    grid = m.build_grid(spec)
+    field = m.ScalarField(grid, data.draw(_field_values(spec)))
+    rr, pp = np.meshgrid(grid.r, grid.phi, indexing="ij")
+    assert np.all(m.interpolate(field, rr, pp) == field.values)
+    i = data.draw(st.integers(0, spec.n_s - 1))
+    j = data.draw(st.integers(0, spec.n_phi - 1))
+    assert m.interpolate(field, grid.r[i], grid.phi[j]) == field.values[i, j]
+    bad_r = data.draw(st.sampled_from([math.nan, 0.0, -1.0])
+                      | st.floats(0.0, spec.r_min * (1 - 1e-9), exclude_min=True)
+                      | st.floats(min_value=spec.r_max * (1 + 1e-9)))
+    bad_phi = data.draw(st.sampled_from([math.nan])
+                        | st.floats(max_value=-1e-9)
+                        | st.floats(min_value=np.pi + 1e-9))
+    good_r, good_phi = rr.ravel()[:3], pp.ravel()[:3]
+    for r, phi in ((np.append(good_r, bad_r), np.append(good_phi, 1.0)),
+                   (np.append(good_r, 1.0), np.append(good_phi, bad_phi))):
+        with pytest.raises(ValueError):
+            m.interpolate(field, r, phi)
+
+
+@_FUZZ
+@given(st.data())
+def test_field_dump_round_trips_bitwise(tmp_path_factory, data):
+    spec = data.draw(_FUZZ_SPECS)
+    values = data.draw(_field_values(spec))
+    p = data.draw(st.floats(2.0, 1e16, exclude_min=True))
+    path = tmp_path_factory.mktemp("dump") / "f.field"
+    m.save_field(m.ScalarField(m.build_grid(spec), values), path, p=p)
+    loaded, header = m.load_field(path)
+    assert loaded.grid.spec == spec and header["p"] == p
+    assert loaded.values.tobytes() == values.tobytes()

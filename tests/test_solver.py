@@ -8,7 +8,8 @@ from scipy.sparse.linalg import splu
 
 import morreylab as m
 from morreylab import solver
-from conftest import warm_refine
+from morreylab.grid import energy_eps2_derivative
+from conftest import random_even_field, warm_refine
 
 
 TINY_SPEC = m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9)
@@ -171,13 +172,19 @@ def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
 # -------------------------------------------------------- elimination order
 
 def test_elimination_order_is_a_permutation_of_the_free_nodes():
+    # the quarter's free nodes: the axis column is free, the pin is not
     for n_s in range(3, 40):
         k = (n_s - 1) // 2      # r = 1 is node k, so the pin moves with n_s
         for n_phi in range(3, 40, 2):
-            grid = m.build_grid(m.GridSpec(2.0**-k, 2.0**(n_s - 1 - k),
-                                           n_s, n_phi))
-            order = solver._elimination_order(grid)
-            free = np.flatnonzero(~grid.constrained_mask().ravel())
+            quarter = m.build_grid(m.GridSpec(2.0**-k, 2.0**(n_s - 1 - k),
+                                              n_s, n_phi)).quarter()
+            order = solver._elimination_order(quarter)
+            fixed = np.ones((n_s, quarter.n_phi), dtype=bool)
+            fixed[1:-1, 1:] = False
+            fixed[quarter.pin_index] = True
+            free = np.flatnonzero(~fixed.ravel())
+            assert np.array_equal(
+                np.flatnonzero(~quarter.constrained_mask().ravel()), free)
             assert order.dtype.kind == "i"
             assert np.array_equal(np.sort(order), free), (n_s, n_phi)
 
@@ -187,13 +194,15 @@ def test_elimination_order_is_a_permutation_of_the_free_nodes():
     m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)])
 def test_nested_dissection_matches_minimum_degree(spec):
     grid = m.build_grid(spec)
-    field = solver._initial_field(grid, 4.0)
+    quarter = grid.quarter()
+    field = m.ScalarField(
+        quarter, solver._initial_field(grid, 4.0).values[:, :quarter.n_phi])
     params = m.EnergyParams(p=4.0, eps=1e-3)
     hess = m.energy_hessian(field, params)
     grad = m.energy_gradient(field, params).values.ravel()
     directions, nnz = [], []
-    for idx, permc_spec in ((solver._elimination_order(grid), "NATURAL"),
-                            (np.flatnonzero(~grid.constrained_mask().ravel()),
+    for idx, permc_spec in ((solver._elimination_order(quarter), "NATURAL"),
+                            (np.flatnonzero(~quarter.constrained_mask().ravel()),
                              "MMD_AT_PLUS_A")):
         lu = splu(hess[idx][:, idx].tocsc(), permc_spec=permc_spec)
         d = np.zeros(grad.size)
@@ -206,15 +215,66 @@ def test_nested_dissection_matches_minimum_degree(spec):
 
 
 def test_elimination_order_leaves_no_reference_cycle():
-    grid = m.build_grid(m.GridSpec(2.0**-6, 2.0**12, 145, 33))
+    quarter = m.build_grid(m.GridSpec(2.0**-6, 2.0**12, 145, 33)).quarter()
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
-            solver._elimination_order(grid)
+            solver._elimination_order(quarter)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------------------------ quarter plane
+
+@pytest.mark.parametrize("spec", [
+    m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
+    m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)])
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_quarter_newton_direction_matches_half_plane(spec, p):
+    uq, half = random_even_field(spec, seed=8)
+    grid, quarter = half.grid, uq.grid
+    params = m.EnergyParams(p=p, eps=1e-3)
+    directions = []
+    for field, idx in ((half, np.flatnonzero(~grid.constrained_mask().ravel())),
+                       (uq, solver._elimination_order(quarter))):
+        hess = m.energy_hessian(field, params)
+        grad = m.energy_gradient(field, params).values.ravel()
+        d = np.zeros(grad.size)
+        d[idx] = splu(hess[idx][:, idx].tocsc()).solve(-grad[idx])
+        directions.append(d.reshape(field.values.shape))
+    d_half, d_quarter = directions
+    assert (np.abs(d_half[:, :quarter.n_phi] - d_quarter).max()
+            <= 1e-12 * np.abs(d_half).max())
+
+
+def test_stage_reports_half_plane_quantities():
+    # F = 2 E_quarter is the half-plane energy of the mirrored field; the
+    # stop test reads the half-plane gradient, twice the quarter's on the
+    # axis column; the dipole strength and the drift bound are the half
+    # plane's too.  Two steps per stage leave all of them far from roundoff.
+    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30,
+                         energy_rel_tol=1e-30, max_iters_per_stage=2)
+    result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
+    stage, field = result.stages[-1], result.field
+    params = m.EnergyParams(p=4.0, eps=1e-3)
+    g = m.energy_gradient(field, params, mask_constrained=False).values
+    assert math.isclose(result.dipole_strength, g[result.grid.pin_index],
+                        rel_tol=1e-12)
+    g[result.grid.constrained_mask()] = 0.0
+    assert math.isclose(stage.grad_sup, np.abs(g).max(), rel_tol=1e-12)
+    assert math.isclose(stage.energy, m.energy(field, params), rel_tol=1e-14)
+    bound = 1e-4 * energy_eps2_derivative(field, m.EnergyParams(4.0, 1e-2))
+    assert math.isclose(stage.predicted_drift_bound, bound, rel_tol=1e-14)
+
+
+def test_solved_fields_are_exactly_even(solve_small, solve_p4, solve_p8,
+                                        solve_p4_fine):
+    for result in (solve_small, solve_p4, solve_p8, solve_p4_fine):
+        v = result.field.values
+        assert v.shape == (result.grid.n_s, result.grid.spec.n_phi)
+        assert np.array_equal(v, v[:, ::-1])
 
 
 # ------------------------------------------------------------ odd extension
