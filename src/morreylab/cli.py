@@ -94,11 +94,8 @@ _PARAMS = {
                  "out_dir": (_text, ".")},
     "solve": {"p": (_float, 4.0), "r_min": (_float, 2.0**-6),
               "r_max": (_float, 2.0**12), "n_s": (_int, 577),
-              "n_phi": (_int, 65),
-              "eps_schedule": (_float_list, "1e-2,1e-3,1e-4,1e-5,1e-6"),
-              "grad_tol": (_float, 1e-9), "energy_rel_tol": (_float, 1e-12),
-              "max_iters": (_int, 100), "tag": (_text, "solve"),
-              "out_dir": (_text, ".")},
+              "n_phi": (_int, 65), "grad_tol": (_float, 1e-9),
+              "tag": (_text, "solve"), "out_dir": (_text, ".")},
     "analyze": {"checkpoint": (_text, None), "window": (_float_list, None),
                 "budget": (_int, 600), "out_dir": (_text, ".")},
     "verify": {"p": (_float, 4.0), "mode": (_choice("quick", "full"), "quick"),
@@ -213,11 +210,7 @@ def cmd_solve(params: dict) -> int:
     try:
         p = EnergyParams(p=params["p"]).p
         spec = from_fields(GridSpec, params)
-        solver_config = SolverConfig(
-            eps_schedule=_floats(params["eps_schedule"]),
-            grad_tol=params["grad_tol"],
-            energy_rel_tol=params["energy_rel_tol"],
-            max_iters_per_stage=params["max_iters"])
+        solver_config = SolverConfig(grad_tol=params["grad_tol"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = solve_extremal(spec, p, solver_config)

@@ -194,10 +194,8 @@ def build_grid(spec: GridSpec) -> LogPolarGrid:
 class ScalarField:
     """Nodal values on a log-polar grid, indexed (s-index, phi-index)."""
 
-    def __init__(self, grid: LogPolarGrid, values: np.ndarray | None = None):
+    def __init__(self, grid: LogPolarGrid, values: np.ndarray):
         self.grid = grid
-        if values is None:
-            values = np.zeros((grid.n_s, grid.n_phi))
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.n_s, grid.n_phi):
             raise ValueError(

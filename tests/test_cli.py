@@ -141,11 +141,10 @@ def test_solve_outputs_deterministic(tmp_path):
     assert (d1 / "solve.json").read_bytes() == (d2 / "solve.json").read_bytes()
 
 
-def test_solve_non_convergence_exit_code(tmp_path):
+def test_solve_non_convergence_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 1)
     rc = main(SOLVE_ARGS + ["--out-dir", str(tmp_path),
-                            "--grad-tol", "1e-30",
-                            "--energy-rel-tol", "1e-30",
-                            "--max-iters", "1"])
+                            "--grad-tol", "1e-30"])
     assert rc == 2
     assert (tmp_path / "solve.field").exists()   # partial outputs retained
 
@@ -159,6 +158,8 @@ def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     assert "discrete maximum principle violated" in capsys.readouterr().err
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["converged"] is True
+    # every stage reaches grad_tol; none ends early on a stalled energy
+    assert all(stage["converged"] for stage in meta["stages"])
     assert meta["u_min"] < 0.0 or meta["u_max"] > 1.0
     field, _ = m.load_field(tmp_path / "solve.field")
     assert (meta["u_min"], meta["u_max"]) == (field.values.min(),
@@ -189,8 +190,6 @@ SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
 
 @pytest.mark.parametrize("flags", [
     ("--grad-tol", "inf"), ("--grad-tol", "nan"),
-    ("--energy-rel-tol", "inf"), ("--energy-rel-tol", "nan"),
-    ("--eps-schedule", "inf,1e-3"), ("--eps-schedule", "1e-2,nan"),
     ("--r-max", "inf"), ("--r-max", "nan"), ("--r-min", "nan"),
     # finite radii whose r**2 or r**-2 overflows
     ("--r-min", "0.015625", "--r-max", "4.784065733063811e+198",
@@ -206,6 +205,29 @@ def test_non_finite_solve_parameter_is_usage_error(flags, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("energy_rel_tol", 1e-12), ("max_iters", 100),
+    ("eps_schedule", "1e-2,1e-3,1e-4,1e-5,1e-6")])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_retired_solve_parameter_is_usage_error(key, value, given_as,
+                                                tmp_path, capsys):
+    # an older manifest's parameters replay as a config that names the key
+    flag = "--" + key.replace("_", "-")
+    if given_as == "flag":
+        name, extra = flag, [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        name, extra = key, ["--config", str(cfg)]
+    with mock.patch.object(cli, "solve_extremal",
+                           side_effect=AssertionError("solve was called")):
+        rc = main(SOLVE_49 + extra + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:")
+    assert name in err
 
 
 def test_analyze_corrupt_checkpoint(tmp_path):
@@ -289,7 +311,8 @@ def test_analyze_accepts_retired_sidecar_keys(tmp_path):
     sidecar = tmp_path / "ckpt.json"
     meta = json.loads(sidecar.read_text())
     meta["pin_value"] = 1.0
-    meta["config"].update(armijo_c=1e-4, max_halvings=60)
+    meta["config"].update(armijo_c=1e-4, max_halvings=60,
+                          energy_rel_tol=1e-12, max_iters_per_stage=100)
     sidecar.write_text(json.dumps(meta))
     assert m.load_checkpoint(tmp_path / "ckpt")[1] == m.SolverConfig()
     assert main(argv + ["--out-dir", str(tmp_path / "old")]) == 0
@@ -405,10 +428,7 @@ OPTIONS = {
     "solve": {"p": ("--p", "float"), "r_min": ("--r-min", "float"),
               "r_max": ("--r-max", "float"), "n_s": ("--n-s", "int"),
               "n_phi": ("--n-phi", "int"),
-              "eps_schedule": ("--eps-schedule", "floats"),
-              "grad_tol": ("--grad-tol", "float"),
-              "energy_rel_tol": ("--energy-rel-tol", "float"),
-              "max_iters": ("--max-iters", "int"), "tag": ("--tag", "text"),
+              "grad_tol": ("--grad-tol", "float"), "tag": ("--tag", "text"),
               "out_dir": ("--out-dir", "text")},
     "analyze": {"checkpoint": ("--checkpoint", "text"),
                 "window": ("--window", "floats"),

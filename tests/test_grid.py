@@ -66,13 +66,13 @@ def test_area_is_exact():
 
 def test_energy_zero_field():
     g = m.build_grid(small_spec())
-    f = m.ScalarField(g)
+    f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
     assert m.energy(f, m.EnergyParams(p=4.0, eps=0.0)) == 0.0
 
 
 def test_energy_constant_integrand_exact():
     g = m.build_grid(small_spec())
-    f = m.ScalarField(g)
+    f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
     eps = 0.37
     expected = eps**4 / 4.0 * g.area()
     got = m.energy(f, m.EnergyParams(p=4.0, eps=eps))
@@ -141,7 +141,7 @@ def test_energy_matches_per_cell_reference(p):
 
 def test_energy_rejects_non_finite():
     g = m.build_grid(small_spec())
-    f = m.ScalarField(g)
+    f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
     f.values[5, 5] = np.nan
     with pytest.raises(ValueError):
         m.energy(f, m.EnergyParams(p=4.0, eps=0.1))
@@ -241,7 +241,7 @@ def test_gradient_matches_directional_derivative():
 
 def test_gradient_zero_at_origin_field():
     g = m.build_grid(small_spec())
-    f = m.ScalarField(g)
+    f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
     grad = m.energy_gradient(f, m.EnergyParams(p=4.0, eps=0.1)).values
     assert np.all(grad == 0.0)
 

@@ -25,9 +25,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         m.SolverConfig(eps_schedule=(1e-2, 0.0))
     with pytest.raises(ValueError):
-        m.SolverConfig(grad_tol=-1.0)
+        m.SolverConfig(eps_schedule=(math.inf, 1e-3))
     with pytest.raises(ValueError):
-        m.SolverConfig(max_iters_per_stage=0)
+        m.SolverConfig(eps_schedule=(1e-2, math.nan))
+    with pytest.raises(ValueError):
+        m.SolverConfig(grad_tol=-1.0)
 
 
 def test_config_round_trip(tmp_path, solve_small):
@@ -82,13 +84,13 @@ def test_sup_profile_non_increasing(solve_small):
     assert outside[0] == 1.0
 
 
-def test_non_convergence_flagged_with_partial_data():
-    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30,
-                         energy_rel_tol=1e-30, max_iters_per_stage=1)
+def test_non_convergence_flagged_with_partial_data(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 1)
+    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30)
     result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
     assert not result.converged
     assert np.all(np.isfinite(result.field.values))
-    assert len(result.stages) == 2
+    assert [st.iterations for st in result.stages] == [1, 1]
     assert result.stages[-1].grad_sup > 1e-30
 
 
@@ -249,13 +251,13 @@ def test_quarter_newton_direction_matches_half_plane(spec, p):
             <= 1e-12 * np.abs(d_half).max())
 
 
-def test_stage_reports_half_plane_quantities():
+def test_stage_reports_half_plane_quantities(monkeypatch):
     # F = 2 E_quarter is the half-plane energy of the mirrored field; the
     # stop test reads the half-plane gradient, twice the quarter's on the
     # axis column; the dipole strength and the drift bound are the half
     # plane's too.  Two steps per stage leave all of them far from roundoff.
-    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30,
-                         energy_rel_tol=1e-30, max_iters_per_stage=2)
+    monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 2)
+    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30)
     result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
     stage, field = result.stages[-1], result.field
     params = m.EnergyParams(p=4.0, eps=1e-3)
@@ -298,9 +300,9 @@ def test_mirror_antisymmetry_exact(solve_small):
     assert np.all(total == 0.0)
 
 
-def test_mirror_rejects_unconverged():
-    cfg = m.SolverConfig(eps_schedule=(1e-2,), grad_tol=1e-30,
-                         energy_rel_tol=1e-30, max_iters_per_stage=1)
+def test_mirror_rejects_unconverged(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 1)
+    cfg = m.SolverConfig(eps_schedule=(1e-2,), grad_tol=1e-30)
     result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
     with pytest.raises(ValueError):
         m.mirror_to_fullplane(result)
