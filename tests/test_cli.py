@@ -191,6 +191,8 @@ SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
 @pytest.mark.parametrize("flags", [
     ("--grad-tol", "inf"), ("--grad-tol", "nan"),
     ("--r-max", "inf"), ("--r-max", "nan"), ("--r-min", "nan"),
+    # the schedule is retired from solve; a non-finite one still never runs
+    ("--eps-schedule", "inf,1e-3"), ("--eps-schedule", "1e-2,nan"),
     # finite radii whose r**2 or r**-2 overflows
     ("--r-min", "0.015625", "--r-max", "4.784065733063811e+198",
      "--n-s", "112", "--n-phi", "9"),
