@@ -28,7 +28,16 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its exact gradient (a 3x3 stencil) and its sparse Hessian from
-the same per-sample gradients.
+the same per-sample gradients.  The Hessian couples each node to its
+9-point stencil: the kernel sums the 4x4 blocks of every cell, folds them
+into a (9, n_s, n_phi) array of stencil values by 16 slice-adds, and
+gathers the CSC data of a HessianPattern from it.  hessian_pattern builds
+that pattern (row indices, column pointers and the gather index) for any
+list of nodes in any order; the solver builds it once per solve for its
+free nodes in elimination order, so a Newton step fills the data array
+and nothing else.  The energy and the gradient are computed in place,
+in the order of their plain expressions, so they keep their bits with
+fewer fresh temporaries.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -63,6 +72,8 @@ __all__ = [
     "energy_eps2_derivative",
     "energy_gradient",
     "energy_hessian",
+    "HessianPattern",
+    "hessian_pattern",
     "cell_gradient_sq",
     "interpolate",
     "save_field",
@@ -304,14 +315,72 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(-1, 16).T
 
 
+def _stencil_index(di, dj):
+    """Row of the (9, n_s, n_phi) stencil array for the neighbour offset
+    (di, dj), each of them -1, 0 or 1."""
+    return 3 * (di + 1) + dj + 1
+
+
+@dataclass(frozen=True, eq=False)
+class HessianPattern:
+    """CSC pattern of the Hessian restricted to a list of nodes.
+
+    Column b and row a stand for nodes[b] and nodes[a] of the builder's
+    node list.  The rows of a column are sorted, so the matrix is in
+    canonical form.  Entry k of the data is src[k] of the flattened
+    (9, n_s, n_phi) stencil array.
+    """
+
+    grid_shape: tuple
+    src: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def hessian_pattern(grid: LogPolarGrid, nodes) -> HessianPattern:
+    """The Hessian pattern on the given flat node indices, in their order.
+
+    Two nodes are coupled when they are neighbours in the 9-point stencil,
+    i.e. when they share a cell.  indices and indptr are int32, which
+    SuperLU takes without a copy; src stays intp for the gather.
+    """
+    n_s, n_phi = grid.n_s, grid.n_phi
+    nodes = np.asarray(nodes, dtype=np.intp)
+    pos = np.full(n_s * n_phi, -1, dtype=np.int32)
+    pos[nodes] = np.arange(nodes.size, dtype=np.int32)
+    # (n_f, 9): the stencil neighbours (i + di, j + dj) of each column
+    # node and their positions in the node list, -1 for none; the entry
+    # is the neighbour's stencil value towards (-di, -dj)
+    di, dj = (x.ravel() for x in np.meshgrid((-1, 0, 1), (-1, 0, 1),
+                                             indexing="ij"))
+    i, j = np.divmod(nodes, n_phi)
+    i = i[:, None] + di
+    j = j[:, None] + dj
+    inside = (i >= 0) & (i < n_s) & (j >= 0) & (j < n_phi)
+    row_node = np.where(inside, i * n_phi + j, 0)
+    del i, j
+    rows = np.where(inside, pos[row_node], -1)
+    src = _stencil_index(-di, -dj) * pos.size + row_node
+    del pos, row_node, inside
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows = np.take_along_axis(rows, order, axis=1)
+    src = np.take_along_axis(src, order, axis=1)
+    keep = rows >= 0
+    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep.sum(axis=1))
+    return HessianPattern((n_s, n_phi), src[keep], rows[keep], indptr)
+
+
 def _evaluate(field: ScalarField, params: EnergyParams, order: int):
     """The discrete energy and its derivatives, up to the given order.
 
-    Returns (E, dE/d(eps**2), g, H): order 0 fills only E, order 1 adds
-    dE/d(eps**2) and the unmasked nodal gradient g, order 2 adds the sparse
-    Hessian H.  All of them come from the same per-sample gradient
-    (us, up) and integrand q of the grid's quadrature rules; g and H are
-    summed per cell first and then scattered to the nodes once.
+    Returns (E, dE/d(eps**2), g, S): order 0 fills only E, order 1 adds
+    dE/d(eps**2) and the unmasked nodal gradient g, and order 2 adds
+    dE/d(eps**2) and the Hessian as stencil values S, without g:
+    S[_stencil_index(di, dj), i, j] couples node (i, j) to (i+di, j+dj).
+    All of them come from the same per-sample gradient (us, up) and
+    integrand q of the grid's quadrature rules; g and S are summed per
+    cell first and then scattered to the nodes once.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
@@ -319,39 +388,69 @@ def _evaluate(field: ScalarField, params: EnergyParams, order: int):
     p = params.p
     v4_all = _cell_corners(v)
     e = de2 = 0.0
-    g4_all = np.zeros_like(v4_all) if order >= 1 else None
-    blocks = np.zeros((16, v4_all.shape[1])) if order == 2 else None
+    g4_all = blocks = None
     for cells, w, em, Jus, Jup in _quadrature(field.grid):
         v4 = v4_all[:, cells]
         us, up = Jus @ v4, Jup @ v4
-        q = (us * us + up * up) * em + params.eps**2
-        e += float((w * q ** (p / 2.0)).sum()) / p
+        # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in
+        # place where us, up and q are not needed again (order 0): every
+        # fresh array of this size page-faults.  The operations and their
+        # order are those of the expression, so E keeps its bits.
+        reuse = order == 0
+        q = np.multiply(us, us, out=us if reuse else None)
+        q += np.multiply(up, up, out=up if reuse else None)
+        q *= em
+        q += params.eps**2
+        qp = q if reuse else q.copy()
+        qp **= p / 2.0
+        qp *= w
+        e += float(qp.sum()) / p
+        del qp
         if order == 0:
             continue
-        wq = w * q ** (p / 2.0 - 1.0)
-        de2 += 0.5 * float(wq.sum())
-        coef = wq * em
-        g4_all[:, cells] += Jus.T @ (coef * us) + Jup.T @ (coef * up)
-        if order == 2:
-            # the Hessian of w q^(p/2) / p in the cell's nodal values is
-            # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
-            beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
-            blk = _outer(Jus, Jus) @ (coef + beta * us * us)
-            blk += (_outer(Jus, Jup) + _outer(Jup, Jus)) @ (beta * us * up)
-            blk += _outer(Jup, Jup) @ (coef + beta * up * up)
+        # coef = w q^(p/2 - 1) em, computed in place like E
+        coef = q ** (p / 2.0 - 1.0)
+        coef *= w
+        de2 += 0.5 * float(coef.sum())
+        coef *= em
+        if order == 1:
+            # g4 = Jus^T (coef us) + Jup^T (coef up), in place
+            us *= coef
+            up *= coef
+            g4 = Jus.T @ us
+            g4 += Jup.T @ up
+            if g4_all is None:      # the corner rule: every cell, first
+                g4_all = g4
+            else:
+                g4_all[:, cells] += g4
+            continue
+        # the Hessian of w q^(p/2) / p in the cell's nodal values is
+        # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
+        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
+        blk = _outer(Jus, Jus) @ (coef + beta * us * us)
+        blk += (_outer(Jus, Jup) + _outer(Jup, Jus)) @ (beta * us * up)
+        blk += _outer(Jup, Jup) @ (coef + beta * up * up)
+        if blocks is None:          # the corner rule: every cell, first
+            blocks = blk
+        else:
             blocks[:, cells] += blk
+    if order == 1:
+        grad = np.zeros_like(v)
+        for k, c in enumerate(_CORNERS):
+            grad[c] += g4_all[k].reshape(grad[c].shape)
+        return e, de2, grad, None
     if order == 0:
         return e, None, None, None
-    grad = np.zeros_like(v)
-    for k, c in enumerate(_CORNERS):
-        grad[c] += g4_all[k].reshape(grad[c].shape)
-    if order == 1:
-        return e, de2, grad, None
-    nodes = _cell_corners(np.arange(v.size).reshape(v.shape))
-    rows = np.repeat(nodes, 4, axis=0).ravel()
-    cols = np.tile(nodes, (4, 1)).ravel()
-    hess = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(v.size, v.size))
-    return e, de2, grad, hess.tocsr()
+    # block entry (a, b) couples corner a to corner b, the neighbour of a
+    # at the corners' offset; each stencil value sums its cells' blocks in
+    # ascending a, and that order fixes how the Hessian is rounded
+    stencil = np.zeros((9,) + v.shape)
+    cells_shape = (v.shape[0] - 1, v.shape[1] - 1)
+    for a, ca in enumerate(_CORNERS):
+        for b in range(4):
+            stencil[_stencil_index(b % 2 - a % 2, b // 2 - a // 2)][ca] += (
+                blocks[4 * a + b].reshape(cells_shape))
+    return e, de2, None, stencil
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
@@ -382,18 +481,26 @@ def energy_gradient(field: ScalarField, params: EnergyParams,
     return ScalarField(field.grid, out)
 
 
-def energy_hessian(field: ScalarField, params: EnergyParams) -> sp.csr_matrix:
-    """Sparse Hessian of the discrete energy over all nodes (no masking).
+def energy_hessian(field: ScalarField, params: EnergyParams,
+                   pattern: HessianPattern) -> sp.csc_matrix:
+    """Sparse Hessian of the discrete energy on the pattern's nodes.
 
-    Requires eps > 0 so the integrand is twice differentiable everywhere.
-    Each quadrature sample contributes a 4x4 block on its cell's nodes;
-    the blocks are summed per cell before assembly.  The matrix is
-    symmetric positive semidefinite, and positive definite after removing
-    the constrained nodes.
+    Requires eps > 0 so the integrand is twice differentiable everywhere,
+    and a pattern built on a grid of the field's shape.  Each quadrature
+    sample contributes a 4x4 block on its cell's nodes; the blocks are
+    summed per cell, folded into each node's 9-point stencil and gathered
+    into the pattern's CSC data.  The matrix over all nodes is symmetric
+    positive semidefinite, and positive definite on the free nodes.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    return _evaluate(field, params, 2)[3]
+    if pattern.grid_shape != field.values.shape:
+        raise ValueError(f"Hessian pattern of a {pattern.grid_shape} grid "
+                         f"used on a {field.values.shape} field")
+    stencil = _evaluate(field, params, 2)[3]
+    n = pattern.indptr.size - 1
+    return sp.csc_matrix((stencil.ravel()[pattern.src], pattern.indices,
+                          pattern.indptr), shape=(n, n))
 
 
 def interpolate(field: ScalarField, r, phi):

@@ -25,6 +25,9 @@ A stage runs damped Newton steps (exact sparse Hessian factored by SuperLU
 in a nested-dissection order of the grid, Armijo backtracking with halving)
 until the half-plane gradient sup-norm is at most grad_tol; it also ends,
 unconverged, after _MAX_ITERS_PER_STAGE steps or on a failed line search.
+The Hessian's pattern on the free nodes, in that order, is built once per
+solve (grid.hessian_pattern) and kept only for the solve; each step
+assembles the matrix straight into it and frees it once factored.
 The Armijo test allows an energy rise of _ENERGY_ROUNDOFF relative: near
 the optimum a full Newton step changes the energy by a few ulp, and
 without the allowance summation order would decide where a stage ends.
@@ -44,8 +47,8 @@ from scipy.sparse.linalg import splu
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
                    build_grid, energy, energy_eps2_derivative, energy_gradient,
-                   energy_hessian, from_fields, interpolate, load_field,
-                   save_field, write_json)
+                   energy_hessian, from_fields, hessian_pattern, interpolate,
+                   load_field, save_field, write_json)
 
 __all__ = [
     "SolverConfig",
@@ -216,6 +219,7 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
 
     free_idx = _elimination_order(quarter)
+    pattern = hessian_pattern(quarter, free_idx)
 
     stages: list[StageInfo] = []
     prev_energy = None
@@ -232,10 +236,13 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             stage.converged = stage.grad_sup <= config.grad_tol
             if stage.converged or stage.iterations == _MAX_ITERS_PER_STAGE:
                 break
-            h_ff = energy_hessian(field, params)[free_idx][:, free_idx].tocsc()
             g_f = g.ravel()[free_idx]
             try:
-                direction = splu(h_ff, permc_spec="NATURAL").solve(-g_f)
+                # the Hessian is freed once factored: held into the next
+                # step's assembly, it pinned freed memory on the heap and
+                # raised the peak RSS of a 1153x129 solve by about 15 MB
+                direction = splu(energy_hessian(field, params, pattern),
+                                 permc_spec="NATURAL").solve(-g_f)
                 slope = 2.0 * float(g_f @ direction)
             except RuntimeError:
                 slope = 0.0     # singular factor: take the gradient step

@@ -69,3 +69,33 @@ def test_every_newton_step_factors_through_splu(monkeypatch):
     steps = sum(st.iterations for st in result.stages)
     assert steps > 0
     assert len(calls) == steps
+
+
+def test_solver_evaluates_through_the_traced_names(monkeypatch):
+    # perfbench times grid.energy_hessian per Newton step and derives
+    # solver.linesearch_trials from the energy calls inside a solve: one
+    # per stage start plus one per trial.  On this grid the line search
+    # accepts every full Newton step, so each stage's energy history is
+    # exactly its energy calls, doubled from the quarter to the half plane.
+    energies, hessians = [], []
+    energy, energy_hessian = solver.energy, solver.energy_hessian
+
+    def counted_energy(*args):
+        energies.append(energy(*args))
+        return energies[-1]
+
+    def counted_hessian(*args):
+        hessians.append(None)
+        return energy_hessian(*args)
+
+    monkeypatch.setattr(solver, "energy", counted_energy)
+    monkeypatch.setattr(solver, "energy_hessian", counted_hessian)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
+    assert result.converged
+    steps = sum(st.iterations for st in result.stages)
+    assert steps > 0
+    assert len(hessians) == steps
+    assert len(energies) == len(result.stages) + steps
+    assert [2.0 * e for e in energies] == [
+        e for st in result.stages for e in st.energy_history]

@@ -149,6 +149,28 @@ def test_solve_non_convergence_exit_code(tmp_path, monkeypatch):
     assert (tmp_path / "solve.field").exists()   # partial outputs retained
 
 
+def test_solve_reports_fallbacks_on_stderr(tmp_path, monkeypatch, capsys):
+    # one failed factorization: a gradient step in stage 1, and the solve
+    # still converges with exit code 0
+    argv = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
+            "--n-s", "49", "--n-phi", "17", "--out-dir", str(tmp_path)]
+    factor, calls = solver.splu, []
+
+    def fails_once(*args, **kw):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(*args, **kw)
+
+    monkeypatch.setattr(solver, "splu", fails_once)
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "1 gradient-step fallback(s) in stage(s) 1 (eps=0.01)"]
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     # a converged field outside [0, 1] (coarse grid, large p) is a
     # numerical failure, with the outputs kept for inspection

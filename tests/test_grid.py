@@ -3,13 +3,15 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import morreylab as m
 from morreylab import grid as grid_module
-from morreylab.grid import open_new
+from morreylab import solver
+from morreylab.grid import energy_eps2_derivative, open_new
 from conftest import random_even_field
 
 
@@ -170,6 +172,45 @@ def test_energy_reflection_symmetry():
     assert abs(e1 - e2) < 1e-13 * max(1.0, abs(e1))
 
 
+def _reference_sums(field, params):
+    """E, dE/d(eps**2) and the unmasked gradient as plain expressions over
+    the samples of every quadrature rule."""
+    p, e, de2 = params.p, 0.0, 0.0
+    v4_all = grid_module._cell_corners(field.values)
+    g4_all = np.zeros_like(v4_all)
+    for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
+        v4 = v4_all[:, cells]
+        us, up = Jus @ v4, Jup @ v4
+        q = (us * us + up * up) * em + params.eps**2
+        e += float((w * q ** (p / 2.0)).sum()) / p
+        wq = w * q ** (p / 2.0 - 1.0)
+        de2 += 0.5 * float(wq.sum())
+        coef = wq * em
+        g4_all[:, cells] += Jus.T @ (coef * us) + Jup.T @ (coef * up)
+    grad = np.zeros_like(field.values)
+    for k, c in enumerate(grid_module._CORNERS):
+        grad[c] += g4_all[k].reshape(grad[c].shape)
+    return e, de2, grad
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0])
+def test_energy_and_gradient_bitwise_equal_to_reference_sums(p):
+    # the kernel works in place; the Armijo test's roundoff allowance makes
+    # stage ends depend on E's last bits, so it must round as the plain sums
+    for spec in QUARTER_SPECS:
+        uq, half = random_even_field(spec, seed=int(p * 2))
+        rng = np.random.default_rng(int(p))
+        noisy = m.ScalarField(half.grid, rng.standard_normal(half.values.shape))
+        for field in (uq, half, noisy.apply_dirichlet()):
+            for eps in (0.0, 1e-3):
+                params = m.EnergyParams(p=p, eps=eps)
+                e, de2, grad = _reference_sums(field, params)
+                assert m.energy(field, params) == e
+                assert energy_eps2_derivative(field, params) == de2
+                assert np.array_equal(m.energy_gradient(
+                    field, params, mask_constrained=False).values, grad)
+
+
 # ------------------------------------------------------------ quarter plane
 
 QUARTER_SPECS = [m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
@@ -276,7 +317,8 @@ def test_hessian_matches_gradient_differences():
     g = m.build_grid(small_spec(41, 9))
     field, rng = random_interior_field(g, seed=3)
     params = m.EnergyParams(p=4.0, eps=0.1)
-    hess = m.energy_hessian(field, params)
+    hess = m.energy_hessian(field, params,
+                            m.hessian_pattern(g, np.arange(field.values.size)))
     free = ~g.constrained_mask()
     h = 1e-5
     for _ in range(5):
@@ -296,7 +338,67 @@ def test_hessian_requires_regularization():
     g = m.build_grid(small_spec(41, 9))
     field, _ = random_interior_field(g)
     with pytest.raises(ValueError):
-        m.energy_hessian(field, m.EnergyParams(p=4.0, eps=0.0))
+        m.energy_hessian(field, m.EnergyParams(p=4.0, eps=0.0),
+                         m.hessian_pattern(g, np.arange(field.values.size)))
+
+
+def _coo_hessian(field, params):
+    """The full Hessian as a COO matrix of per-cell 4x4 blocks, each the sum
+    over its samples of coef (Jus Jus + Jup Jup) + beta c c, c = us Jus +
+    up Jup; the assembly that the stencil fold replaced."""
+    p, v = params.p, field.values
+    v4_all = grid_module._cell_corners(v)
+    blocks = np.zeros((4, 4, v4_all.shape[1]))
+    for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
+        v4 = v4_all[:, cells]
+        us, up = Jus @ v4, Jup @ v4
+        q = (us * us + up * up) * em + params.eps**2
+        coef = w * q ** (p / 2.0 - 1.0) * em
+        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
+        c = us[:, None, :] * Jus[:, :, None] + up[:, None, :] * Jup[:, :, None]
+        blocks[:, :, cells] += (np.einsum("kn,ka,kb->abn", coef, Jus, Jus)
+                                + np.einsum("kn,ka,kb->abn", coef, Jup, Jup)
+                                + np.einsum("kn,kan,kbn->abn", beta, c, c))
+    nodes = grid_module._cell_corners(np.arange(v.size).reshape(v.shape))
+    rows = np.repeat(nodes, 4, axis=0).ravel()
+    cols = np.tile(nodes, (4, 1)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)),
+                         shape=(v.size, v.size))
+
+
+def _assert_same_csc(hess, expected):
+    assert hess.format == "csc" and hess.has_canonical_format
+    assert np.array_equal(hess.indptr, expected.indptr)
+    assert np.array_equal(hess.indices, expected.indices)
+    scale = np.abs(expected.data).max()
+    assert np.abs(hess.data - expected.data).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("spec", QUARTER_SPECS)
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_hessian_pattern_matches_coo_assembly(spec, p):
+    # the solver's matrix: the quarter's free nodes in elimination order,
+    # the pin cells' midpoint rule included
+    uq, half = random_even_field(spec)
+    params = m.EnergyParams(p=p, eps=1e-3)
+    idx = solver._elimination_order(uq.grid)
+    hess = m.energy_hessian(uq, params, m.hessian_pattern(uq.grid, idx))
+    expected = _coo_hessian(uq, params).tocsr()[idx][:, idx].tocsc()
+    _assert_same_csc(hess, expected)
+    # every node of the half plane, in natural order
+    every = np.arange(half.values.size)
+    hess = m.energy_hessian(half, params, m.hessian_pattern(half.grid, every))
+    _assert_same_csc(hess, _coo_hessian(half, params).tocsc())
+
+
+def test_hessian_pattern_of_another_grid_rejected():
+    uq, half = random_even_field(QUARTER_SPECS[0])
+    params = m.EnergyParams(p=4.0, eps=1e-3)
+    other = m.build_grid(QUARTER_SPECS[1]).quarter()
+    for field, grid in ((uq, half.grid), (uq, other), (half, uq.grid)):
+        pattern = m.hessian_pattern(grid, solver._elimination_order(uq.grid))
+        with pytest.raises(ValueError, match="pattern"):
+            m.energy_hessian(field, params, pattern)
 
 
 # -------------------------------------------------------------- interpolate

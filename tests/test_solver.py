@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -200,13 +201,13 @@ def test_nested_dissection_matches_minimum_degree(spec):
     field = m.ScalarField(
         quarter, solver._initial_field(grid, 4.0).values[:, :quarter.n_phi])
     params = m.EnergyParams(p=4.0, eps=1e-3)
-    hess = m.energy_hessian(field, params)
     grad = m.energy_gradient(field, params).values.ravel()
     directions, nnz = [], []
     for idx, permc_spec in ((solver._elimination_order(quarter), "NATURAL"),
                             (np.flatnonzero(~quarter.constrained_mask().ravel()),
                              "MMD_AT_PLUS_A")):
-        lu = splu(hess[idx][:, idx].tocsc(), permc_spec=permc_spec)
+        hess = m.energy_hessian(field, params, m.hessian_pattern(quarter, idx))
+        lu = splu(hess, permc_spec=permc_spec)
         d = np.zeros(grad.size)
         d[idx] = lu.solve(-grad[idx])
         directions.append(d)
@@ -228,6 +229,32 @@ def test_elimination_order_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_hessian_pattern_leaves_no_reference_cycle():
+    spec = m.GridSpec(2.0**-6, 2.0**12, 145, 33)
+    uq, _ = random_even_field(spec)
+    params = m.EnergyParams(p=4.0, eps=1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            pattern = m.hessian_pattern(
+                uq.grid, solver._elimination_order(uq.grid))
+            splu(m.energy_hessian(uq, params, pattern),
+                 permc_spec="NATURAL").solve(np.ones(pattern.indptr.size - 1))
+        del pattern
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_solve_caches_nothing_on_the_grid(solve_small):
+    # perfbench keeps every result, so per-solve state must not ride on it
+    fresh = m.build_grid(solve_small.grid.spec)
+    assert vars(solve_small.grid).keys() == vars(fresh).keys()
+    assert vars(solve_small).keys() == {f.name for f in
+                                        dataclasses.fields(m.SolveResult)}
+
+
 # ------------------------------------------------------------ quarter plane
 
 @pytest.mark.parametrize("spec", [
@@ -241,10 +268,11 @@ def test_quarter_newton_direction_matches_half_plane(spec, p):
     directions = []
     for field, idx in ((half, np.flatnonzero(~grid.constrained_mask().ravel())),
                        (uq, solver._elimination_order(quarter))):
-        hess = m.energy_hessian(field, params)
+        hess = m.energy_hessian(field, params,
+                                m.hessian_pattern(field.grid, idx))
         grad = m.energy_gradient(field, params).values.ravel()
         d = np.zeros(grad.size)
-        d[idx] = splu(hess[idx][:, idx].tocsc()).solve(-grad[idx])
+        d[idx] = splu(hess).solve(-grad[idx])
         directions.append(d.reshape(field.values.shape))
     d_half, d_quarter = directions
     assert (np.abs(d_half[:, :quarter.n_phi] - d_quarter).max()
