@@ -210,27 +210,37 @@ def gradient_profile(result, window: tuple | None = None
     return profile, fit
 
 
-def _bit_reversed_order(n: int) -> np.ndarray:
-    """Permutation of range(n) by bit-reversed index: nested, structured
-    prefixes, so a larger budget always contains a smaller one."""
+def _bit_reversed_order(n: int, k: int) -> np.ndarray:
+    """The first k entries of the permutation of range(n) by bit-reversed
+    index: nested, structured prefixes, so a larger budget always contains
+    a smaller one.
+
+    With 2**(bits-1) < n <= 2**bits, every even index reverses to a value
+    below 2**(bits-1), so the first 2k indices hold at least k kept ones.
+    """
     bits = max(1, int(np.ceil(np.log2(max(n, 2)))))
-    idx = np.arange(2**bits)
+    idx = np.arange(min(2 * k, 2**bits))
     rev = np.zeros_like(idx)
     for b in range(bits):
         rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev[rev < n]
+    return rev[rev < n][:k]
 
 
 def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
-    """Best Hoelder quotient over all pairs of the given points."""
-    diff = np.abs(values[:, None] - values[None, :])
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    iu = np.triu_indices(len(points), k=1)
-    d = dist[iu]
+    """Best Hoelder quotient over all pairs of the given points.
+
+    Only the upper-triangle pairs are formed, in row order, and the first
+    best quotient wins.  The distance adds the squared coordinate
+    differences column by column; in one and two dimensions that rounds as
+    numpy's 2-norm of the difference vector.
+    """
+    ia, ib = np.triu_indices(len(points), k=1)
+    diff = np.abs(values[ia] - values[ib])
+    d = np.sqrt(sum((col[ia] - col[ib]) ** 2 for col in points.T))
     with np.errstate(invalid="ignore", divide="ignore"):
-        quot = np.where(d > 0.0, diff[iu] / d**alpha, 0.0)
+        quot = np.where(d > 0.0, diff / d**alpha, 0.0)
     k = int(np.argmax(quot))
-    return float(quot[k]), points[iu[0][k]], points[iu[1][k]], len(quot)
+    return float(quot[k]), points[ia[k]], points[ib[k]], len(quot)
 
 
 def holder_seminorm(evaluator, alpha: float, sample_budget: int,
@@ -276,7 +286,7 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     best_pair = (anchor[0].copy(), anchor[1].copy())
     pairs_seen = 1
 
-    chosen = pts[_bit_reversed_order(len(pts))[:sample_budget]]
+    chosen = pts[_bit_reversed_order(len(pts), sample_budget)]
     chosen = np.vstack([anchor, chosen])
     vals = np.asarray(evaluate(chosen), dtype=float)
     q, pa, pb, n = _pair_max(vals, chosen, alpha)

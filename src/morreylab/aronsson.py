@@ -348,20 +348,20 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
             f"step h={h} too large for the interior margin {margin[i]:.3e} "
             f"at (r={r[i]}, phi={phi[i]})")
 
-    def w(x, y):  # plane coordinates, cone axis along +y
-        return evaluate_w(profile, np.hypot(x, y), np.arctan2(x, y),
-                          radial_exponent=radial_exponent)
-
+    # the centre and its eight neighbours in one evaluate_w call, whose
+    # bisection then runs once; plane coordinates, cone axis along +y
     x, y = r * np.sin(phi), r * np.cos(phi)
-    c = w(x, y)
-    wxp, wxm = w(x + h, y), w(x - h, y)
-    wyp, wym = w(x, y + h), w(x, y - h)
+    xp, xm, yp, ym = x + h, x - h, y + h, y - h
+    xs = np.stack([x, xp, xm, x, x, xp, xp, xm, xm])
+    ys = np.stack([y, y, y, yp, ym, yp, ym, yp, ym])
+    c, wxp, wxm, wyp, wym, wpp, wpm, wmp, wmm = evaluate_w(
+        profile, np.hypot(xs, ys), np.arctan2(xs, ys),
+        radial_exponent=radial_exponent)
     wx = (wxp - wxm) / (2 * h)
     wy = (wyp - wym) / (2 * h)
     wxx = (wxp - 2 * c + wxm) / (h * h)
     wyy = (wyp - 2 * c + wym) / (h * h)
-    wxy = (w(x + h, y + h) - w(x + h, y - h)
-           - w(x - h, y + h) + w(x - h, y - h)) / (4 * h * h)
+    wxy = (wpp - wpm - wmp + wmm) / (4 * h * h)
     grad2 = wx * wx + wy * wy
     if np.any(grad2 == 0.0):
         raise ArithmeticError("vanishing gradient in residual stencil")

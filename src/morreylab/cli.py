@@ -9,7 +9,8 @@ Subcommands
                  refinement and a coarse solve with its fit
 
 Every run writes a manifest JSON listing the command, the full effective
-parameter set, the artifact paths and the wall clock.  Parameters may come
+parameter set, the artifact paths, the wall clock, the numpy and scipy
+versions and the process's peak resident set size.  Parameters may come
 from a JSON config file (--config) keyed by the flag names with
 underscores; explicit flags win.  Data files carry no timestamps, so
 identical invocations produce byte-identical outputs; only the manifest
@@ -23,9 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__, checks
 from .aronsson import angular_profile, aperture_L, beta_p, kappa_of_L
@@ -143,6 +148,11 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
         "artifacts": sorted(str(a) for a in artifacts),
         "wall_clock_seconds": time.time() - t0,
         "version": __version__,
+        "numpy_version": numpy.__version__,
+        "scipy_version": scipy.__version__,
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (2**20 if sys.platform == "darwin" else 2**10),
     }
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
     write_json(path, manifest)

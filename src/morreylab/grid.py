@@ -27,8 +27,9 @@ there and a two-point rule misjudges the nearly singular integrand by
 tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
-energy, its exact gradient (a 3x3 stencil) and its sparse Hessian from
-the same per-sample gradients.  The Hessian couples each node to its
+energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
+its sparse Hessian from the same per-sample gradients, computing only the
+one asked for.  The Hessian couples each node to its
 9-point stencil: the kernel sums the 4x4 blocks of every cell, folds them
 into a (9, n_s, n_phi) array of stencil values by 16 slice-adds, and
 gathers the CSC data of a HessianPattern from it.  hessian_pattern builds
@@ -371,16 +372,15 @@ def hessian_pattern(grid: LogPolarGrid, nodes) -> HessianPattern:
     return HessianPattern((n_s, n_phi), src[keep], rows[keep], indptr)
 
 
-def _evaluate(field: ScalarField, params: EnergyParams, order: int):
-    """The discrete energy and its derivatives, up to the given order.
+def _evaluate(field: ScalarField, params: EnergyParams, want: str):
+    """One of the discrete energy and its derivatives, computed alone.
 
-    Returns (E, dE/d(eps**2), g, S): order 0 fills only E, order 1 adds
-    dE/d(eps**2) and the unmasked nodal gradient g, and order 2 adds
-    dE/d(eps**2) and the Hessian as stencil values S, without g:
-    S[_stencil_index(di, dj), i, j] couples node (i, j) to (i+di, j+dj).
-    All of them come from the same per-sample gradient (us, up) and
-    integrand q of the grid's quadrature rules; g and S are summed per
-    cell first and then scattered to the nodes once.
+    want is "energy" for E, "eps2" for dE/d(eps**2), "gradient" for the
+    unmasked nodal gradient g, or "hessian" for the Hessian as stencil
+    values S: S[_stencil_index(di, dj), i, j] couples node (i, j) to
+    (i+di, j+dj).  All of them come from the same per-sample gradient
+    (us, up) and integrand q of the grid's quadrature rules; g and S are
+    summed per cell first and then scattered to the nodes once.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
@@ -393,27 +393,27 @@ def _evaluate(field: ScalarField, params: EnergyParams, order: int):
         v4 = v4_all[:, cells]
         us, up = Jus @ v4, Jup @ v4
         # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in
-        # place where us, up and q are not needed again (order 0): every
-        # fresh array of this size page-faults.  The operations and their
-        # order are those of the expression, so E keeps its bits.
-        reuse = order == 0
+        # place where us and up are not needed again (E and dE/d(eps**2)):
+        # every fresh array of this size page-faults.  The operations and
+        # their order are those of the expression, so E keeps its bits.
+        reuse = want in ("energy", "eps2")
         q = np.multiply(us, us, out=us if reuse else None)
         q += np.multiply(up, up, out=up if reuse else None)
         q *= em
         q += params.eps**2
-        qp = q if reuse else q.copy()
-        qp **= p / 2.0
-        qp *= w
-        e += float(qp.sum()) / p
-        del qp
-        if order == 0:
+        if want == "energy":
+            q **= p / 2.0
+            q *= w
+            e += float(q.sum()) / p
             continue
         # coef = w q^(p/2 - 1) em, computed in place like E
         coef = q ** (p / 2.0 - 1.0)
         coef *= w
-        de2 += 0.5 * float(coef.sum())
+        if want == "eps2":
+            de2 += 0.5 * float(coef.sum())
+            continue
         coef *= em
-        if order == 1:
+        if want == "gradient":
             # g4 = Jus^T (coef us) + Jup^T (coef up), in place
             us *= coef
             up *= coef
@@ -434,13 +434,15 @@ def _evaluate(field: ScalarField, params: EnergyParams, order: int):
             blocks = blk
         else:
             blocks[:, cells] += blk
-    if order == 1:
+    if want == "energy":
+        return e
+    if want == "eps2":
+        return de2
+    if want == "gradient":
         grad = np.zeros_like(v)
         for k, c in enumerate(_CORNERS):
             grad[c] += g4_all[k].reshape(grad[c].shape)
-        return e, de2, grad, None
-    if order == 0:
-        return e, None, None, None
+        return grad
     # block entry (a, b) couples corner a to corner b, the neighbour of a
     # at the corners' offset; each stencil value sums its cells' blocks in
     # ascending a, and that order fixes how the Hessian is rounded
@@ -450,12 +452,12 @@ def _evaluate(field: ScalarField, params: EnergyParams, order: int):
         for b in range(4):
             stencil[_stencil_index(b % 2 - a % 2, b // 2 - a // 2)][ca] += (
                 blocks[4 * a + b].reshape(cells_shape))
-    return e, de2, None, stencil
+    return stencil
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
     """Discrete regularized p-Dirichlet energy of the field."""
-    return _evaluate(field, params, 0)[0]
+    return _evaluate(field, params, "energy")
 
 
 def energy_eps2_derivative(field: ScalarField, params: EnergyParams) -> float:
@@ -464,7 +466,7 @@ def energy_eps2_derivative(field: ScalarField, params: EnergyParams) -> float:
     The integrand is convex in eps**2, so eps**2 times this derivative
     bounds the energy change when eps is dropped to zero.
     """
-    return _evaluate(field, params, 1)[1]
+    return _evaluate(field, params, "eps2")
 
 
 def energy_gradient(field: ScalarField, params: EnergyParams,
@@ -475,7 +477,7 @@ def energy_gradient(field: ScalarField, params: EnergyParams,
     mask_constrained is False (the unmasked value at the pinned node is
     the strength of the discrete point source enforcing the constraint).
     """
-    out = _evaluate(field, params, 1)[2]
+    out = _evaluate(field, params, "gradient")
     if mask_constrained:
         out[field.grid.constrained_mask()] = 0.0
     return ScalarField(field.grid, out)
@@ -497,7 +499,7 @@ def energy_hessian(field: ScalarField, params: EnergyParams,
     if pattern.grid_shape != field.values.shape:
         raise ValueError(f"Hessian pattern of a {pattern.grid_shape} grid "
                          f"used on a {field.values.shape} field")
-    stencil = _evaluate(field, params, 2)[3]
+    stencil = _evaluate(field, params, "hessian")
     n = pattern.indptr.size - 1
     return sp.csc_matrix((stencil.ravel()[pattern.src], pattern.indices,
                           pattern.indptr), shape=(n, n))
@@ -556,7 +558,8 @@ def write_csv(path, header: list[str], rows) -> None:
     with open_new(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+            row = tuple(row)
+            fh.write(",".join(["%.16e"] * len(row)) % row + "\n")
 
 
 def write_json(path, obj) -> None:
@@ -573,8 +576,9 @@ def save_field(field: ScalarField, path, p: float) -> None:
     with open_new(path) as fh:
         fh.write(_FIELD_MAGIC + "\n")
         fh.write(json.dumps(header, sort_keys=True) + "\n")
+        line = " ".join(["%.17g"] * field.values.shape[1]) + "\n"
         for row in field.values:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def load_field(path) -> tuple[ScalarField, dict]:

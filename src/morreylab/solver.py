@@ -323,7 +323,13 @@ class FullPlaneField:
         return float(out[0]) if scalar else out
 
     def sample_points(self) -> np.ndarray:
-        """Grid nodes mirrored to the full plane (axis nodes once)."""
+        """Grid nodes mirrored to the full plane: every node, then the
+        mirror of each node with y > 0.
+
+        The phi = 0 ray has y = 0 and is listed once, but sin(pi) is about
+        1.2e-16, so the phi = pi ray is listed again as its near-duplicate
+        mirror: n_s * (2 * n_phi - 1) points in all.
+        """
         g = self.grid
         rr, pp = np.meshgrid(g.r, g.phi, indexing="ij")
         x = (rr * np.cos(pp)).ravel()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import morreylab as m
+from morreylab import analysis
 from conftest import synthetic_result
 
 
@@ -191,6 +192,75 @@ def test_holder_budget_validation(solve_small):
         m.holder_seminorm(full, 1.5, 100)
     with pytest.raises(ValueError):
         m.holder_seminorm(clamp_evaluator, 0.5, 10)   # no sample points
+
+
+def full_bit_reversed_order(n):
+    """The whole permutation of range(n) by bit-reversed index."""
+    bits = max(1, int(np.ceil(np.log2(max(n, 2)))))
+    idx = np.arange(2**bits)
+    rev = np.zeros_like(idx)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    return rev[rev < n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 1023, 1024, 1025, 74433,
+                               296321])
+def test_bit_reversed_order_is_the_prefix_of_the_permutation(n):
+    full = full_bit_reversed_order(n)
+    assert np.array_equal(np.sort(full), np.arange(n))
+    for k in (1, 2, 600, n, n + 5):
+        assert np.array_equal(analysis._bit_reversed_order(n, k), full[:k])
+
+
+def dense_pair_max(values, points, alpha):
+    """_pair_max over the dense (n, n) difference and distance arrays."""
+    diff = np.abs(values[:, None] - values[None, :])
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    iu = np.triu_indices(len(points), k=1)
+    d = dist[iu]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        quot = np.where(d > 0.0, diff[iu] / d**alpha, 0.0)
+    k = int(np.argmax(quot))
+    return float(quot[k]), points[iu[0][k]], points[iu[1][k]], len(quot)
+
+
+def pair_max_cases():
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-3.0, 3.0, (300, 2))
+    yield rng.standard_normal(300), pts
+    dup = pts.copy()
+    dup[1::3] = dup[::3][:len(dup[1::3])]      # coincident points
+    yield rng.standard_normal(300), dup
+    yield np.full(300, 0.25), pts               # all values equal
+    # a lattice with a linear field: many pairs tie for the best quotient
+    xs = np.arange(12.0)
+    lattice = np.column_stack([np.repeat(xs, 12), np.tile(xs, 12)])
+    yield lattice[:, 0].copy(), lattice
+    line = np.linspace(-1.5, 1.5, 301)[:, None]
+    yield np.clip(line[:, 0], -1.0, 1.0), line  # one dimension
+
+
+@pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.5, 0.75])
+def test_pair_max_equals_the_dense_form(alpha):
+    for values, points in pair_max_cases():
+        q, pa, pb, n = analysis._pair_max(values, points, alpha)
+        q_ref, pa_ref, pb_ref, n_ref = dense_pair_max(values, points, alpha)
+        assert (q, n) == (q_ref, n_ref)
+        assert np.array_equal(pa, pa_ref) and np.array_equal(pb, pb_ref)
+
+
+def test_sample_points_list_the_pi_ray_twice():
+    # sin(pi) > 0, so the phi = pi nodes come back mirrored; only the
+    # phi = 0 ray (y = 0 exactly) is listed once
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**8,
+                                   n_s=49, n_phi=17))
+    full = m.mirror_to_fullplane(synthetic_result(
+        grid, power_law_field(grid, 0.5)))
+    pts = full.sample_points()
+    assert pts.shape == (1617, 2) == (grid.n_s * (2 * grid.n_phi - 1), 2)
+    assert np.array_equal(pts[:grid.n_s * grid.n_phi:grid.n_phi, 1],
+                          np.zeros(grid.n_s))
 
 
 # ---------------------------------------------------------- gradient norm

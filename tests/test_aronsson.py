@@ -367,6 +367,44 @@ def test_residual_over_points_matches_pointwise_calls():
                                     radial_exponent=exponent) == max(pointwise)
 
 
+def nine_call_residual(profile, p, pts, h, radial_exponent=None):
+    """pharmonic_residual's stencil with one evaluate_w call per offset."""
+    pts = np.asarray(pts, dtype=float)
+    r, phi = pts[:, 0], pts[:, 1]
+
+    def w(x, y):
+        return m.evaluate_w(profile, np.hypot(x, y), np.arctan2(x, y),
+                            radial_exponent=radial_exponent)
+
+    x, y = r * np.sin(phi), r * np.cos(phi)
+    c = w(x, y)
+    wxp, wxm = w(x + h, y), w(x - h, y)
+    wyp, wym = w(x, y + h), w(x, y - h)
+    wx = (wxp - wxm) / (2 * h)
+    wy = (wyp - wym) / (2 * h)
+    wxx = (wxp - 2 * c + wxm) / (h * h)
+    wyy = (wyp - 2 * c + wym) / (h * h)
+    wxy = (w(x + h, y + h) - w(x + h, y - h)
+           - w(x - h, y + h) + w(x - h, y - h)) / (4 * h * h)
+    grad2 = wx * wx + wy * wy
+    res = np.abs(wxx + wyy
+                 + (p - 2) * (wx * wx * wxx + 2 * wx * wy * wxy + wy * wy * wyy) / grad2)
+    return float(np.max(res))
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_residual_equals_the_nine_call_stencil(p):
+    kappa = m.beta_p(p)
+    prof = m.angular_profile(kappa, p, 200)
+    pts = interior_points(25, prof.params.phi_max, seed=7)
+    pts.append((1.0, 0.0))                      # on the axis: x = 0
+    for h in (1e-2, 1e-3):
+        for exponent in (None, 1.1 * kappa):
+            assert m.pharmonic_residual(prof, p, pts, h=h,
+                                        radial_exponent=exponent) == \
+                nine_call_residual(prof, p, pts, h, exponent)
+
+
 @pytest.mark.parametrize("where", [0, 4, 9])
 def test_residual_rejects_one_inadmissible_point(where):
     prof = m.angular_profile(1.0, 4.0, 64)

@@ -116,7 +116,10 @@ def test_solve_and_analyze_pipeline(tmp_path):
     assert (meta["u_min"], meta["u_max"]) == (0.0, 1.0)
     manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
     assert set(manifest) == {"command", "parameters", "artifacts",
-                             "wall_clock_seconds", "version"}
+                             "wall_clock_seconds", "version", "numpy_version",
+                             "scipy_version", "peak_rss_mb"}
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["peak_rss_mb"] > 0
     assert any(a.endswith("solve.field") for a in manifest["artifacts"])
 
     rc = main(["analyze", "--checkpoint", str(tmp_path / "solve"),

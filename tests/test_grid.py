@@ -481,6 +481,21 @@ def test_csv_export_format(tmp_path):
     assert re.fullmatch(f"{num},{num},{num}", lines[1])
 
 
+def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
+    # one % operation per row writes the bytes that formatting each value did
+    g = m.build_grid(small_spec(41, 9))
+    values = np.random.default_rng(4).standard_normal((g.n_s, g.n_phi))
+    values[3, :5] = [-0.0, 5e-324, 1e300, -1e300, -5e-324]
+    m.save_field(m.ScalarField(g, values), tmp_path / "f.field", p=4.0)
+    lines = (tmp_path / "f.field").read_text().splitlines(keepends=True)
+    assert lines[2:] == [" ".join(f"{x:.17g}" for x in row) + "\n"
+                         for row in values]
+    rows = list(zip(values[:, 0], values[:, 3], values[:, 4]))
+    grid_module.write_csv(tmp_path / "f.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "f.csv").read_text() == "a,b,c\n" + "".join(
+        ",".join(f"{x:.16e}" for x in row) + "\n" for row in rows)
+
+
 def test_open_new_replaces_links(tmp_path):
     target = tmp_path / "target.csv"
     target.write_text("old\n")
