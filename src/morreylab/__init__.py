@@ -11,10 +11,10 @@ underlying inequality.
 from .aronsson import (AngularProfile, ConeParams, angular_profile,
                        aperture_L, beta_p, evaluate_w, invert_phi,
                        kappa_of_L, pharmonic_residual)
-from .grid import (EnergyParams, GridSpec, HessianPattern, LogPolarGrid,
-                   ScalarField, build_grid, cell_gradient_sq, energy,
-                   energy_gradient, energy_hessian, field_to_csv,
-                   hessian_pattern, interpolate, load_field, save_field)
+from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
+                   build_grid, cell_gradient_sq, energy, energy_gradient,
+                   energy_hessian, field_to_csv, interpolate, load_field,
+                   save_field)
 from .solver import (FullPlaneField, SolveResult, SolverConfig, StageInfo,
                      load_checkpoint, mirror_to_fullplane, save_checkpoint,
                      solve_extremal)
@@ -32,8 +32,8 @@ __all__ = [
     "angular_profile", "evaluate_w", "invert_phi", "pharmonic_residual",
     # grid and energy
     "GridSpec", "LogPolarGrid", "ScalarField", "EnergyParams", "build_grid",
-    "energy", "energy_gradient", "energy_hessian", "HessianPattern",
-    "hessian_pattern", "cell_gradient_sq", "interpolate", "save_field", "load_field", "field_to_csv",
+    "energy", "energy_gradient", "energy_hessian", "cell_gradient_sq",
+    "interpolate", "save_field", "load_field", "field_to_csv",
     # solver
     "SolverConfig", "StageInfo", "SolveResult", "solve_extremal",
     "FullPlaneField", "mirror_to_fullplane", "save_checkpoint",

@@ -265,19 +265,21 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
             f"sample_budget must be at least 2, got {sample_budget}")
 
     if isinstance(evaluator, FullPlaneField):
-        evaluate = evaluator.evaluate
-        domain = evaluator.contains
-        if sample_points is None:
-            sample_points = evaluator.sample_points()
+        evaluate, domain = evaluator.evaluate, evaluator.contains
     else:
-        evaluate = evaluator
-        domain = None
-        if sample_points is None:
-            raise ValueError("sample_points required for a bare evaluator")
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    if pts.shape[0] < 2:
-        raise ValueError("need at least two candidate points")
-    dim = pts.shape[1]
+        evaluate, domain = evaluator, None
+    if sample_points is not None:
+        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+        if pts.shape[0] < 2:
+            raise ValueError("need at least two candidate points")
+        chosen = pts[_bit_reversed_order(len(pts), sample_budget)]
+    elif domain is not None:
+        # only the kept nodes are built
+        chosen = evaluator.sample_points(
+            _bit_reversed_order(evaluator.sample_count, sample_budget))
+    else:
+        raise ValueError("sample_points required for a bare evaluator")
+    dim = chosen.shape[1]
 
     anchor = np.zeros((2, dim))
     anchor[0, -1], anchor[1, -1] = 1.0, -1.0
@@ -286,7 +288,6 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     best_pair = (anchor[0].copy(), anchor[1].copy())
     pairs_seen = 1
 
-    chosen = pts[_bit_reversed_order(len(pts), sample_budget)]
     chosen = np.vstack([anchor, chosen])
     vals = np.asarray(evaluate(chosen), dtype=float)
     q, pa, pb, n = _pair_max(vals, chosen, alpha)

@@ -28,17 +28,15 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
-its sparse Hessian from the same per-sample gradients, computing only the
-one asked for.  The Hessian couples each node to its
-9-point stencil: the kernel sums the 4x4 blocks of every cell, folds them
-into a (9, n_s, n_phi) array of stencil values by 16 slice-adds, and
-gathers the CSC data of a HessianPattern from it.  hessian_pattern builds
-that pattern (row indices, column pointers and the gather index) for any
-list of nodes in any order; the solver builds it once per solve for its
-free nodes in elimination order, so a Newton step fills the data array
-and nothing else.  The energy and the gradient are computed in place,
-in the order of their plain expressions, so they keep their bits with
-fewer fresh temporaries.
+its Hessian from the same per-sample gradients, computing only the one
+asked for.  The Hessian couples each node to its 9-point stencil: the
+kernel sums the 4x4 blocks of every cell and folds them into a (9, n_s,
+n_phi) array of stencil values by 16 slice-adds.  On the free nodes in
+row-major order that is a band matrix, so energy_hessian slices its five
+lower diagonals out of the stencil into LAPACK band storage, which the
+solver factors by a band Cholesky.  The energy and the gradient are
+computed in place, in the order of their plain expressions, so they keep
+their bits with fewer fresh temporaries.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -61,7 +59,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "GridSpec",
@@ -73,8 +70,6 @@ __all__ = [
     "energy_eps2_derivative",
     "energy_gradient",
     "energy_hessian",
-    "HessianPattern",
-    "hessian_pattern",
     "cell_gradient_sq",
     "interpolate",
     "save_field",
@@ -191,6 +186,13 @@ class LogPolarGrid:
         m[0, :] = m[-1, :] = m[:, 0] = True
         m[self.i_pin, self.j_pin] = True
         return m
+
+    def free_box(self) -> tuple[slice, slice]:
+        """The rows 1..n_s-2 and the columns 1..n_phi-1 of a quarter grid
+        (the axis column included) or 1..n_phi-2 of a half plane: every
+        free node, and the pinned node."""
+        return slice(1, -1), slice(1, None if self.j_pin == self.n_phi - 1
+                                   else -1)
 
     def area(self) -> float:
         """Exact area of the grid's sector, phi_max/2 (r_max^2 - r_min^2):
@@ -322,56 +324,6 @@ def _stencil_index(di, dj):
     return 3 * (di + 1) + dj + 1
 
 
-@dataclass(frozen=True, eq=False)
-class HessianPattern:
-    """CSC pattern of the Hessian restricted to a list of nodes.
-
-    Column b and row a stand for nodes[b] and nodes[a] of the builder's
-    node list.  The rows of a column are sorted, so the matrix is in
-    canonical form.  Entry k of the data is src[k] of the flattened
-    (9, n_s, n_phi) stencil array.
-    """
-
-    grid_shape: tuple
-    src: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def hessian_pattern(grid: LogPolarGrid, nodes) -> HessianPattern:
-    """The Hessian pattern on the given flat node indices, in their order.
-
-    Two nodes are coupled when they are neighbours in the 9-point stencil,
-    i.e. when they share a cell.  indices and indptr are int32, which
-    SuperLU takes without a copy; src stays intp for the gather.
-    """
-    n_s, n_phi = grid.n_s, grid.n_phi
-    nodes = np.asarray(nodes, dtype=np.intp)
-    pos = np.full(n_s * n_phi, -1, dtype=np.int32)
-    pos[nodes] = np.arange(nodes.size, dtype=np.int32)
-    # (n_f, 9): the stencil neighbours (i + di, j + dj) of each column
-    # node and their positions in the node list, -1 for none; the entry
-    # is the neighbour's stencil value towards (-di, -dj)
-    di, dj = (x.ravel() for x in np.meshgrid((-1, 0, 1), (-1, 0, 1),
-                                             indexing="ij"))
-    i, j = np.divmod(nodes, n_phi)
-    i = i[:, None] + di
-    j = j[:, None] + dj
-    inside = (i >= 0) & (i < n_s) & (j >= 0) & (j < n_phi)
-    row_node = np.where(inside, i * n_phi + j, 0)
-    del i, j
-    rows = np.where(inside, pos[row_node], -1)
-    src = _stencil_index(-di, -dj) * pos.size + row_node
-    del pos, row_node, inside
-    order = np.argsort(rows, axis=1, kind="stable")
-    rows = np.take_along_axis(rows, order, axis=1)
-    src = np.take_along_axis(src, order, axis=1)
-    keep = rows >= 0
-    indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(keep.sum(axis=1))
-    return HessianPattern((n_s, n_phi), src[keep], rows[keep], indptr)
-
-
 def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
@@ -483,26 +435,43 @@ def energy_gradient(field: ScalarField, params: EnergyParams,
     return ScalarField(field.grid, out)
 
 
-def energy_hessian(field: ScalarField, params: EnergyParams,
-                   pattern: HessianPattern) -> sp.csc_matrix:
-    """Sparse Hessian of the discrete energy on the pattern's nodes.
+def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:
+    """Hessian of the discrete energy on the grid's free_box, in LAPACK
+    lower band storage: band[d, c] couples box nodes c and c + d.
 
-    Requires eps > 0 so the integrand is twice differentiable everywhere,
-    and a pattern built on a grid of the field's shape.  Each quadrature
-    sample contributes a 4x4 block on its cell's nodes; the blocks are
-    summed per cell, folded into each node's 9-point stencil and gathered
-    into the pattern's CSC data.  The matrix over all nodes is symmetric
-    positive semidefinite, and positive definite on the free nodes.
+    Requires eps > 0 so the integrand is twice differentiable everywhere.
+    Each quadrature sample contributes a 4x4 block on its cell's nodes; the
+    blocks are summed per cell and folded into each node's 9-point stencil.
+    The box nodes go row-major, so with w box columns a node's
+    lower neighbours (i, j+1), (i+1, j-1), (i+1, j) and (i+1, j+1) sit d =
+    1, w-1, w and w+1 = kd further on, and the band has kd + 1 rows.
+    Couplings to nodes outside the box, which would wrap around a row's end,
+    are left zero, and the pinned node's row and column are the identity.
+    The matrix is symmetric positive definite.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    if pattern.grid_shape != field.values.shape:
-        raise ValueError(f"Hessian pattern of a {pattern.grid_shape} grid "
-                         f"used on a {field.values.shape} field")
     stencil = _evaluate(field, params, "hessian")
-    n = pattern.indptr.size - 1
-    return sp.csc_matrix((stencil.ravel()[pattern.src], pattern.indices,
-                          pattern.indptr), shape=(n, n))
+    grid = field.grid
+    rows, cols = grid.free_box()
+    n_i, w = field.values[rows, cols].shape
+    # built node-major, so that the returned band is in Fortran order and
+    # LAPACK factors it without a copy
+    band = np.zeros((n_i, w, w + 2))
+    # (d, di, dj) and the box nodes (i, j) whose neighbour (i+di, j+dj) is
+    # in the box: all of them for (0, 0), else not the last row for di = 1,
+    # not the last column for dj = 1 and not the first for dj = -1
+    for d, di, dj in ((0, 0, 0), (1, 0, 1), (w - 1, 1, -1), (w, 1, 0),
+                      (w + 1, 1, 1)):
+        keep = (slice(None, n_i - di), slice(max(0, -dj), w - max(0, dj)), d)
+        band[keep] = stencil[_stencil_index(di, dj), rows, cols][keep[:2]]
+    band = band.reshape(n_i * w, w + 2).T
+    pin = (grid.i_pin - 1) * w + grid.j_pin - 1
+    d = np.arange(1, min(w + 1, pin) + 1)
+    band[:, pin] = 0.0
+    band[d, pin - d] = 0.0
+    band[0, pin] = 1.0
+    return band
 
 
 def interpolate(field: ScalarField, r, phi):

@@ -21,13 +21,15 @@ half-plane field, exactly even.
 
 The degenerate limit eps -> 0 is reached by continuation: each stage
 minimizes the energy at one eps, warm-starting from the previous stage.
-A stage runs damped Newton steps (exact sparse Hessian factored by SuperLU
-in a nested-dissection order of the grid, Armijo backtracking with halving)
-until the half-plane gradient sup-norm is at most grad_tol; it also ends,
-unconverged, after _MAX_ITERS_PER_STAGE steps or on a failed line search.
-The Hessian's pattern on the free nodes, in that order, is built once per
-solve (grid.hessian_pattern) and kept only for the solve; each step
-assembles the matrix straight into it and frees it once factored.
+A stage runs damped Newton steps (exact Hessian factored by a band
+Cholesky, Armijo backtracking with halving) until the half-plane gradient
+sup-norm is at most grad_tol; it also ends, unconverged, after
+_MAX_ITERS_PER_STAGE steps or on a failed line search.  The free nodes lie
+in the box of rows 1..n_s-2 and columns 1..n_phi-1 of the quarter grid,
+and in row-major order the 9-point stencil makes the Hessian a band of
+half-width n_phi: grid.energy_hessian assembles it straight into LAPACK
+band storage, with the pinned node's row and column the identity, so
+the pin's component of every direction is exactly 0.
 The Armijo test allows an energy rise of _ENERGY_ROUNDOFF relative: near
 the optimum a full Newton step changes the energy by a few ulp, and
 without the allowance summation order would decide where a stage ends.
@@ -42,13 +44,13 @@ import math
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
                    build_grid, energy, energy_eps2_derivative, energy_gradient,
-                   energy_hessian, from_fields, hessian_pattern, interpolate,
-                   load_field, save_field, write_json)
+                   energy_hessian, from_fields, interpolate, load_field,
+                   save_field, write_json)
 
 __all__ = [
     "SolverConfig",
@@ -152,48 +154,30 @@ def _predicted_drift_bound(quarter: ScalarField, p: float, eps_prev: float) -> f
         quarter, EnergyParams(p=p, eps=eps_prev))
 
 
-def _dissect(i0: int, i1: int, j0: int, j1: int, out: list) -> None:
-    """Append the boxes of a nested-dissection order of [i0, i1) x [j0, j1).
+class _BandCholesky:
+    """Cholesky factor of a symmetric positive definite band matrix."""
 
-    The box is cut by one grid line across its longer side; the 9-point
-    stencil couples only neighbouring lines, so the line separates the two
-    halves, which come first, and the line comes last.  A box with a side
-    shorter than 3 is a leaf in natural order.  Module-level recursion, not
-    a nested closure: a self-referencing closure is a reference cycle that
-    keeps the index arrays alive until the cyclic collector runs.
+    def __init__(self, band: np.ndarray):
+        try:
+            self.factor = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                          check_finite=False)
+        except LinAlgError as exc:      # a non-positive pivot
+            raise RuntimeError(str(exc)) from exc
+        self.nnz = band.size
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self.factor, True), rhs, check_finite=False)
+
+
+def splu(band: np.ndarray) -> _BandCholesky:
+    """Factor a Hessian band (grid.energy_hessian) by LAPACK dpbtrf.
+
+    The factor has solve(rhs) and nnz, the stored band entries.  A
+    non-positive pivot raises RuntimeError.  The name is kept from the
+    SuperLU factorization it replaced: perfbench's factorization layer
+    wraps solver.splu.  The band is factored in place.
     """
-    if min(i1 - i0, j1 - j0) < 3:
-        out.append((i0, i1, j0, j1))
-    elif i1 - i0 >= j1 - j0:
-        mid = (i0 + i1) // 2
-        _dissect(i0, mid, j0, j1, out)
-        _dissect(mid + 1, i1, j0, j1, out)
-        out.append((mid, mid + 1, j0, j1))
-    else:
-        mid = (j0 + j1) // 2
-        _dissect(i0, i1, j0, mid, out)
-        _dissect(i0, i1, mid + 1, j1, out)
-        out.append((i0, i1, mid, mid + 1))
-
-
-def _elimination_order(quarter: LogPolarGrid) -> np.ndarray:
-    """Flat indices of a quarter grid's free nodes in nested-dissection order.
-
-    The free nodes are the box of rows 1..n_s-2 and columns 1..n_phi-1
-    (the axis column included) minus the pinned node.  Factoring
-    the Hessian in this order fills about as much as a minimum-degree
-    ordering and runs faster in SuperLU's supernodal kernels.
-    """
-    boxes: list = []
-    _dissect(1, quarter.n_s - 1, 1, quarter.n_phi, boxes)
-    i0, i1, j0, j1 = np.array(boxes, dtype=np.intp).T
-    width = j1 - j0
-    sizes = (i1 - i0) * width
-    box = np.repeat(np.arange(sizes.size), sizes)
-    local = np.arange(box.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    order = ((i0[box] + local // width[box]) * quarter.n_phi
-             + j0[box] + local % width[box])
-    return order[order != quarter.i_pin * quarter.n_phi + quarter.j_pin]
+    return _BandCholesky(band)
 
 
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
@@ -217,9 +201,8 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     start = (initial if initial is not None else _initial_field(grid, p)).values
     quarter = grid.quarter()
     field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
-
-    free_idx = _elimination_order(quarter)
-    pattern = hessian_pattern(quarter, free_idx)
+    box = quarter.free_box()
+    box_shape = field.values[box].shape
 
     stages: list[StageInfo] = []
     prev_energy = None
@@ -236,16 +219,13 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             stage.converged = stage.grad_sup <= config.grad_tol
             if stage.converged or stage.iterations == _MAX_ITERS_PER_STAGE:
                 break
-            g_f = g.ravel()[free_idx]
+            # the free box in row-major order, the Hessian band's node order
+            g_f = g[box].ravel()
             try:
-                # the Hessian is freed once factored: held into the next
-                # step's assembly, it pinned freed memory on the heap and
-                # raised the peak RSS of a 1153x129 solve by about 15 MB
-                direction = splu(energy_hessian(field, params, pattern),
-                                 permc_spec="NATURAL").solve(-g_f)
+                direction = splu(energy_hessian(field, params)).solve(-g_f)
                 slope = 2.0 * float(g_f @ direction)
             except RuntimeError:
-                slope = 0.0     # singular factor: take the gradient step
+                slope = 0.0     # not positive definite: take the gradient step
             if slope >= 0.0:
                 stage.fallbacks += 1
                 direction, slope = -g_f, -2.0 * float(g_f @ g_f)
@@ -254,7 +234,7 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
             accepted = False
             for _ in range(_MAX_HALVINGS):
                 trial = field.values.copy()
-                trial.ravel()[free_idx] += step * direction
+                trial[box] += (step * direction).reshape(box_shape)
                 trial_field = ScalarField(quarter, trial)
                 e_trial = 2.0 * energy(trial_field, params)
                 if e_trial <= (e_now + _ARMIJO_C * step * slope
@@ -322,22 +302,30 @@ class FullPlaneField:
             out[off_axis] = np.where(yo > 0, vals, -vals)
         return float(out[0]) if scalar else out
 
-    def sample_points(self) -> np.ndarray:
-        """Grid nodes mirrored to the full plane: every node, then the
-        mirror of each node with y > 0.
+    @property
+    def sample_count(self) -> int:
+        """Length of the sample_points list, n_s * (2 * n_phi - 1)."""
+        return self.grid.n_s * (2 * self.grid.n_phi - 1)
+
+    def sample_points(self, index) -> np.ndarray:
+        """Grid nodes mirrored to the full plane, at the given positions of
+        their list: every node, then the mirror of each node with y > 0.
 
         The phi = 0 ray has y = 0 and is listed once, but sin(pi) is about
         1.2e-16, so the phi = pi ray is listed again as its near-duplicate
-        mirror: n_s * (2 * n_phi - 1) points in all.
+        mirror: every node off the phi = 0 ray is mirrored, sample_count
+        points in all.  Only the positions asked for are computed.
         """
         g = self.grid
-        rr, pp = np.meshgrid(g.r, g.phi, indexing="ij")
-        x = (rr * np.cos(pp)).ravel()
-        y = (rr * np.sin(pp)).ravel()
-        upper = np.column_stack([x, y])
-        interior = y > 0
-        lower = np.column_stack([x[interior], -y[interior]])
-        return np.vstack([upper, lower])
+        index = np.asarray(index, dtype=np.intp)
+        mirrored = index >= g.n_s * g.n_phi
+        i, j = np.divmod(index, g.n_phi)
+        i_m, j_m = np.divmod(index - g.n_s * g.n_phi, g.n_phi - 1)
+        i = np.where(mirrored, i_m, i)
+        j = np.where(mirrored, j_m + 1, j)
+        y = g.r[i] * np.sin(g.phi[j])
+        return np.column_stack([g.r[i] * np.cos(g.phi[j]),
+                                np.where(mirrored, -y, y)])
 
 
 def mirror_to_fullplane(result: SolveResult) -> FullPlaneField:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import morreylab as m
+from morreylab import grid as grid_module
 
 # desk-scale geometry used by the acceptance criteria
 ACC_SPEC = m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=577, n_phi=65)
@@ -68,3 +70,42 @@ def synthetic_result(grid: m.LogPolarGrid, values: np.ndarray,
     """Wrap a closed-form field as a converged result for analysis tests."""
     return m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
                          stages=[], converged=True, p=p)
+
+
+def band_matrix(band: np.ndarray) -> sp.csr_matrix:
+    """The symmetric matrix of a LAPACK lower band, band[d, c] = A[c+d, c]."""
+    n = band.shape[1]
+    lower = sp.diags([band[d, :n - d] for d in range(band.shape[0])],
+                     [-d for d in range(band.shape[0])], format="csr")
+    return (lower + sp.triu(lower.T, k=1)).tocsr()
+
+
+def coo_hessian(field: m.ScalarField, params: m.EnergyParams) -> sp.csr_matrix:
+    """The Hessian on the band's box nodes, assembled as a COO matrix of
+    per-cell 4x4 blocks, each the sum over its samples of coef (Jus Jus +
+    Jup Jup) + beta c c with c = us Jus + up Jup, then restricted to the
+    box in row-major order, with the pinned node's row and column the
+    identity."""
+    p, v = params.p, field.values
+    v4_all = grid_module._cell_corners(v)
+    blocks = np.zeros((4, 4, v4_all.shape[1]))
+    for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
+        v4 = v4_all[:, cells]
+        us, up = Jus @ v4, Jup @ v4
+        q = (us * us + up * up) * em + params.eps**2
+        coef = w * q ** (p / 2.0 - 1.0) * em
+        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
+        c = us[:, None, :] * Jus[:, :, None] + up[:, None, :] * Jup[:, :, None]
+        blocks[:, :, cells] += (np.einsum("kn,ka,kb->abn", coef, Jus, Jus)
+                                + np.einsum("kn,ka,kb->abn", coef, Jup, Jup)
+                                + np.einsum("kn,kan,kbn->abn", beta, c, c))
+    nodes = grid_module._cell_corners(np.arange(v.size).reshape(v.shape))
+    rows = np.repeat(nodes, 4, axis=0).ravel()
+    cols = np.tile(nodes, (4, 1)).ravel()
+    full = sp.coo_matrix((blocks.ravel(), (rows, cols)),
+                         shape=(v.size, v.size)).tocsr()
+    index = np.arange(v.size).reshape(v.shape)
+    box = index[field.grid.free_box()].ravel()
+    pin = box == index[field.grid.pin_index]
+    keep = sp.diags((~pin).astype(float))
+    return (keep @ full[box][:, box] @ keep + sp.diags(pin.astype(float))).tocsr()

@@ -257,10 +257,29 @@ def test_sample_points_list_the_pi_ray_twice():
                                    n_s=49, n_phi=17))
     full = m.mirror_to_fullplane(synthetic_result(
         grid, power_law_field(grid, 0.5)))
-    pts = full.sample_points()
+    pts = full.sample_points(np.arange(full.sample_count))
     assert pts.shape == (1617, 2) == (grid.n_s * (2 * grid.n_phi - 1), 2)
     assert np.array_equal(pts[:grid.n_s * grid.n_phi:grid.n_phi, 1],
                           np.zeros(grid.n_s))
+
+
+def test_sample_points_are_the_mirrored_mesh_bit_for_bit():
+    # the positions the Hoelder search keeps, computed alone, equal the
+    # same rows of the whole mirrored mesh
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-6, r_max=2.0**12,
+                                   n_s=577, n_phi=65))
+    full = m.mirror_to_fullplane(synthetic_result(
+        grid, power_law_field(grid, 0.5)))
+    rr, pp = np.meshgrid(grid.r, grid.phi, indexing="ij")
+    x, y = (rr * np.cos(pp)).ravel(), (rr * np.sin(pp)).ravel()
+    mesh = np.vstack([np.column_stack([x, y]),
+                      np.column_stack([x[y > 0], -y[y > 0]])])
+    assert mesh.shape == (full.sample_count, 2)
+    assert np.array_equal(full.sample_points(np.arange(full.sample_count)),
+                          mesh)
+    for k in (2, 600, 2000):
+        index = analysis._bit_reversed_order(full.sample_count, k)
+        assert np.array_equal(full.sample_points(index), mesh[index])
 
 
 # ---------------------------------------------------------- gradient norm

@@ -10,12 +10,16 @@ library and is loaded by path; perfbench/workloads.py is read with ast.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import morreylab
 from morreylab import solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load_tracing():
@@ -99,3 +103,15 @@ def test_solver_evaluates_through_the_traced_names(monkeypatch):
     assert len(energies) == len(result.stages) + steps
     assert [2.0 * e for e in energies] == [
         e for st in result.stages for e in st.energy_history]
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # setup_s times a fresh `import morreylab`; scipy.sparse alone adds
+    # tens of milliseconds to it, and the band Cholesky does not need it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, morreylab; "
+         "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -176,9 +176,10 @@ def test_solve_reports_fallbacks_on_stderr(tmp_path, monkeypatch, capsys):
 
 def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     # a converged field outside [0, 1] (coarse grid, large p) is a
-    # numerical failure, with the outputs kept for inspection
-    rc = main(["solve", "--p", "16", "--r-min", "0.0625", "--r-max", "256",
-               "--n-s", "49", "--n-phi", "17", "--out-dir", str(tmp_path)])
+    # numerical failure, with the outputs kept for inspection; this one
+    # reaches u_min = -0.026 in [49, 2, 1, 1, 0] steps
+    rc = main(["solve", "--p", "24", "--r-min", "0.015625", "--r-max", "4096",
+               "--n-s", "97", "--n-phi", "17", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "discrete maximum principle violated" in capsys.readouterr().err
     meta = json.loads((tmp_path / "solve.json").read_text())
@@ -189,6 +190,17 @@ def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     field, _ = m.load_field(tmp_path / "solve.field")
     assert (meta["u_min"], meta["u_max"]) == (field.values.min(),
                                               field.values.max())
+
+
+def test_solve_large_p_coarse_grid_keeps_the_maximum_principle(tmp_path):
+    # with the band Cholesky this solve ends in [29, 2, 1, 1, 0] steps with
+    # u in [0, 1]; SuperLU's directions led it to u in [-2.62, 1.003]
+    rc = main(["solve", "--p", "16", "--r-min", "0.0625", "--r-max", "256",
+               "--n-s", "49", "--n-phi", "17", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "solve.json").read_text())
+    assert meta["converged"] is True
+    assert 0.0 <= meta["u_min"] and meta["u_max"] <= 1.0
 
 
 def test_solve_usage_error(tmp_path):

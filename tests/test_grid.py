@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import morreylab as m
 from morreylab import grid as grid_module
-from morreylab import solver
 from morreylab.grid import energy_eps2_derivative, open_new
-from conftest import random_even_field
+from conftest import band_matrix, coo_hessian, random_even_field
 
 
 def small_spec(n_s=81, n_phi=17):
@@ -317,8 +316,8 @@ def test_hessian_matches_gradient_differences():
     g = m.build_grid(small_spec(41, 9))
     field, rng = random_interior_field(g, seed=3)
     params = m.EnergyParams(p=4.0, eps=0.1)
-    hess = m.energy_hessian(field, params,
-                            m.hessian_pattern(g, np.arange(field.values.size)))
+    hess = band_matrix(m.energy_hessian(field, params))
+    box = g.free_box()
     free = ~g.constrained_mask()
     h = 1e-5
     for _ in range(5):
@@ -329,7 +328,8 @@ def test_hessian_matches_gradient_differences():
         gm = m.energy_gradient(m.ScalarField(g, field.values - h * delta),
                                params).values
         fd = (gp - gm) / (2 * h)
-        hd = np.asarray(hess @ delta.ravel()).reshape(delta.shape)
+        hd = np.zeros_like(delta)
+        hd[box] = (hess @ delta[box].ravel()).reshape(hd[box].shape)
         hd[g.constrained_mask()] = 0.0
         assert np.abs(fd - hd).max() < 1e-7 * max(1.0, np.abs(hd).max())
 
@@ -338,67 +338,31 @@ def test_hessian_requires_regularization():
     g = m.build_grid(small_spec(41, 9))
     field, _ = random_interior_field(g)
     with pytest.raises(ValueError):
-        m.energy_hessian(field, m.EnergyParams(p=4.0, eps=0.0),
-                         m.hessian_pattern(g, np.arange(field.values.size)))
-
-
-def _coo_hessian(field, params):
-    """The full Hessian as a COO matrix of per-cell 4x4 blocks, each the sum
-    over its samples of coef (Jus Jus + Jup Jup) + beta c c, c = us Jus +
-    up Jup; the assembly that the stencil fold replaced."""
-    p, v = params.p, field.values
-    v4_all = grid_module._cell_corners(v)
-    blocks = np.zeros((4, 4, v4_all.shape[1]))
-    for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
-        v4 = v4_all[:, cells]
-        us, up = Jus @ v4, Jup @ v4
-        q = (us * us + up * up) * em + params.eps**2
-        coef = w * q ** (p / 2.0 - 1.0) * em
-        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
-        c = us[:, None, :] * Jus[:, :, None] + up[:, None, :] * Jup[:, :, None]
-        blocks[:, :, cells] += (np.einsum("kn,ka,kb->abn", coef, Jus, Jus)
-                                + np.einsum("kn,ka,kb->abn", coef, Jup, Jup)
-                                + np.einsum("kn,kan,kbn->abn", beta, c, c))
-    nodes = grid_module._cell_corners(np.arange(v.size).reshape(v.shape))
-    rows = np.repeat(nodes, 4, axis=0).ravel()
-    cols = np.tile(nodes, (4, 1)).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                         shape=(v.size, v.size))
-
-
-def _assert_same_csc(hess, expected):
-    assert hess.format == "csc" and hess.has_canonical_format
-    assert np.array_equal(hess.indptr, expected.indptr)
-    assert np.array_equal(hess.indices, expected.indices)
-    scale = np.abs(expected.data).max()
-    assert np.abs(hess.data - expected.data).max() <= 1e-15 * scale
+        m.energy_hessian(field, m.EnergyParams(p=4.0, eps=0.0))
 
 
 @pytest.mark.parametrize("spec", QUARTER_SPECS)
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_hessian_pattern_matches_coo_assembly(spec, p):
-    # the solver's matrix: the quarter's free nodes in elimination order,
-    # the pin cells' midpoint rule included
+    # the band's pattern and values, on the quarter (the solver's matrix,
+    # the pin cells' midpoint rule included) and on the half plane: every
+    # stored entry, the unused corner of the band and the couplings that
+    # would wrap around a row's end included
     uq, half = random_even_field(spec)
     params = m.EnergyParams(p=p, eps=1e-3)
-    idx = solver._elimination_order(uq.grid)
-    hess = m.energy_hessian(uq, params, m.hessian_pattern(uq.grid, idx))
-    expected = _coo_hessian(uq, params).tocsr()[idx][:, idx].tocsc()
-    _assert_same_csc(hess, expected)
-    # every node of the half plane, in natural order
-    every = np.arange(half.values.size)
-    hess = m.energy_hessian(half, params, m.hessian_pattern(half.grid, every))
-    _assert_same_csc(hess, _coo_hessian(half, params).tocsc())
-
-
-def test_hessian_pattern_of_another_grid_rejected():
-    uq, half = random_even_field(QUARTER_SPECS[0])
-    params = m.EnergyParams(p=4.0, eps=1e-3)
-    other = m.build_grid(QUARTER_SPECS[1]).quarter()
-    for field, grid in ((uq, half.grid), (uq, other), (half, uq.grid)):
-        pattern = m.hessian_pattern(grid, solver._elimination_order(uq.grid))
-        with pytest.raises(ValueError, match="pattern"):
-            m.energy_hessian(field, params, pattern)
+    for field in (uq, half):
+        band = m.energy_hessian(field, params)
+        kd, n = band.shape[0] - 1, band.shape[1]
+        box = field.values[field.grid.free_box()]
+        assert (kd, n) == (box.shape[1] + 1, box.size)
+        assert band.flags.f_contiguous
+        expected = coo_hessian(field, params)
+        assert abs(sp.tril(expected, k=-kd - 1)).sum() == 0.0
+        expected_band = np.zeros_like(band)
+        for d in range(kd + 1):
+            expected_band[d, :n - d] = expected.diagonal(-d)
+        scale = np.abs(expected_band).max()
+        assert np.abs(band - expected_band).max() <= 1e-15 * scale
 
 
 # -------------------------------------------------------------- interpolate

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 import morreylab as m
 from morreylab import solver
 from morreylab.grid import energy_eps2_derivative
-from conftest import random_even_field, warm_refine
+from conftest import coo_hessian, random_even_field, warm_refine
 
 
 TINY_SPEC = m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9)
@@ -172,64 +172,44 @@ def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
     assert [st.fallbacks for st in loaded.stages] == [0, 0, 0, 0, 0]
 
 
-# -------------------------------------------------------- elimination order
-
-def test_elimination_order_is_a_permutation_of_the_free_nodes():
-    # the quarter's free nodes: the axis column is free, the pin is not
-    for n_s in range(3, 40):
-        k = (n_s - 1) // 2      # r = 1 is node k, so the pin moves with n_s
-        for n_phi in range(3, 40, 2):
-            quarter = m.build_grid(m.GridSpec(2.0**-k, 2.0**(n_s - 1 - k),
-                                              n_s, n_phi)).quarter()
-            order = solver._elimination_order(quarter)
-            fixed = np.ones((n_s, quarter.n_phi), dtype=bool)
-            fixed[1:-1, 1:] = False
-            fixed[quarter.pin_index] = True
-            free = np.flatnonzero(~fixed.ravel())
-            assert np.array_equal(
-                np.flatnonzero(~quarter.constrained_mask().ravel()), free)
-            assert order.dtype.kind == "i"
-            assert np.array_equal(np.sort(order), free), (n_s, n_phi)
-
+# --------------------------------------------------------- band Cholesky
 
 @pytest.mark.parametrize("spec", [
     m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
     m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)])
-def test_nested_dissection_matches_minimum_degree(spec):
+def test_band_direction_matches_superlu(spec):
+    # the Newton direction of the band factor against SuperLU on the COO
+    # assembly of the free nodes; the pin's component is exactly 0
     grid = m.build_grid(spec)
     quarter = grid.quarter()
     field = m.ScalarField(
         quarter, solver._initial_field(grid, 4.0).values[:, :quarter.n_phi])
     params = m.EnergyParams(p=4.0, eps=1e-3)
-    grad = m.energy_gradient(field, params).values.ravel()
-    directions, nnz = [], []
-    for idx, permc_spec in ((solver._elimination_order(quarter), "NATURAL"),
-                            (np.flatnonzero(~quarter.constrained_mask().ravel()),
-                             "MMD_AT_PLUS_A")):
-        hess = m.energy_hessian(field, params, m.hessian_pattern(quarter, idx))
-        lu = splu(hess, permc_spec=permc_spec)
-        d = np.zeros(grad.size)
-        d[idx] = lu.solve(-grad[idx])
-        directions.append(d)
-        nnz.append(lu.nnz)
-    nd, mmd = directions
-    assert np.abs(nd - mmd).max() <= 1e-12 * np.abs(mmd).max()
-    assert nnz[0] <= nnz[1]
+    box = quarter.free_box()
+    rhs = -m.energy_gradient(field, params).values[box].ravel()
+    band = m.energy_hessian(field, params)
+    assert band.shape == (quarter.n_phi + 1, rhs.size)
+    factor = solver.splu(band)
+    assert factor.nnz == band.size
+    direction = factor.solve(rhs)
+    pin = np.zeros(field.values.shape, dtype=bool)
+    pin[quarter.pin_index] = True
+    pin = pin[box].ravel()
+    assert direction[pin] == 0.0
+    free = ~pin
+    hess = coo_hessian(field, params)[free][:, free].tocsc()
+    expected = splu(hess).solve(rhs[free])
+    assert (np.abs(direction[free] - expected).max()
+            <= 1e-12 * np.abs(expected).max())
 
 
-def test_elimination_order_leaves_no_reference_cycle():
-    quarter = m.build_grid(m.GridSpec(2.0**-6, 2.0**12, 145, 33)).quarter()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(3):
-            solver._elimination_order(quarter)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+def test_band_factor_rejects_a_non_positive_pivot():
+    band = np.asfortranarray([[1.0, -1.0, 1.0], [2.0, 0.5, 0.0]])
+    with pytest.raises(RuntimeError):
+        solver.splu(band)
 
 
-def test_hessian_pattern_leaves_no_reference_cycle():
+def test_band_factor_leaves_no_reference_cycle():
     spec = m.GridSpec(2.0**-6, 2.0**12, 145, 33)
     uq, _ = random_even_field(spec)
     params = m.EnergyParams(p=4.0, eps=1e-3)
@@ -237,11 +217,9 @@ def test_hessian_pattern_leaves_no_reference_cycle():
     gc.disable()
     try:
         for _ in range(3):
-            pattern = m.hessian_pattern(
-                uq.grid, solver._elimination_order(uq.grid))
-            splu(m.energy_hessian(uq, params, pattern),
-                 permc_spec="NATURAL").solve(np.ones(pattern.indptr.size - 1))
-        del pattern
+            band = m.energy_hessian(uq, params)
+            solver.splu(band).solve(np.ones(band.shape[1]))
+        del band
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -263,19 +241,17 @@ def test_solve_caches_nothing_on_the_grid(solve_small):
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_quarter_newton_direction_matches_half_plane(spec, p):
     uq, half = random_even_field(spec, seed=8)
-    grid, quarter = half.grid, uq.grid
     params = m.EnergyParams(p=p, eps=1e-3)
     directions = []
-    for field, idx in ((half, np.flatnonzero(~grid.constrained_mask().ravel())),
-                       (uq, solver._elimination_order(quarter))):
-        hess = m.energy_hessian(field, params,
-                                m.hessian_pattern(field.grid, idx))
-        grad = m.energy_gradient(field, params).values.ravel()
-        d = np.zeros(grad.size)
-        d[idx] = splu(hess).solve(-grad[idx])
-        directions.append(d.reshape(field.values.shape))
+    for field in (half, uq):
+        box = field.grid.free_box()
+        grad = m.energy_gradient(field, params).values
+        d = np.zeros_like(grad)
+        d[box] = solver.splu(m.energy_hessian(field, params)).solve(
+            -grad[box].ravel()).reshape(d[box].shape)
+        directions.append(d)
     d_half, d_quarter = directions
-    assert (np.abs(d_half[:, :quarter.n_phi] - d_quarter).max()
+    assert (np.abs(d_half[:, :uq.grid.n_phi] - d_quarter).max()
             <= 1e-12 * np.abs(d_half).max())
 
 
