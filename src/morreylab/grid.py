@@ -28,15 +28,13 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
-its Hessian from the same per-sample gradients, computing only the one
-asked for.  The Hessian couples each node to its 9-point stencil: the
-kernel sums the 4x4 blocks of every cell and folds them into a (9, n_s,
-n_phi) array of stencil values by 16 slice-adds.  On the free nodes in
-row-major order that is a band matrix, so energy_hessian slices its five
-lower diagonals out of the stencil into LAPACK band storage, which the
-solver factors by a band Cholesky.  The energy and the gradient are
-computed in place, in the order of their plain expressions, so they keep
-their bits with fewer fresh temporaries.
+its Hessian's 4x4 cell blocks from the same per-sample gradients,
+computing only the one asked for.  On the free nodes in row-major order
+the Hessian is a band matrix: energy_hessian folds the blocks into its
+five nonzero lower diagonals, in LAPACK band storage, which the solver
+factors by a band Cholesky.  The energy and the gradient are computed in
+place, in the order of their plain expressions, so they keep their bits
+with fewer fresh temporaries.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -318,21 +316,15 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(-1, 16).T
 
 
-def _stencil_index(di, dj):
-    """Row of the (9, n_s, n_phi) stencil array for the neighbour offset
-    (di, dj), each of them -1, 0 or 1."""
-    return 3 * (di + 1) + dj + 1
-
-
 def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
     want is "energy" for E, "eps2" for dE/d(eps**2), "gradient" for the
-    unmasked nodal gradient g, or "hessian" for the Hessian as stencil
-    values S: S[_stencil_index(di, dj), i, j] couples node (i, j) to
-    (i+di, j+dj).  All of them come from the same per-sample gradient
-    (us, up) and integrand q of the grid's quadrature rules; g and S are
-    summed per cell first and then scattered to the nodes once.
+    unmasked nodal gradient g, or "hessian" for the cell blocks B, (16,
+    n_cells): B[4a + b, c] couples corner a of cell c (in _CORNERS' order)
+    to its corner b.  All of them come from the same per-sample gradient
+    (us, up) and integrand q of the grid's quadrature rules; g and B are
+    summed per cell first, and g is then scattered to the nodes once.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
@@ -354,8 +346,10 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
         q *= em
         q += params.eps**2
         if want == "energy":
-            q **= p / 2.0
-            q *= w
+            # E = inf on a step far off the minimizer; the line search rejects it
+            with np.errstate(over="ignore"):
+                q **= p / 2.0
+                q *= w
             e += float(q.sum()) / p
             continue
         # coef = w q^(p/2 - 1) em, computed in place like E
@@ -395,16 +389,7 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
         for k, c in enumerate(_CORNERS):
             grad[c] += g4_all[k].reshape(grad[c].shape)
         return grad
-    # block entry (a, b) couples corner a to corner b, the neighbour of a
-    # at the corners' offset; each stencil value sums its cells' blocks in
-    # ascending a, and that order fixes how the Hessian is rounded
-    stencil = np.zeros((9,) + v.shape)
-    cells_shape = (v.shape[0] - 1, v.shape[1] - 1)
-    for a, ca in enumerate(_CORNERS):
-        for b in range(4):
-            stencil[_stencil_index(b % 2 - a % 2, b // 2 - a // 2)][ca] += (
-                blocks[4 * a + b].reshape(cells_shape))
-    return stencil
+    return blocks
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
@@ -440,31 +425,41 @@ def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:
     lower band storage: band[d, c] couples box nodes c and c + d.
 
     Requires eps > 0 so the integrand is twice differentiable everywhere.
-    Each quadrature sample contributes a 4x4 block on its cell's nodes; the
-    blocks are summed per cell and folded into each node's 9-point stencil.
-    The box nodes go row-major, so with w box columns a node's
-    lower neighbours (i, j+1), (i+1, j-1), (i+1, j) and (i+1, j+1) sit d =
-    1, w-1, w and w+1 = kd further on, and the band has kd + 1 rows.
-    Couplings to nodes outside the box, which would wrap around a row's end,
-    are left zero, and the pinned node's row and column are the identity.
-    The matrix is symmetric positive definite.
+    The box nodes go row-major, so with w box columns a node's lower
+    neighbours (i, j+1), (i+1, j-1), (i+1, j) and (i+1, j+1) sit d = 1,
+    w-1, w and w+1 = kd further on, and the band has kd + 1 rows.  One fold
+    sums these five diagonals from the blocks of the cells whose two
+    corners are box nodes, so couplings that would wrap around a row's end
+    stay zero.  The pinned node's row and column are the identity.  The
+    matrix is symmetric positive definite.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    stencil = _evaluate(field, params, "hessian")
-    grid = field.grid
-    rows, cols = grid.free_box()
-    n_i, w = field.values[rows, cols].shape
+    grid, (n_s, n_phi) = field.grid, field.values.shape
+    blocks = _evaluate(field, params, "hessian").reshape(16, n_s - 1, n_phi - 1)
+    n_i, w = field.values[grid.free_box()].shape
+    # the diagonals d = di w + dj, of which two coincide when w <= 2
+    diags = {d: np.zeros((n_i, w)) for d in (0, 1, w - 1, w, w + 1)}
+    # blocks[4a + b, 1 - ia:, 1 - ja:][i, j] couples box node (i, j), corner
+    # a of its cell, to the cell's corner b.  Each entry sums its cells'
+    # blocks in ascending a, which fixes how the Hessian is rounded.
+    for a, b in np.ndindex(4, 4):
+        (ja, ia), (jb, ib) = divmod(a, 2), divmod(b, 2)
+        di, dj = ib - ia, jb - ja
+        if (di, dj) >= (0, 0):          # the lower triangle
+            # the nodes whose neighbour (i + di, j + dj) is in the box; a
+            # quarter's axis column is no cell's corner 0 or 1
+            i = slice(0, n_i - di)
+            j = slice(max(0, -dj), min(w - max(0, dj), n_phi - 2 + ja))
+            diags[di * w + dj][i, j] += blocks[4 * a + b, 1 - ia:, 1 - ja:][i, j]
+    # the band reuses the blocks' memory; folding straight into it, with
+    # the blocks alive, grew the heap and made each Newton step page-fault
+    del blocks
     # built node-major, so that the returned band is in Fortran order and
     # LAPACK factors it without a copy
     band = np.zeros((n_i, w, w + 2))
-    # (d, di, dj) and the box nodes (i, j) whose neighbour (i+di, j+dj) is
-    # in the box: all of them for (0, 0), else not the last row for di = 1,
-    # not the last column for dj = 1 and not the first for dj = -1
-    for d, di, dj in ((0, 0, 0), (1, 0, 1), (w - 1, 1, -1), (w, 1, 0),
-                      (w + 1, 1, 1)):
-        keep = (slice(None, n_i - di), slice(max(0, -dj), w - max(0, dj)), d)
-        band[keep] = stencil[_stencil_index(di, dj), rows, cols][keep[:2]]
+    for d, diag in diags.items():
+        band[:, :, d] = diag
     band = band.reshape(n_i * w, w + 2).T
     pin = (grid.i_pin - 1) * w + grid.j_pin - 1
     d = np.arange(1, min(w + 1, pin) + 1)

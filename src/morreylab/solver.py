@@ -26,10 +26,10 @@ Cholesky, Armijo backtracking with halving) until the half-plane gradient
 sup-norm is at most grad_tol; it also ends, unconverged, after
 _MAX_ITERS_PER_STAGE steps or on a failed line search.  The free nodes lie
 in the box of rows 1..n_s-2 and columns 1..n_phi-1 of the quarter grid,
-and in row-major order the 9-point stencil makes the Hessian a band of
-half-width n_phi: grid.energy_hessian assembles it straight into LAPACK
-band storage, with the pinned node's row and column the identity, so
-the pin's component of every direction is exactly 0.
+and in row-major order their Hessian is a band of half-width n_phi:
+grid.energy_hessian folds the per-cell blocks straight into LAPACK band
+storage, with the pinned node's row and column the identity, so the
+pin's component of every direction is exactly 0.
 The Armijo test allows an energy rise of _ENERGY_ROUNDOFF relative: near
 the optimum a full Newton step changes the energy by a few ulp, and
 without the allowance summation order would decide where a stage ends.
@@ -361,7 +361,8 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
-    The sidecar and the field dump must agree on the grid and on p.
+    The sidecar and the field dump must agree on the grid and on p, and
+    the sidecar's converged and energy must be a JSON boolean and number.
     """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
@@ -384,6 +385,9 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     if header.get("p") != p:
         raise ValueError(f"field dump p={header.get('p')} does not match "
                          f"sidecar p={p}")
+    if (type(meta.get("converged")) is not bool
+            or type(meta.get("energy")) not in (int, float)):
+        raise ValueError("converged must be a boolean and energy a number")
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
                          converged=meta["converged"], p=p, dipole_strength=dipole)
     return result, config

@@ -203,6 +203,18 @@ def test_solve_large_p_coarse_grid_keeps_the_maximum_principle(tmp_path):
     assert 0.0 <= meta["u_min"] and meta["u_max"] <= 1.0
 
 
+def test_solve_energy_overflow_is_not_a_raw_warning(tmp_path, capsys):
+    # the closed-form start's energy is 1.25e28 here, and a trial step's
+    # energy overflows to inf; the line search rejects it, and the user
+    # sees solve's own diagnosis, not numpy's overflow warning
+    rc = main(["solve", "--p", "32", "--r-min", "0.015625", "--r-max", "4096",
+               "--n-s", "145", "--n-phi", "33", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "RuntimeWarning" not in err
+    assert "solver did not converge" in err
+
+
 def test_solve_usage_error(tmp_path):
     rc = main(["solve", "--p", "4", "--r-min", "0.5", "--r-max", "256",
                "--n-s", "96", "--n-phi", "16", "--out-dir", str(tmp_path)])
@@ -283,18 +295,26 @@ def test_analyze_corrupt_checkpoint(tmp_path):
                                   lambda meta: {**meta, "spec": None},
                                   lambda meta: {**meta, "config": None},
                                   lambda meta: {**meta, "p": None},
-                                  lambda meta: {**meta, "p": 8.0}],
+                                  lambda meta: {**meta, "p": 8.0},
+                                  lambda meta: {**meta, "converged": "false"},
+                                  lambda meta: {**meta, "converged": 1},
+                                  lambda meta: {**meta, "converged": None},
+                                  lambda meta: {**meta, "energy": None},
+                                  lambda meta: {**meta, "energy": "x"}],
                          ids=["list", "null-stages", "non-object-stage",
                               "null-spec", "null-config", "null-p",
-                              "p-mismatch"])
+                              "p-mismatch", "bad-converged", "int-converged",
+                              "null-converged", "null-energy", "text-energy"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
     sidecar = tmp_path / "ckpt.json"
     sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+    # the window that analyzes the unedited checkpoint with exit code 0
     rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
-               "--out-dir", str(tmp_path)])
+               "--window", "2,7.5", "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("usage error")
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot read checkpoint")
 
 
 @pytest.mark.parametrize("edit", [

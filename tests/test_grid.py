@@ -341,13 +341,18 @@ def test_hessian_requires_regularization():
         m.energy_hessian(field, m.EnergyParams(p=4.0, eps=0.0))
 
 
-@pytest.mark.parametrize("spec", QUARTER_SPECS)
+# boxes of one row or one column, or of n <= kd nodes
+NARROW_SPECS = [m.GridSpec(r_min=2.0**-k, r_max=2.0**k, n_s=n_s, n_phi=n_phi)
+                for k, n_s, n_phi in ((1, 3, 3), (1, 3, 5), (2, 5, 3), (2, 5, 7))]
+
+
+@pytest.mark.parametrize("spec", QUARTER_SPECS + NARROW_SPECS)
 @pytest.mark.parametrize("p", [4.0, 8.0])
-def test_hessian_pattern_matches_coo_assembly(spec, p):
-    # the band's pattern and values, on the quarter (the solver's matrix,
-    # the pin cells' midpoint rule included) and on the half plane: every
-    # stored entry, the unused corner of the band and the couplings that
-    # would wrap around a row's end included
+def test_hessian_band_matches_coo_assembly(spec, p):
+    # the band's values, on the quarter (the solver's matrix, the pin
+    # cells' midpoint rule included) and on the half plane: every stored
+    # entry, the unused corner of the band and the couplings that would
+    # wrap around a row's end included
     uq, half = random_even_field(spec)
     params = m.EnergyParams(p=p, eps=1e-3)
     for field in (uq, half):
@@ -360,7 +365,7 @@ def test_hessian_pattern_matches_coo_assembly(spec, p):
         assert abs(sp.tril(expected, k=-kd - 1)).sum() == 0.0
         expected_band = np.zeros_like(band)
         for d in range(kd + 1):
-            expected_band[d, :n - d] = expected.diagonal(-d)
+            expected_band[d, :max(n - d, 0)] = expected.diagonal(-d)
         scale = np.abs(expected_band).max()
         assert np.abs(band - expected_band).max() <= 1e-15 * scale
 
