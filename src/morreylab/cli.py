@@ -75,8 +75,9 @@ def _floats(text: str) -> list[float]:
 
 
 def _float_list(value) -> str:
-    """A comma-separated float list, checked and kept as its string."""
-    _floats(_text(value))
+    """A non-empty comma-separated float list, kept as its string."""
+    if not _floats(_text(value)):
+        raise ValueError(f"expected at least one number, got {value!r}")
     return value
 
 
@@ -100,7 +101,7 @@ _PARAMS = {
     "solve": {"p": (_float, 4.0), "r_min": (_float, 2.0**-6),
               "r_max": (_float, 2.0**12), "n_s": (_int, 577),
               "n_phi": (_int, 65), "grad_tol": (_float, 1e-9),
-              "tag": (_text, "solve"), "out_dir": (_text, ".")},
+              "out_dir": (_text, ".")},
     "analyze": {"checkpoint": (_text, None), "window": (_float_list, None),
                 "budget": (_int, 600), "out_dir": (_text, ".")},
     "verify": {"p": (_float, 4.0), "mode": (_choice("quick", "full"), "quick"),
@@ -226,7 +227,7 @@ def cmd_solve(params: dict) -> int:
     result = solve_extremal(spec, p, solver_config)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = out_dir / params["tag"]
+    base = out_dir / "solve"
     field_path, meta_path = save_checkpoint(result, solver_config, base)
     artifacts = [Path(field_path), Path(meta_path)]
     manifest = _write_manifest(out_dir, "solve", params, artifacts, t0)
@@ -322,6 +323,7 @@ def cmd_verify(params: dict) -> int:
     t0 = time.time()
     try:
         p = EnergyParams(p=params["p"]).p
+        aperture_L(beta_p(p), p)    # the cone suites need 2 < p < ~1.8e16
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = {

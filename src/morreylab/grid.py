@@ -274,6 +274,18 @@ def _cell_corners(a: np.ndarray) -> np.ndarray:
     return np.stack([a[c] for c in _CORNERS]).reshape(4, -1)
 
 
+# corners (a, b) = (0,0), (1,0), (0,1), (1,1): this order fixes how E is
+# rounded, and solves that stop at the roundoff floor depend on it; the pin
+# rule's (a, b) are the midpoints of a _PIN_SUBQUAD x _PIN_SUBQUAD lattice
+_PIN_A, _PIN_B = (x.reshape(-1, 1) for x in np.meshgrid(
+    *2 * [(np.arange(_PIN_SUBQUAD) + 0.5) / _PIN_SUBQUAD], indexing="ij"))
+# each rule's Jacobians (Jus, Jup) on the unit cell, before scaling
+_UNIT_JACOBIANS = tuple(
+    (np.hstack([b - 1, 1 - b, -b, b]), np.hstack([a - 1, -a, 1 - a, a]))
+    for a, b in ((np.array([0.0, 1, 0, 1])[:, None],
+                  np.array([0.0, 0, 1, 1])[:, None]), (_PIN_A, _PIN_B)))
+
+
 def _quadrature(grid: LogPolarGrid) -> tuple:
     """The energy's quadrature on a grid: two rules (cells, w, em, Jus, Jup).
 
@@ -295,20 +307,12 @@ def _quadrature(grid: LogPolarGrid) -> tuple:
     w = 0.25 * grid.cell_weight.reshape(1, -1)
     w[0, pin] = 0.0
     em = np.repeat(grid.em2s_c, n_c)[None, :]
-    # (a, b): position of each sample along s and phi within its cell
-    t = (np.arange(k) + 0.5) / k
-    a, b = (x.reshape(-1, 1) for x in np.meshgrid(t, t, indexing="ij"))
     strips = grid.s[pin // n_c] + np.arange(k + 1)[:, None] * grid.ds / k
     w_pin = np.repeat(0.5 * np.diff(np.exp(2.0 * strips), axis=0), k, axis=0)
-    # corners (a, b) = (0,0), (1,0), (0,1), (1,1): this order fixes how E is
-    # rounded, and solves that stop at the roundoff floor depend on it
-    rules = ((slice(None), w, em, np.array([0.0, 1, 0, 1])[:, None],
-              np.array([0.0, 0, 1, 1])[:, None]),
-             (pin, w_pin * grid.dphi / k, np.exp(-2.0 * (strips[0] + a * grid.ds)),
-              a, b))
-    return tuple((cells, w, em, np.hstack([b - 1, 1 - b, -b, b]) / grid.ds,
-                  np.hstack([a - 1, -a, 1 - a, a]) / grid.dphi)
-                 for cells, w, em, a, b in rules)
+    em_pin = np.exp(-2.0 * (strips[0] + _PIN_A * grid.ds))
+    rules = ((slice(None), w, em), (pin, w_pin * grid.dphi / k, em_pin))
+    return tuple((cells, w, em, Jus / grid.ds, Jup / grid.dphi)
+                 for (cells, w, em), (Jus, Jup) in zip(rules, _UNIT_JACOBIANS))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,15 +21,15 @@ half-plane field, exactly even.
 
 The degenerate limit eps -> 0 is reached by continuation: each stage
 minimizes the energy at one eps, warm-starting from the previous stage.
-A stage runs damped Newton steps (exact Hessian factored by a band
-Cholesky, Armijo backtracking with halving) until the half-plane gradient
-sup-norm is at most grad_tol; it also ends, unconverged, after
-_MAX_ITERS_PER_STAGE steps or on a failed line search.  The free nodes lie
-in the box of rows 1..n_s-2 and columns 1..n_phi-1 of the quarter grid,
-and in row-major order their Hessian is a band of half-width n_phi:
-grid.energy_hessian folds the per-cell blocks straight into LAPACK band
-storage, with the pinned node's row and column the identity, so the
-pin's component of every direction is exactly 0.
+A stage, _newton_stage, runs damped Newton steps (exact Hessian factored
+by a band Cholesky, Armijo backtracking with halving) until the
+half-plane gradient sup-norm is at most grad_tol; it also ends,
+unconverged, after _MAX_ITERS_PER_STAGE steps or on a failed line
+search.  The free nodes lie in the box of rows 1..n_s-2 and columns
+1..n_phi-1 of the quarter grid, and in row-major order their Hessian is
+a band of half-width n_phi: grid.energy_hessian folds the per-cell blocks
+straight into LAPACK band storage, with the pinned node's row and column
+the identity, so the pin's component of every direction is exactly 0.
 The Armijo test allows an energy rise of _ENERGY_ROUNDOFF relative: near
 the optimum a full Newton step changes the energy by a few ulp, and
 without the allowance summation order would decide where a stage ends.
@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -147,29 +148,7 @@ def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
     return ScalarField(grid, values).apply_dirichlet()
 
 
-def _predicted_drift_bound(quarter: ScalarField, p: float, eps_prev: float) -> float:
-    """Bound on the change of F = 2 E_quarter when eps_prev is dropped from
-    the integrand."""
-    return 2.0 * eps_prev**2 * energy_eps2_derivative(
-        quarter, EnergyParams(p=p, eps=eps_prev))
-
-
-class _BandCholesky:
-    """Cholesky factor of a symmetric positive definite band matrix."""
-
-    def __init__(self, band: np.ndarray):
-        try:
-            self.factor = cholesky_banded(band, overwrite_ab=True, lower=True,
-                                          check_finite=False)
-        except LinAlgError as exc:      # a non-positive pivot
-            raise RuntimeError(str(exc)) from exc
-        self.nnz = band.size
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self.factor, True), rhs, check_finite=False)
-
-
-def splu(band: np.ndarray) -> _BandCholesky:
+def splu(band: np.ndarray) -> SimpleNamespace:
     """Factor a Hessian band (grid.energy_hessian) by LAPACK dpbtrf.
 
     The factor has solve(rhs) and nnz, the stored band entries.  A
@@ -177,7 +156,67 @@ def splu(band: np.ndarray) -> _BandCholesky:
     SuperLU factorization it replaced: perfbench's factorization layer
     wraps solver.splu.  The band is factored in place.
     """
-    return _BandCholesky(band)
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True,
+                                 check_finite=False)
+    except LinAlgError as exc:      # a non-positive pivot
+        raise RuntimeError(str(exc)) from exc
+    return SimpleNamespace(nnz=band.size, solve=lambda rhs: cho_solve_banded(
+        (factor, True), rhs, check_finite=False))
+
+
+def _newton_stage(field: ScalarField, params: EnergyParams,
+                  grad_tol: float) -> tuple[ScalarField, StageInfo, float]:
+    """Damped Newton steps at one eps from a quarter-grid field: the last
+    iterate, the stage's diagnostics and the last iterate's unmasked energy
+    gradient at the pinned node, half the dipole strength."""
+    quarter = field.grid
+    box = quarter.free_box()
+    box_shape = field.values[box].shape
+    constrained = quarter.constrained_mask()
+    stage = StageInfo(eps=params.eps)
+    e_now = 2.0 * energy(field, params)
+    stage.energy_history.append(e_now)
+    while True:
+        g = energy_gradient(field, params, mask_constrained=False).values
+        pin_force = float(g[quarter.pin_index])
+        g[constrained] = 0.0
+        # the half plane's gradient is g off the axis column, 2 g on it
+        stage.grad_sup = float(max(np.abs(g).max(),
+                                   2.0 * np.abs(g[:, -1]).max()))
+        stage.converged = stage.grad_sup <= grad_tol
+        if stage.converged or stage.iterations == _MAX_ITERS_PER_STAGE:
+            break
+        # the free box in row-major order, the Hessian band's node order
+        g_f = g[box].ravel()
+        try:
+            direction = splu(energy_hessian(field, params)).solve(-g_f)
+            slope = 2.0 * float(g_f @ direction)
+        except RuntimeError:
+            slope = 0.0     # not positive definite: take the gradient step
+        if slope >= 0.0:
+            stage.fallbacks += 1
+            direction, slope = -g_f, -2.0 * float(g_f @ g_f)
+
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = field.values.copy()
+            trial[box] += (step * direction).reshape(box_shape)
+            trial_field = ScalarField(quarter, trial)
+            e_trial = 2.0 * energy(trial_field, params)
+            if e_trial <= (e_now + _ARMIJO_C * step * slope
+                           + _ENERGY_ROUNDOFF * max(1.0, abs(e_now))):
+                break
+            step *= 0.5
+        else:
+            stage.line_search_failures += 1
+            break
+        field = trial_field
+        stage.iterations += 1
+        e_now = e_trial
+        stage.energy_history.append(e_now)
+    stage.energy = e_now
+    return field, stage, pin_force
 
 
 def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
@@ -201,70 +240,24 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     start = (initial if initial is not None else _initial_field(grid, p)).values
     quarter = grid.quarter()
     field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
-    box = quarter.free_box()
-    box_shape = field.values[box].shape
 
     stages: list[StageInfo] = []
-    prev_energy = None
     for eps in config.eps_schedule:
-        params = EnergyParams(p=p, eps=eps)
-        stage = StageInfo(eps=eps)
-        e_now = 2.0 * energy(field, params)
-        stage.energy_history.append(e_now)
-        while True:
-            g = energy_gradient(field, params).values
-            # the half plane's gradient is g off the axis column, 2 g on it
-            stage.grad_sup = float(max(np.abs(g).max(),
-                                       2.0 * np.abs(g[:, -1]).max()))
-            stage.converged = stage.grad_sup <= config.grad_tol
-            if stage.converged or stage.iterations == _MAX_ITERS_PER_STAGE:
-                break
-            # the free box in row-major order, the Hessian band's node order
-            g_f = g[box].ravel()
-            try:
-                direction = splu(energy_hessian(field, params)).solve(-g_f)
-                slope = 2.0 * float(g_f @ direction)
-            except RuntimeError:
-                slope = 0.0     # not positive definite: take the gradient step
-            if slope >= 0.0:
-                stage.fallbacks += 1
-                direction, slope = -g_f, -2.0 * float(g_f @ g_f)
-
-            step = 1.0
-            accepted = False
-            for _ in range(_MAX_HALVINGS):
-                trial = field.values.copy()
-                trial[box] += (step * direction).reshape(box_shape)
-                trial_field = ScalarField(quarter, trial)
-                e_trial = 2.0 * energy(trial_field, params)
-                if e_trial <= (e_now + _ARMIJO_C * step * slope
-                               + _ENERGY_ROUNDOFF * max(1.0, abs(e_now))):
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                stage.line_search_failures += 1
-                break
-            field = trial_field
-            stage.iterations += 1
-            e_now = e_trial
-            stage.energy_history.append(e_now)
-        stage.energy = e_now
-        if prev_energy is not None:
-            stage.energy_drift_from_prev = abs(prev_energy - e_now)
-            stage.predicted_drift_bound = _predicted_drift_bound(
-                field, p, eps_prev=stages[-1].eps)
-        prev_energy = e_now
+        field, stage, pin_force = _newton_stage(
+            field, EnergyParams(p=p, eps=eps), config.grad_tol)
+        if stages:
+            eps_prev = stages[-1].eps
+            stage.energy_drift_from_prev = abs(stages[-1].energy - stage.energy)
+            # bounds the change of F = 2 E_quarter when eps_prev is dropped
+            stage.predicted_drift_bound = 2.0 * eps_prev**2 * (
+                energy_eps2_derivative(field, EnergyParams(p=p, eps=eps_prev)))
         stages.append(stage)
 
-    dipole = 2.0 * float(energy_gradient(
-        field, EnergyParams(p=p, eps=config.eps_schedule[-1]),
-        mask_constrained=False).values[quarter.pin_index])
     v = field.values
     half = ScalarField(grid, np.hstack([v, v[:, -2::-1]]))
     return SolveResult(field=half, energy=stages[-1].energy, stages=stages,
                        converged=stages[-1].converged, p=p,
-                       dipole_strength=dipole)
+                       dipole_strength=2.0 * pin_force)
 
 
 class FullPlaneField:

@@ -105,6 +105,24 @@ def test_solver_evaluates_through_the_traced_names(monkeypatch):
         e for st in result.stages for e in st.energy_history]
 
 
+def test_one_gradient_per_newton_iterate(monkeypatch):
+    # each stage takes one gradient at its start and one after each
+    # accepted step; the dipole strength reuses the final stage's last one
+    calls = []
+    gradient = solver.energy_gradient
+
+    def counted_gradient(*args, **kwargs):
+        calls.append(None)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "energy_gradient", counted_gradient)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
+    assert result.converged
+    steps = sum(st.iterations for st in result.stages)
+    assert len(calls) == steps + len(result.stages)
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     # setup_s times a fresh `import morreylab`; scipy.sparse alone adds
     # tens of milliseconds to it, and the band Cholesky does not need it

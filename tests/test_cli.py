@@ -233,6 +233,27 @@ def test_invalid_p_is_usage_error(argv, tmp_path, capsys):
     assert "usage error: p must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "1e17"],
+    ["aronsson", "--p", "1e17", "--L", "1"],
+    ["beta-table", "--p-values", "1e17"],
+], ids=" ".join)
+def test_p_outside_the_cone_domain_is_usage_error(argv, tmp_path, capsys):
+    # a = (p-1)/(p-2) rounds to 1 beyond p of about 1.8e16
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: a = (p-1)/(p-2)")
+
+
+@pytest.mark.parametrize("p_values", [",", ""])
+def test_empty_p_values_is_usage_error(p_values, tmp_path, capsys):
+    # a table with no rows is not a result
+    assert main(["beta-table", "--p-values", p_values,
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: bad value for p_values")
+    assert not (tmp_path / "out").exists()
+
+
 SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
             "--n-s", "49", "--n-phi", "17"]
 
@@ -260,7 +281,7 @@ def test_non_finite_solve_parameter_is_usage_error(flags, tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("energy_rel_tol", 1e-12), ("max_iters", 100),
-    ("eps_schedule", "1e-2,1e-3,1e-4,1e-5,1e-6")])
+    ("eps_schedule", "1e-2,1e-3,1e-4,1e-5,1e-6"), ("tag", "x")])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_retired_solve_parameter_is_usage_error(key, value, given_as,
                                                 tmp_path, capsys):
@@ -338,7 +359,7 @@ def test_analyze_malformed_field_header(edit, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ("--budget", "1"), ("--budget", "-5"), ("--window", "8,4"),
-    ("--window", "1,16"), ("--window", "4,nan"),
+    ("--window", "1,16"), ("--window", "4,nan"), ("--window", ","),
 ], ids="=".join)
 def test_analyze_bad_flag_is_usage_error(flags, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
@@ -487,7 +508,7 @@ OPTIONS = {
     "solve": {"p": ("--p", "float"), "r_min": ("--r-min", "float"),
               "r_max": ("--r-max", "float"), "n_s": ("--n-s", "int"),
               "n_phi": ("--n-phi", "int"),
-              "grad_tol": ("--grad-tol", "float"), "tag": ("--tag", "text"),
+              "grad_tol": ("--grad-tol", "float"),
               "out_dir": ("--out-dir", "text")},
     "analyze": {"checkpoint": ("--checkpoint", "text"),
                 "window": ("--window", "floats"),
@@ -517,7 +538,10 @@ def _rejects(convert, text):
 
 
 def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 _NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
