@@ -29,7 +29,7 @@ import numpy as np
 
 from .aronsson import angular_profile, beta_p, evaluate_w
 from .grid import ScalarField, cell_gradient_sq
-from .solver import FullPlaneField, SolveResult
+from .solver import FullPlaneField, SolveResult, mirror_to_fullplane
 
 __all__ = [
     "ParameterError",
@@ -185,8 +185,7 @@ def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
                     n_points=int(mask.sum()))
 
 
-def gradient_profile(result, window: tuple | None = None
-                     ) -> tuple[DecayProfile, DecayFit]:
+def gradient_profile(result, window: tuple) -> tuple[DecayProfile, DecayFit]:
     """Arc maxima of |grad u| at cell-center radii >= 2, with a fit.
 
     The gradient magnitude is the square root of grid.cell_gradient_sq.
@@ -202,12 +201,8 @@ def gradient_profile(result, window: tuple | None = None
     keep = r_c >= 2.0
     profile = DecayProfile(radii=r_c[keep], sup_values=gmag[keep].max(axis=1))
     cap = profile.radii.max() / 8.0
-    if window is None:
-        window = (4.0, cap)
-    else:
-        window = (float(window[0]), min(float(window[1]), cap))
-    fit = fit_exponent(profile, window)
-    return profile, fit
+    window = (float(window[0]), min(float(window[1]), cap))
+    return profile, fit_exponent(profile, window)
 
 
 def _bit_reversed_order(n: int, k: int) -> np.ndarray:
@@ -329,14 +324,13 @@ def lp_gradient_norm(result, p: float) -> float:
 
 
 def estimate_morrey_constant(result: SolveResult,
-                             sample_budget: int = 600) -> MorreyEstimate:
+                             sample_budget: int) -> MorreyEstimate:
     """Ratio of Hoelder seminorm to gradient p-norm for the mirrored field.
 
     For any admissible field this ratio is a lower bound on the optimal
     constant of the inequality; the computed extremal is the candidate
     that should maximize it.
     """
-    from .solver import mirror_to_fullplane
     p = result.p
     alpha = 1.0 - 2.0 / p
     holder = holder_seminorm(mirror_to_fullplane(result), alpha, sample_budget)

@@ -315,8 +315,7 @@ def evaluate_w(profile: AngularProfile, r, phi,
 
 
 def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
-                       h: float = 1e-3,
-                       radial_exponent: float | None = None) -> float:
+                       h: float, radial_exponent: float | None = None) -> float:
     """Max finite-difference p-Laplacian residual of w over interior points.
 
     sample_points is a non-empty sequence of (r, phi) pairs strictly inside

@@ -160,12 +160,20 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
     return path
 
 
+def _out_dir(params: dict) -> Path:
+    """The --out-dir directory, made with its parents if missing."""
+    out_dir = Path(params["out_dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make --out-dir {out_dir}: {exc}") from exc
+    return out_dir
+
+
 # ---------------------------------------------------------------- beta-table
 
 def cmd_beta_table(params: dict) -> int:
     t0 = time.time()
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     try:
         for p in _floats(params["p_values"]):
@@ -173,6 +181,7 @@ def cmd_beta_table(params: dict) -> int:
             rows.append((p, bp, aperture_L(bp, p)))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = _out_dir(params)
     csv_path = out_dir / "beta_table.csv"
     write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], rows)
     manifest = _write_manifest(out_dir, "beta-table", params, [csv_path], t0)
@@ -193,8 +202,7 @@ def cmd_aronsson(params: dict) -> int:
         profile = angular_profile(kappa, p, params["n_samples"])
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(params)
     csv_path = out_dir / "aronsson_profile.csv"
     write_csv(csv_path, ["theta", "phi", "f", "fprime", "g"],
               zip(profile.theta, profile.phi, profile.f, profile.fprime,
@@ -224,9 +232,8 @@ def cmd_solve(params: dict) -> int:
         solver_config = SolverConfig(grad_tol=params["grad_tol"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = _out_dir(params)
     result = solve_extremal(spec, p, solver_config)
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / "solve"
     field_path, meta_path = save_checkpoint(result, solver_config, base)
     artifacts = [Path(field_path), Path(meta_path)]
@@ -281,8 +288,7 @@ def cmd_analyze(params: dict) -> int:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(params)
     decay_csv = out_dir / "decay_profile.csv"
     write_csv(decay_csv, ["r", "S_r"], zip(profile.radii, profile.sup_values))
     grad_csv = out_dir / "gradient_profile.csv"
@@ -326,6 +332,7 @@ def cmd_verify(params: dict) -> int:
         aperture_L(beta_p(p), p)    # the cone suites need 2 < p < ~1.8e16
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = _out_dir(params)
     report = {
         "p": p,
         "mode": params["mode"],
@@ -338,8 +345,6 @@ def cmd_verify(params: dict) -> int:
         report["coarse_solve"] = checks.coarse_solve(p)
     report["pass"] = all(section["pass"] for key, section in report.items()
                          if isinstance(section, dict))
-    out_dir = Path(params["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "verify_report.json"
     write_json(json_path, report)
     _write_manifest(out_dir, "verify", params, [json_path], t0)

@@ -410,18 +410,14 @@ def energy_eps2_derivative(field: ScalarField, params: EnergyParams) -> float:
     return _evaluate(field, params, "eps2")
 
 
-def energy_gradient(field: ScalarField, params: EnergyParams,
-                    mask_constrained: bool = True) -> ScalarField:
-    """Exact gradient of the discrete energy with respect to nodal values.
+def energy_gradient(field: ScalarField, params: EnergyParams) -> ScalarField:
+    """Exact gradient of the discrete energy with respect to the value at
+    every node, the Dirichlet and pinned nodes included.
 
-    Entries at Dirichlet and pinned nodes are zeroed unless
-    mask_constrained is False (the unmasked value at the pinned node is
-    the strength of the discrete point source enforcing the constraint).
+    The entry at the pinned node is the multiplier of the pin: the strength
+    of the discrete point source that holds u = 1 there.
     """
-    out = _evaluate(field, params, "gradient")
-    if mask_constrained:
-        out[field.grid.constrained_mask()] = 0.0
-    return ScalarField(field.grid, out)
+    return ScalarField(field.grid, _evaluate(field, params, "gradient"))
 
 
 def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:

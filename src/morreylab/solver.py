@@ -178,7 +178,7 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
     e_now = 2.0 * energy(field, params)
     stage.energy_history.append(e_now)
     while True:
-        g = energy_gradient(field, params, mask_constrained=False).values
+        g = energy_gradient(field, params).values
         pin_force = float(g[quarter.pin_index])
         g[constrained] = 0.0
         # the half plane's gradient is g off the axis column, 2 g on it

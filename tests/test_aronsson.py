@@ -428,4 +428,4 @@ def test_residual_rejects_bad_step(h):
 def test_residual_rejects_malformed_point_lists(pts):
     prof = m.angular_profile(1.0, 4.0, 64)
     with pytest.raises(ValueError):
-        m.pharmonic_residual(prof, 4.0, pts)
+        m.pharmonic_residual(prof, 4.0, pts, h=1e-2)

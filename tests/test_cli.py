@@ -240,8 +240,9 @@ def test_invalid_p_is_usage_error(argv, tmp_path, capsys):
 ], ids=" ".join)
 def test_p_outside_the_cone_domain_is_usage_error(argv, tmp_path, capsys):
     # a = (p-1)/(p-2) rounds to 1 beyond p of about 1.8e16
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("usage error: a = (p-1)/(p-2)")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("p_values", [",", ""])
@@ -439,6 +440,30 @@ def test_rerun_replaces_outputs(argv, data_files, tmp_path):
         assert not link.samefile(out / name)
     for name in data_files:
         assert (out / name).read_bytes() == first[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta-table"],
+    ["aronsson", "--kappa", "1"],
+    ["solve"],
+    ["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_out_dir_that_is_a_file_is_usage_error(argv, tmp_path, capsys,
+                                               monkeypatch):
+    # main returns the exit code rather than raising; solve checks the
+    # directory before it solves
+    def no_solve(*args):
+        raise AssertionError("solved before checking --out-dir")
+    monkeypatch.setattr(cli, "solve_extremal", no_solve)
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    argv = [str(tmp_path / "ckpt") if a == "CKPT" else a for a in argv]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(argv + ["--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot make --out-dir {taken}")
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- config

@@ -206,8 +206,8 @@ def test_energy_and_gradient_bitwise_equal_to_reference_sums(p):
                 e, de2, grad = _reference_sums(field, params)
                 assert m.energy(field, params) == e
                 assert energy_eps2_derivative(field, params) == de2
-                assert np.array_equal(m.energy_gradient(
-                    field, params, mask_constrained=False).values, grad)
+                assert np.array_equal(
+                    m.energy_gradient(field, params).values, grad)
 
 
 # ------------------------------------------------------------ quarter plane
@@ -247,18 +247,15 @@ def test_half_plane_energy_is_twice_the_quarter(spec, p):
 @pytest.mark.parametrize("spec", QUARTER_SPECS)
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_half_plane_gradient_from_the_quarter(spec, p):
-    # g off the axis column, 2 g on it; the pin's unmasked entry included
+    # g off the axis column, 2 g on it; the pin's entry included
     uq, half = random_even_field(spec)
     params = m.EnergyParams(p=p, eps=1e-3)
-    gq = m.energy_gradient(uq, params, mask_constrained=False).values
-    gh = m.energy_gradient(half, params, mask_constrained=False).values
+    gq = m.energy_gradient(uq, params).values
+    gh = m.energy_gradient(half, params).values
     expected = gq.copy()
     expected[:, -1] *= 2.0
     scale = np.abs(gh).max()
     assert np.abs(gh[:, :uq.grid.n_phi] - expected).max() <= 1e-14 * scale
-    masked = m.energy_gradient(uq, params).values
-    axis = ~uq.grid.constrained_mask()[:, -1]
-    assert np.any(axis) and np.all(masked[axis, -1] == gq[axis, -1])
 
 
 # ----------------------------------------------------------------- gradient
@@ -286,11 +283,21 @@ def test_gradient_zero_at_origin_field():
     assert np.all(grad == 0.0)
 
 
-def test_gradient_constrained_entries_zero():
+def test_gradient_at_dirichlet_and_pinned_nodes():
+    # the gradient has an entry at every node; the pin's is the multiplier
+    # of the constraint u = 1 there
     g = m.build_grid(small_spec())
     field, _ = random_interior_field(g)
-    grad = m.energy_gradient(field, m.EnergyParams(p=4.0, eps=0.1)).values
-    assert np.all(grad[g.constrained_mask()] == 0.0)
+    params = m.EnergyParams(p=4.0, eps=0.1)
+    grad = m.energy_gradient(field, params).values
+    h = 1e-4
+    for node in ((20, 0), g.pin_index):
+        up, dn = field.copy(), field.copy()
+        up.values[node] += h
+        dn.values[node] -= h
+        fd = (m.energy(up, params) - m.energy(dn, params)) / (2 * h)
+        assert fd != 0.0
+        assert abs(fd - grad[node]) < 1e-6 * abs(fd)
 
 
 def test_gradient_locality_bit_identical():
@@ -328,6 +335,7 @@ def test_hessian_matches_gradient_differences():
         gm = m.energy_gradient(m.ScalarField(g, field.values - h * delta),
                                params).values
         fd = (gp - gm) / (2 * h)
+        fd[g.constrained_mask()] = 0.0
         hd = np.zeros_like(delta)
         hd[box] = (hess @ delta[box].ravel()).reshape(hd[box].shape)
         hd[g.constrained_mask()] = 0.0

@@ -186,15 +186,16 @@ def test_band_direction_matches_superlu(spec):
         quarter, solver._initial_field(grid, 4.0).values[:, :quarter.n_phi])
     params = m.EnergyParams(p=4.0, eps=1e-3)
     box = quarter.free_box()
+    pin = np.zeros(field.values.shape, dtype=bool)
+    pin[quarter.pin_index] = True
+    pin = pin[box].ravel()
     rhs = -m.energy_gradient(field, params).values[box].ravel()
+    rhs[pin] = 0.0      # the Newton stage masks the pinned node
     band = m.energy_hessian(field, params)
     assert band.shape == (quarter.n_phi + 1, rhs.size)
     factor = solver.splu(band)
     assert factor.nnz == band.size
     direction = factor.solve(rhs)
-    pin = np.zeros(field.values.shape, dtype=bool)
-    pin[quarter.pin_index] = True
-    pin = pin[box].ravel()
     assert direction[pin] == 0.0
     free = ~pin
     hess = coo_hessian(field, params)[free][:, free].tocsc()
@@ -246,6 +247,7 @@ def test_quarter_newton_direction_matches_half_plane(spec, p):
     for field in (half, uq):
         box = field.grid.free_box()
         grad = m.energy_gradient(field, params).values
+        grad[field.grid.constrained_mask()] = 0.0
         d = np.zeros_like(grad)
         d[box] = solver.splu(m.energy_hessian(field, params)).solve(
             -grad[box].ravel()).reshape(d[box].shape)
@@ -265,7 +267,7 @@ def test_stage_reports_half_plane_quantities(monkeypatch):
     result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
     stage, field = result.stages[-1], result.field
     params = m.EnergyParams(p=4.0, eps=1e-3)
-    g = m.energy_gradient(field, params, mask_constrained=False).values
+    g = m.energy_gradient(field, params).values
     assert math.isclose(result.dipole_strength, g[result.grid.pin_index],
                         rel_tol=1e-12)
     g[result.grid.constrained_mask()] = 0.0
