@@ -242,11 +242,11 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
                     sample_points: np.ndarray | None = None) -> HolderResult:
     """Search the Hoelder quotient sup |u(x)-u(y)| / |x-y|**alpha.
 
-    Three stages: the deterministic pair (e, -e) on the last coordinate
-    axis, all pairs from the candidate points thinned to the budget (in
-    bit-reversed order, so growing the budget only adds points), and local
-    refinement around the best pair found.  The result never decreases
-    when the budget increases.
+    Two stages: all pairs from the candidate points thinned to the budget
+    (in bit-reversed order, so growing the budget only adds points), led by
+    e and -e on the last coordinate axis, whose pair is scored first and so
+    wins every tie; then local refinement around the best pair found.  The
+    result never decreases when the budget increases.
 
     evaluator is either a FullPlaneField (candidates default to its grid
     nodes) or any callable taking an (m, d) array of points; in the latter
@@ -278,17 +278,10 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
 
     anchor = np.zeros((2, dim))
     anchor[0, -1], anchor[1, -1] = 1.0, -1.0
-    va = np.asarray(evaluate(anchor), dtype=float)
-    best = abs(va[0] - va[1]) / 2.0**alpha
-    best_pair = (anchor[0].copy(), anchor[1].copy())
-    pairs_seen = 1
-
     chosen = np.vstack([anchor, chosen])
     vals = np.asarray(evaluate(chosen), dtype=float)
-    q, pa, pb, n = _pair_max(vals, chosen, alpha)
-    pairs_seen += n
-    if q > best:
-        best, best_pair = q, (pa.copy(), pb.copy())
+    best, pa, pb, pairs_seen = _pair_max(vals, chosen, alpha)
+    best_pair = (pa.copy(), pb.copy())
 
     # local refinement: shrinking clouds around the current best pair
     scale = 0.25 * float(np.linalg.norm(best_pair[0] - best_pair[1]))
@@ -359,8 +352,9 @@ def barrier_check(result, beta: float, tau: float,
     p = result.p
     bp = beta_p(p)
     beta, tau = float(beta), float(tau)
-    if beta <= 0 or tau <= 0:
-        raise ValueError("beta and tau must be positive")
+    if not (0.0 < beta < np.inf and 0.0 < tau < np.inf):
+        raise ValueError(
+            f"beta and tau must be positive and finite, got {beta} and {tau}")
     kappa = beta + tau
     if kappa >= bp:
         raise ValueError(
@@ -375,8 +369,8 @@ def barrier_check(result, beta: float, tau: float,
     if eps is None:
         eps = 1.5 / c_f
     eps = float(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     i_in = int(np.argmin(np.abs(g.r - _BARRIER_R_INNER)))
     i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / 8.0)))

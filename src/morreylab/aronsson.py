@@ -209,12 +209,14 @@ class AngularProfile:
         return float(np.max(np.abs(lhs - rhs)))
 
     def power_combination(self) -> np.ndarray:
-        """[(f')**2 + kappa**2 f**2]**(-kappa) * |g|**(kappa+1), per sample.
+        """[(f')**2 + kappa**2 f**2]**(-kappa) * g**(kappa+1), per sample.
 
-        Constant along the profile; the sampled value equals kappa**2.
+        Constant along the profile; the sampled value equals kappa**2.  It
+        is formed as (g / X)**kappa * g, X = (f')**2 + kappa**2 f**2, which
+        stays finite where either power alone overflows (kappa >~ 80).
         """
         k = self.params.kappa
-        return (self.fprime**2 + k * k * self.f**2) ** (-k) * np.abs(self.g) ** (k + 1.0)
+        return (self.g / (self.fprime**2 + k * k * self.f**2)) ** k * self.g
 
     def invariant_report(self) -> dict:
         """Residuals of the structural identities, for verification output."""

@@ -65,7 +65,6 @@ __all__ = [
     "EnergyParams",
     "build_grid",
     "energy",
-    "energy_eps2_derivative",
     "energy_gradient",
     "energy_hessian",
     "cell_gradient_sq",

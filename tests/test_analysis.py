@@ -157,6 +157,10 @@ def test_holder_1d_clamp_fixture():
     assert abs(found.seminorm - oracle) < 1e-6
     assert abs(abs(found.point_a[0]) - 1.0) < 1e-9
     assert abs(abs(found.point_b[0]) - 1.0) < 1e-9
+    # (e, -e) is scored once, as the first of the C(202, 2) pairs of e, -e
+    # and the 200 kept points; each of three refinement rounds scores the
+    # best pair and its two 5-point clouds, C(12, 2) pairs
+    assert found.pairs_evaluated == math.comb(202, 2) + 3 * math.comb(12, 2)
 
 
 def test_holder_constant_field_zero():
@@ -382,6 +386,17 @@ def test_barrier_monotone_in_eps():
     counts = [m.barrier_check(res, beta=0.9 * bp, tau=0.05 * bp, eps=e).violations
               for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+@pytest.mark.parametrize("name, value", [("eps", math.nan), ("eps", math.inf),
+                                         ("beta", math.nan), ("tau", math.nan)])
+def test_barrier_rejects_non_finite_inputs(solve_small, name, value):
+    # a NaN eps makes every comparison with the barrier false, so it would
+    # report no violations whatever the field
+    bp = m.beta_p(4.0)
+    kwargs = {"beta": 0.9 * bp, "tau": 0.05 * bp, name: value}
+    with pytest.raises(ValueError, match=f"{name}.*must be positive and finite"):
+        m.barrier_check(solve_small, **kwargs)
 
 
 def test_barrier_rejects_supercritical_rate(solve_small):

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import morreylab
-from morreylab import solver
+from morreylab import analysis, aronsson, grid, solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +53,31 @@ def test_workload_package_attributes_resolve():
             and isinstance(node.value, ast.Name) and node.value.id == "m"}
     assert used
     assert sorted(name for name in used if not hasattr(morreylab, name)) == []
+
+
+def test_package_namespace_is_the_modules_all():
+    # the package declares its public names once, in its modules' __all__
+    names = morreylab.__all__
+    assert len(names) == len(set(names))
+    assert names == ["__version__", *aronsson.__all__, *grid.__all__,
+                     *solver.__all__, *analysis.__all__]
+    assert [name for name in names if not hasattr(morreylab, name)] == []
+    assert set(names) == {
+        "__version__",
+        "ConeParams", "AngularProfile", "beta_p", "aperture_L", "kappa_of_L",
+        "angular_profile", "evaluate_w", "invert_phi", "pharmonic_residual",
+        "GridSpec", "LogPolarGrid", "ScalarField", "EnergyParams",
+        "build_grid", "energy", "energy_gradient", "energy_hessian",
+        "cell_gradient_sq", "interpolate", "save_field", "load_field",
+        "field_to_csv",
+        "SolverConfig", "StageInfo", "SolveResult", "solve_extremal",
+        "FullPlaneField", "mirror_to_fullplane", "save_checkpoint",
+        "load_checkpoint",
+        "DecayProfile", "DecayFit", "HolderResult", "MorreyEstimate",
+        "BarrierReport", "ParameterError", "decay_profile", "fit_exponent",
+        "gradient_profile", "holder_seminorm", "lp_gradient_norm",
+        "estimate_morrey_constant", "barrier_check",
+    }
 
 
 def test_every_newton_step_factors_through_splu(monkeypatch):
