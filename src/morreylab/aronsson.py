@@ -49,6 +49,9 @@ __all__ = [
     "pharmonic_residual",
 ]
 
+# below this kappa, kappa**2 f**2 underflows near the axis: inf or NaN invariants
+_KAPPA_MIN = 1e-100
+
 
 def _check_p(p: float) -> float:
     """p as a float; p must be finite and > 2."""
@@ -90,7 +93,8 @@ def kappa_of_L(L: float, p: float) -> float:
     with A = L(L+2) and B = (L+1)**2/a - 2.  For L > 0 the roots have
     product -1/A < 0, so exactly one is positive; it is evaluated in the
     form free of cancellation.  Every L > 0 is attained in exact
-    arithmetic; past about 1e77, B**2 overflows and L is rejected.
+    arithmetic; an L whose kappa falls below the floor 1e-100 (past about
+    1e50 at p = 4) is rejected.
     """
     p = _check_p(p)
     L = float(L)
@@ -100,8 +104,6 @@ def kappa_of_L(L: float, p: float) -> float:
     A, B = L * (L + 2.0), (L + 1.0) * (L + 1.0) / a - 2.0
     D = math.sqrt(B * B + 4.0 * A)
     kappa = (D - B) / (2.0 * A) if B < 0 else 2.0 / (B + D)
-    if kappa == 0.0:
-        raise ValueError(f"aperture L={L} too large for p={p}: kappa underflows")
     resid = aperture_L(kappa, p) - L
     if abs(resid) > 1e-12 * max(1.0, abs(L)):
         raise ArithmeticError(
@@ -116,6 +118,7 @@ class ConeParams:
     Constructed from (p, kappa); a, mu and the aperture are derived here,
     once, and validated against the defining identities, the aperture
     identity relative to the size of (L+1)**2 so that wide cones pass.
+    kappa must be finite and at least 1e-100.
     """
 
     p: float
@@ -126,8 +129,8 @@ class ConeParams:
 
     def __post_init__(self):
         p, kappa = _check_p(self.p), float(self.kappa)
-        if not (math.isfinite(kappa) and kappa > 0):
-            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        if not (math.isfinite(kappa) and kappa >= _KAPPA_MIN):
+            raise ValueError(f"kappa must be finite and >= 1e-100, got {kappa}")
         a = (p - 1.0) / (p - 2.0)
         mu = math.sqrt(a * kappa / (a * kappa + 1.0))
         derived = {"p": p, "kappa": kappa, "a": a, "mu": mu,

@@ -28,13 +28,14 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
-its Hessian's 4x4 cell blocks from the same per-sample gradients,
-computing only the one asked for.  On the free nodes in row-major order
-the Hessian is a band matrix: energy_hessian folds the blocks into its
-five nonzero lower diagonals, in LAPACK band storage, which the solver
-factors by a band Cholesky.  The energy and the gradient are computed in
-place, in the order of their plain expressions, so they keep their bits
-with fewer fresh temporaries.
+its Hessian from the same per-sample gradients, computing only the one
+asked for.  It walks the cells in strips of whole s-rows, about 4,096
+cells each, so that its temporaries stay in the cache, and it adds up
+the strips in the order of one whole-array pass, so no bit depends on
+the strips.  On the free nodes in row-major order the Hessian is a band
+matrix: the kernel folds the lower entries of its 4x4 cell blocks into
+the five nonzero lower diagonals, and energy_hessian copies these into
+LAPACK band storage, which the solver factors by a band Cholesky.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -319,80 +320,131 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(-1, 16).T
 
 
+# _evaluate walks the cells in strips of whole s-rows of about this many
+# cells, so that a strip's temporaries stay in the L2 cache
+_STRIP_CELLS = 4096
+# the block entries 4a + b the band's fold reads, ascending: corner b lies
+# in corner a's s-row, not before it, or in the next
+_LOWER = [4 * a + b for a, b in np.ndindex(4, 4)
+          if (b % 2 - a % 2, b // 2 - a // 2) >= (0, 0)]
+
+
+def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
+    """One rule (w, em, Jus, Jup) on the cells with corner values v4, (4,
+    cells): the per-sample summands of E or dE/d(eps**2), the cell
+    gradients (4, cells), or the given rows of the cell blocks."""
+    us, up = Jus @ v4, Jup @ v4
+    # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in place
+    # where us and up are not needed again (E and dE/d(eps**2)).  The
+    # operations and their order are those of the expression, so E keeps
+    # its bits.
+    reuse = want in ("energy", "eps2")
+    q = np.multiply(us, us, out=us if reuse else None)
+    q += np.multiply(up, up, out=up if reuse else None)
+    q *= em
+    q += params.eps**2
+    if want == "energy":
+        # E = inf on a step far off the minimizer; the line search rejects it
+        with np.errstate(over="ignore"):
+            q **= params.p / 2.0
+            q *= w
+        return q
+    # coef = w q^(p/2 - 1) em, computed in place like E
+    coef = q ** (params.p / 2.0 - 1.0)
+    coef *= w
+    if want == "eps2":
+        return coef
+    coef *= em
+    if want == "gradient":
+        # g4 = Jus^T (coef us) + Jup^T (coef up), in place
+        us *= coef
+        up *= coef
+        g4 = Jus.T @ us
+        g4 += Jup.T @ up
+        return g4
+    # the Hessian of w q^(p/2) / p in the cell's nodal values is
+    # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
+    beta = (params.p - 2.0) * w * q ** (params.p / 2.0 - 2.0) * em * em
+    blk = _outer(Jus, Jus)[rows] @ (coef + beta * us * us)
+    blk += (_outer(Jus, Jup) + _outer(Jup, Jus))[rows] @ (beta * us * up)
+    blk += _outer(Jup, Jup)[rows] @ (coef + beta * up * up)
+    return blk
+
+
 def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
     want is "energy" for E, "eps2" for dE/d(eps**2), "gradient" for the
-    unmasked nodal gradient g, or "hessian" for the cell blocks B, (16,
-    n_cells): B[4a + b, c] couples corner a of cell c (in _CORNERS' order)
-    to its corner b.  All of them come from the same per-sample gradient
-    (us, up) and integrand q of the grid's quadrature rules; g and B are
-    summed per cell first, and g is then scattered to the nodes once.
+    unmasked nodal gradient g, or "hessian" for the five nonzero lower
+    diagonals of the Hessian on the free_box, {d: (box rows, box columns)}
+    (see energy_hessian).  All come from the per-sample gradient (us, up)
+    and integrand q of the grid's quadrature rules: the pin rule's, then
+    the corner rule's in strips of whole s-rows of cells.  The summands of
+    E and dE/d(eps**2) are summed once, as one array.  g and the cell
+    blocks B[4a + b, c], coupling corner a of cell c (in _CORNERS' order)
+    to its corner b, are summed per cell; each strip then adds them to the
+    node rows whose cells are all done, the strip before's last row
+    included, so every entry sums its cells in ascending corner, as one
+    whole-array pass would.  Only B's ten entries in _LOWER are made.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
         raise ValueError("field contains non-finite values")
-    p = params.p
-    v4_all = _cell_corners(v)
-    e = de2 = 0.0
-    g4_all = blocks = None
-    for cells, w, em, Jus, Jup in _quadrature(field.grid):
-        v4 = v4_all[:, cells]
-        us, up = Jus @ v4, Jup @ v4
-        # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in
-        # place where us and up are not needed again (E and dE/d(eps**2)):
-        # every fresh array of this size page-faults.  The operations and
-        # their order are those of the expression, so E keeps its bits.
-        reuse = want in ("energy", "eps2")
-        q = np.multiply(us, us, out=us if reuse else None)
-        q += np.multiply(up, up, out=up if reuse else None)
-        q *= em
-        q += params.eps**2
-        if want == "energy":
-            # E = inf on a step far off the minimizer; the line search rejects it
-            with np.errstate(over="ignore"):
-                q **= p / 2.0
-                q *= w
-            e += float(q.sum()) / p
-            continue
-        # coef = w q^(p/2 - 1) em, computed in place like E
-        coef = q ** (p / 2.0 - 1.0)
-        coef *= w
-        if want == "eps2":
-            de2 += 0.5 * float(coef.sum())
-            continue
-        coef *= em
-        if want == "gradient":
-            # g4 = Jus^T (coef us) + Jup^T (coef up), in place
-            us *= coef
-            up *= coef
-            g4 = Jus.T @ us
-            g4 += Jup.T @ up
-            if g4_all is None:      # the corner rule: every cell, first
-                g4_all = g4
-            else:
-                g4_all[:, cells] += g4
-            continue
-        # the Hessian of w q^(p/2) / p in the cell's nodal values is
-        # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
-        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
-        blk = _outer(Jus, Jus) @ (coef + beta * us * us)
-        blk += (_outer(Jus, Jup) + _outer(Jup, Jus)) @ (beta * us * up)
-        blk += _outer(Jup, Jup) @ (coef + beta * up * up)
-        if blocks is None:          # the corner rule: every cell, first
-            blocks = blk
-        else:
-            blocks[:, cells] += blk
-    if want == "energy":
-        return e
-    if want == "eps2":
-        return de2
-    if want == "gradient":
+    (_, w, em, Jus, Jup), (pin, *pin_rule) = _quadrature(field.grid)
+    n_r, n_c = v.shape[0] - 1, v.shape[1] - 1
+    # the pin cells' corner nodes, in _CORNERS' order; all sixteen block
+    # rows, as with ten the K = 64 product rounds apart
+    nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
+    pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want, slice(None))
+    if want in ("energy", "eps2"):
+        out_all = np.empty((4, n_r * n_c))
+    elif want == "gradient":
         grad = np.zeros_like(v)
-        for k, c in enumerate(_CORNERS):
-            grad[c] += g4_all[k].reshape(grad[c].shape)
-        return grad
-    return blocks
+    else:
+        pin_out = pin_out[_LOWER]
+        n_i, n_w = v[field.grid.free_box()].shape
+        # the diagonals d = di n_w + dj, of which two coincide when n_w <= 2
+        diags = {d: np.zeros((n_i, n_w)) for d in (0, 1, n_w - 1, n_w, n_w + 1)}
+    step = max(1, _STRIP_CELLS // n_c)
+    for i in range(0, n_r, step):
+        n = min(step, n_r - i)
+        c = slice(i * n_c, (i + n) * n_c)
+        out = _samples(_cell_corners(v[i:i + n + 1]), w[:, c], em[:, c],
+                       Jus, Jup, params, want, _LOWER)
+        if want in ("energy", "eps2"):
+            out_all[:, c] = out
+            continue
+        for cell, add in zip(pin.tolist(), pin_out.T):
+            if c.start <= cell < c.stop:
+                out[:, cell - c.start] += add
+        # out[:, t] is cell row i + t, and last the strip before's last row
+        out = out.reshape(-1, n, n_c)
+        if want == "gradient":
+            for k in range(4):
+                jk, ik = divmod(k, 2)
+                if ik and i:
+                    grad[i, jk:jk + n_c] += last[k]
+                # node rows i.., and the last strip closes node row n_r
+                m = n + ik * (i + n == n_r)
+                grad[i + ik:i + m, jk:jk + n_c] += out[k, :m - ik]
+        else:
+            for k, ab in enumerate(_LOWER):
+                (ja, ia), (jb, ib) = divmod(ab // 4, 2), divmod(ab % 4, 2)
+                di, dj = ib - ia, jb - ja
+                j = slice(max(0, -dj), min(n_w - max(0, dj), n_c - 1 + ja))
+                # box row r (node row r + 1) is corner a of cell row r + 1 - ia
+                # and couples to box row r + di; a quarter's axis column is no
+                # cell's corner 0 or 1.  The rows whose cells are done:
+                if ia and i:
+                    diags[di * n_w + dj][i - 1, j] += last[k, 1 - ja:][j]
+                r0, r1, t = max(i - 1 + ia, 0), min(i + n - 1, n_i - di), 1 - ia - i
+                diags[di * n_w + dj][r0:r1, j] += out[k, r0 + t:r1 + t, 1 - ja:][:, j]
+        last = out[:, -1]
+    if want == "energy":
+        return float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
+    if want == "eps2":
+        return 0.5 * float(out_all.sum()) + 0.5 * float(pin_out.sum())
+    return grad if want == "gradient" else diags
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
@@ -426,41 +478,23 @@ def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:
     Requires eps > 0 so the integrand is twice differentiable everywhere.
     The box nodes go row-major, so with w box columns a node's lower
     neighbours (i, j+1), (i+1, j-1), (i+1, j) and (i+1, j+1) sit d = 1,
-    w-1, w and w+1 = kd further on, and the band has kd + 1 rows.  One fold
-    sums these five diagonals from the blocks of the cells whose two
-    corners are box nodes, so couplings that would wrap around a row's end
-    stay zero.  The pinned node's row and column are the identity.  The
-    matrix is symmetric positive definite.
+    w-1, w and w+1 = kd further on, and the band has kd + 1 rows.  The
+    kernel folds each strip into these five diagonals from the lower block
+    entries of cells with both corners in the box, so couplings that would
+    wrap around a row's end stay zero.  The pinned node's row and column
+    are the identity.  The matrix is symmetric positive definite.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    grid, (n_s, n_phi) = field.grid, field.values.shape
-    blocks = _evaluate(field, params, "hessian").reshape(16, n_s - 1, n_phi - 1)
-    n_i, w = field.values[grid.free_box()].shape
-    # the diagonals d = di w + dj, of which two coincide when w <= 2
-    diags = {d: np.zeros((n_i, w)) for d in (0, 1, w - 1, w, w + 1)}
-    # blocks[4a + b, 1 - ia:, 1 - ja:][i, j] couples box node (i, j), corner
-    # a of its cell, to the cell's corner b.  Each entry sums its cells'
-    # blocks in ascending a, which fixes how the Hessian is rounded.
-    for a, b in np.ndindex(4, 4):
-        (ja, ia), (jb, ib) = divmod(a, 2), divmod(b, 2)
-        di, dj = ib - ia, jb - ja
-        if (di, dj) >= (0, 0):          # the lower triangle
-            # the nodes whose neighbour (i + di, j + dj) is in the box; a
-            # quarter's axis column is no cell's corner 0 or 1
-            i = slice(0, n_i - di)
-            j = slice(max(0, -dj), min(w - max(0, dj), n_phi - 2 + ja))
-            diags[di * w + dj][i, j] += blocks[4 * a + b, 1 - ia:, 1 - ja:][i, j]
-    # the band reuses the blocks' memory; folding straight into it, with
-    # the blocks alive, grew the heap and made each Newton step page-fault
-    del blocks
+    diags = _evaluate(field, params, "hessian")
+    n_i, w = diags[0].shape
     # built node-major, so that the returned band is in Fortran order and
     # LAPACK factors it without a copy
     band = np.zeros((n_i, w, w + 2))
     for d, diag in diags.items():
         band[:, :, d] = diag
     band = band.reshape(n_i * w, w + 2).T
-    pin = (grid.i_pin - 1) * w + grid.j_pin - 1
+    pin = (field.grid.i_pin - 1) * w + field.grid.j_pin - 1
     d = np.arange(1, min(w + 1, pin) + 1)
     band[:, pin] = 0.0
     band[d, pin - d] = 0.0
@@ -489,20 +523,23 @@ def interpolate(field: ScalarField, r, phi):
         raise ValueError("query radius outside the grid annulus")
     if not np.all((phi >= -1e-12) & (phi <= np.pi + 1e-12)):
         raise ValueError("query angle outside [0, pi]")
-    s = np.clip(s, s_lo, s_hi)
-    phi = np.clip(phi, 0.0, np.pi)
-    i = np.clip(((s - s_lo) / g.ds).astype(int), 0, g.n_s - 2)
-    j = np.clip((phi / g.dphi).astype(int), 0, g.n_phi - 2)
-    ts = (s - g.s[i]) / g.ds
-    tp = (phi - g.phi[j]) / g.dphi
-    # snap to the node so queries at grid points return nodal values exactly
-    # (log(exp(s)) can be an ulp off the stored node)
-    ts = np.where(np.abs(ts) < 1e-12, 0.0, np.where(np.abs(1 - ts) < 1e-12, 1.0, ts))
-    tp = np.where(np.abs(tp) < 1e-12, 0.0, np.where(np.abs(1 - tp) < 1e-12, 1.0, tp))
-    v = field.values
-    out = (v[i, j] * (1 - ts) * (1 - tp) + v[i + 1, j] * ts * (1 - tp)
-           + v[i, j + 1] * (1 - ts) * tp + v[i + 1, j + 1] * ts * tp)
-    return float(out[0]) if scalar else out
+    s = np.clip(s, s_lo, s_hi).ravel()
+    phi = np.clip(phi, 0.0, np.pi).ravel()
+    v, out = field.values, np.empty(s.size)
+    # in strips of _STRIP_CELLS points, so that the temporaries stay small
+    for k in range(0, s.size, _STRIP_CELLS):
+        c = slice(k, k + _STRIP_CELLS)
+        i = np.clip(((s[c] - s_lo) / g.ds).astype(int), 0, g.n_s - 2)
+        j = np.clip((phi[c] / g.dphi).astype(int), 0, g.n_phi - 2)
+        ts = (s[c] - g.s[i]) / g.ds
+        tp = (phi[c] - g.phi[j]) / g.dphi
+        # snap to the node so queries at grid points return nodal values
+        # exactly (log(exp(s)) can be an ulp off the stored node)
+        ts = np.where(np.abs(ts) < 1e-12, 0.0, np.where(np.abs(1 - ts) < 1e-12, 1.0, ts))
+        tp = np.where(np.abs(tp) < 1e-12, 0.0, np.where(np.abs(1 - tp) < 1e-12, 1.0, tp))
+        out[c] = (v[i, j] * (1 - ts) * (1 - tp) + v[i + 1, j] * ts * (1 - tp)
+                  + v[i, j + 1] * (1 - ts) * tp + v[i + 1, j + 1] * ts * tp)
+    return float(out[0]) if scalar else out.reshape(r.shape)
 
 
 def open_new(path):

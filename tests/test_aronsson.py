@@ -138,10 +138,29 @@ def test_kappa_below_beta_p_for_wider_cone():
 
 
 @pytest.mark.parametrize("bad_L", [0.0, -0.5, -1.0, float("nan"), float("inf"),
-                                   1e300])
+                                   1e300, 1e60])   # kappa 1.5e-120 at 1e60
 def test_kappa_of_L_unattainable(bad_L):
     with pytest.raises(ValueError):
         m.kappa_of_L(bad_L, 4.0)
+
+
+def _numbers(report):
+    """Every number in an invariant report, lists flattened."""
+    for value in report.values():
+        yield from (value if isinstance(value, list) else [value])
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0, 16.0, 64.0, 1000.0])
+def test_kappa_floor(p):
+    # at the floor the invariants are finite, and the RuntimeWarning filter
+    # of the test run turns any overflow or invalid value into a failure
+    report = m.angular_profile(1e-100, p, 2001).invariant_report()
+    assert all(math.isfinite(x) for x in _numbers(report))
+    for below in (9.9e-101, 1e-120, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="kappa must be finite and >= 1e-100"):
+            m.ConeParams(p, below)
+    # a wide cone's kappa is about a / L**2: above the floor at L = 1e49
+    assert m.kappa_of_L(1e49, p) >= 1e-100
 
 
 # --------------------------------------------------------- angular profiles

@@ -88,6 +88,9 @@ def test_aronsson_by_aperture(tmp_path):
     ["aronsson", "--p", "4", "--kappa", "-1"],                 # bad kappa
     ["aronsson", "--p", "4", "--L", "-0.5"],                   # unattainable
     ["aronsson", "--p", "4", "--kappa", "1", "--threads", "2"],  # no such option
+    ["aronsson", "--p", "4", "--kappa", "1e-120"],             # below the floor
+    ["aronsson", "--p", "4", "--kappa", "1e-200"],
+    ["aronsson", "--p", "4", "--L", "1e60"],                   # kappa 1.5e-120
 ])
 def test_aronsson_usage_errors(argv, tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 1
@@ -99,6 +102,17 @@ def test_aronsson_wide_aperture(L, tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "aronsson_summary.json").read_text())
     assert abs(summary["aperture_L"] - float(L)) < 1e-12 * float(L)
+
+
+def test_aronsson_at_the_kappa_floor(tmp_path):
+    rc = main(["aronsson", "--p", "4", "--kappa", "1e-100",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "aronsson_summary.json").read_text(),
+                         parse_constant=float)
+    report = summary["invariants"]
+    assert all(math.isfinite(x) for value in report.values()
+               for x in (value if isinstance(value, list) else [value]))
 
 
 # -------------------------------------------------------------------- solve

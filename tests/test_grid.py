@@ -192,11 +192,54 @@ def _reference_sums(field, params):
     return e, de2, grad
 
 
+def _reference_band(field, params):
+    """The Hessian band from one whole-array pass: every cell's sixteen
+    block entries, the corner rule's and then the pin rule's, folded into
+    the five diagonals, each entry summing its cells in ascending a, and
+    copied into LAPACK band storage with the pin's row and column the
+    identity."""
+    p, v = params.p, field.values
+    outer = grid_module._outer
+    v4_all = grid_module._cell_corners(v)
+    blocks = np.zeros((16, v4_all.shape[1]))
+    for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
+        v4 = v4_all[:, cells]
+        us, up = Jus @ v4, Jup @ v4
+        q = (us * us + up * up) * em + params.eps**2
+        coef = q ** (p / 2.0 - 1.0) * w * em
+        beta = (p - 2.0) * w * q ** (p / 2.0 - 2.0) * em * em
+        blocks[:, cells] += (outer(Jus, Jus) @ (coef + beta * us * us)
+                             + (outer(Jus, Jup) + outer(Jup, Jus)) @ (beta * us * up)
+                             + outer(Jup, Jup) @ (coef + beta * up * up))
+    n_s, n_phi = v.shape
+    blocks = blocks.reshape(16, n_s - 1, n_phi - 1)
+    n_i, w = v[field.grid.free_box()].shape
+    diags = {d: np.zeros((n_i, w)) for d in (0, 1, w - 1, w, w + 1)}
+    for a, b in np.ndindex(4, 4):
+        (ja, ia), (jb, ib) = divmod(a, 2), divmod(b, 2)
+        di, dj = ib - ia, jb - ja
+        if (di, dj) >= (0, 0):
+            i = slice(0, n_i - di)
+            j = slice(max(0, -dj), min(w - max(0, dj), n_phi - 2 + ja))
+            diags[di * w + dj][i, j] += blocks[4 * a + b, 1 - ia:, 1 - ja:][i, j]
+    band = np.zeros((n_i, w, w + 2))
+    for d, diag in diags.items():
+        band[:, :, d] = diag
+    band = band.reshape(n_i * w, w + 2).T
+    pin = (field.grid.i_pin - 1) * w + field.grid.j_pin - 1
+    d = np.arange(1, min(w + 1, pin) + 1)
+    band[:, pin] = 0.0
+    band[d, pin - d] = 0.0
+    band[0, pin] = 1.0
+    return band
+
+
 @pytest.mark.parametrize("p", [2.5, 4.0, 8.0])
 def test_energy_and_gradient_bitwise_equal_to_reference_sums(p):
-    # the kernel works in place; the Armijo test's roundoff allowance makes
-    # stage ends depend on E's last bits, so it must round as the plain sums
-    for spec in QUARTER_SPECS:
+    # the kernel works in place and in strips; the Armijo test's roundoff
+    # allowance makes stage ends depend on E's last bits, so it must round
+    # as the plain sums
+    for spec in QUARTER_SPECS + [STRIP_SPEC]:
         uq, half = random_even_field(spec, seed=int(p * 2))
         rng = np.random.default_rng(int(p))
         noisy = m.ScalarField(half.grid, rng.standard_normal(half.values.shape))
@@ -214,6 +257,9 @@ def test_energy_and_gradient_bitwise_equal_to_reference_sums(p):
 
 QUARTER_SPECS = [m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17),
                  m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)]
+# 9,216 cells on the half plane: three strips of grid._STRIP_CELLS = 4096,
+# the last a short one; two on the quarter
+STRIP_SPEC = m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=289, n_phi=33)
 
 
 def test_quarter_grid_columns_and_constraints():
@@ -376,6 +422,45 @@ def test_hessian_band_matches_coo_assembly(spec, p):
             expected_band[d, :max(n - d, 0)] = expected.diagonal(-d)
         scale = np.abs(expected_band).max()
         assert np.abs(band - expected_band).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("spec", QUARTER_SPECS + NARROW_SPECS + [STRIP_SPEC])
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0, 32.0])
+def test_hessian_band_bitwise_equal_to_reference_band(spec, p):
+    # the strips and the ten lower block entries round as the whole-array
+    # pass over all sixteen, on the quarter and the half plane
+    uq, half = random_even_field(spec, seed=int(p * 2))
+    for field in (uq, half):
+        for eps in (1e-1, 1e-6):
+            params = m.EnergyParams(p=p, eps=eps)
+            assert np.array_equal(m.energy_hessian(field, params),
+                                  _reference_band(field, params))
+
+
+def _kernel_outputs(field, params):
+    g = field.grid
+    rng = np.random.default_rng(5)      # 2,000 points and every node
+    r = np.r_[np.exp(rng.uniform(g.s[0], g.s[-1], 2000)), np.repeat(g.r, g.n_phi)]
+    phi = np.r_[rng.uniform(0.0, g.phi[-1], 2000), np.tile(g.phi, g.n_s)]
+    return (m.energy(field, params), energy_eps2_derivative(field, params),
+            m.energy_gradient(field, params).values,
+            m.energy_hessian(field, params), m.interpolate(field, r, phi))
+
+
+@pytest.mark.parametrize("spec", [QUARTER_SPECS[0], STRIP_SPEC])
+def test_kernel_does_not_depend_on_the_strip_size(spec, monkeypatch):
+    # one cell row (or one interpolated point) per strip puts the pin cells
+    # on a strip boundary; 10**9 cells make one strip of the whole grid
+    uq, half = random_even_field(spec)
+    for field in (uq, half):
+        for p in (4.0, 8.0):
+            params = m.EnergyParams(p=p, eps=1e-3)
+            default = _kernel_outputs(field, params)
+            for cells in (1, 10**9):
+                monkeypatch.setattr(grid_module, "_STRIP_CELLS", cells)
+                for got, want in zip(_kernel_outputs(field, params), default):
+                    assert np.array_equal(got, want)
+                monkeypatch.undo()
 
 
 # -------------------------------------------------------------- interpolate
