@@ -240,13 +240,15 @@ def cmd_solve(params: dict) -> int:
     manifest = _write_manifest(out_dir, "solve", params, artifacts, t0)
     print(f"energy={result.energy:.12g} converged={result.converged} "
           f"checkpoint={base} manifest={manifest}")
-    fell_back = [(k, st) for k, st in enumerate(result.stages, 1)
-                 if st.fallbacks]
-    if fell_back:
-        print(f"{sum(st.fallbacks for _, st in fell_back)} gradient-step "
-              "fallback(s) in stage(s) "
-              + ", ".join(f"{k} (eps={st.eps:g})" for k, st in fell_back),
-              file=sys.stderr)
+    notes = []
+    for n, what in (("fallbacks", "gradient-step fallback(s)"),
+                    ("line_search_failures", "failed line search(es)")):
+        hit = [(k, st) for k, st in enumerate(result.stages, 1) if getattr(st, n)]
+        if hit:
+            notes.append(f"{sum(getattr(st, n) for _, st in hit)} {what} in stage(s) "
+                         + ", ".join(f"{k} (eps={st.eps:g})" for k, st in hit))
+    if notes:
+        print("; ".join(notes), file=sys.stderr)
     if not result.converged:
         print("solver did not converge; partial outputs retained",
               file=sys.stderr)

@@ -30,12 +30,12 @@ The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
 its Hessian from the same per-sample gradients, computing only the one
 asked for.  It walks the cells in strips of whole s-rows, about 4,096
-cells each, so that its temporaries stay in the cache, and it adds up
-the strips in the order of one whole-array pass, so no bit depends on
-the strips.  On the free nodes in row-major order the Hessian is a band
-matrix: the kernel folds the lower entries of its 4x4 cell blocks into
-the five nonzero lower diagonals, and energy_hessian copies these into
-LAPACK band storage, which the solver factors by a band Cholesky.
+cells each, so that its temporaries stay in the cache; a gradient or
+Hessian strip also evaluates the cell row before its own and writes the
+node rows whose cells it holds, summed as one whole-array pass would, so
+no bit depends on the strips.  On the free nodes in row-major order the
+Hessian is a band matrix: the kernel folds the ten lower entries of its
+4x4 cell blocks straight into LAPACK band storage, for a band Cholesky.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -375,16 +375,16 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
     want is "energy" for E, "eps2" for dE/d(eps**2), "gradient" for the
-    unmasked nodal gradient g, or "hessian" for the five nonzero lower
-    diagonals of the Hessian on the free_box, {d: (box rows, box columns)}
-    (see energy_hessian).  All come from the per-sample gradient (us, up)
-    and integrand q of the grid's quadrature rules: the pin rule's, then
-    the corner rule's in strips of whole s-rows of cells.  The summands of
-    E and dE/d(eps**2) are summed once, as one array.  g and the cell
-    blocks B[4a + b, c], coupling corner a of cell c (in _CORNERS' order)
-    to its corner b, are summed per cell; each strip then adds them to the
-    node rows whose cells are all done, the strip before's last row
-    included, so every entry sums its cells in ascending corner, as one
+    unmasked nodal gradient g, or "hessian" for the Hessian on the
+    free_box in LAPACK lower band storage, the pin's row and column not
+    yet the identity (see energy_hessian).  All come from the per-sample
+    gradient (us, up) and integrand q of the grid's quadrature rules: the
+    pin rule's, then the corner rule's in strips of whole s-rows of cells.
+    The summands of E and dE/d(eps**2) are summed once, as one array.  g
+    and the cell blocks B[4a + b, c], coupling corner a of cell c (in
+    _CORNERS' order) to its corner b, are summed per cell; a strip folds
+    them with the cell row before it and writes the node rows whose cells
+    all lie in it, each summed from zero in ascending corner, as one
     whole-array pass would.  Only B's ten entries in _LOWER are made.
     """
     v = field.values
@@ -396,55 +396,53 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     # rows, as with ten the K = 64 product rounds apart
     nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
     pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want, slice(None))
-    if want in ("energy", "eps2"):
+    halo = want in ("gradient", "hessian")
+    if not halo:
         out_all = np.empty((4, n_r * n_c))
     elif want == "gradient":
         grad = np.zeros_like(v)
     else:
         pin_out = pin_out[_LOWER]
         n_i, n_w = v[field.grid.free_box()].shape
-        # the diagonals d = di n_w + dj, of which two coincide when n_w <= 2
-        diags = {d: np.zeros((n_i, n_w)) for d in (0, 1, n_w - 1, n_w, n_w + 1)}
+        # node-major, so that the returned band is in Fortran order and
+        # LAPACK factors it without a copy
+        band = np.zeros((n_i, n_w, n_w + 2))
     step = max(1, _STRIP_CELLS // n_c)
     for i in range(0, n_r, step):
-        n = min(step, n_r - i)
-        c = slice(i * n_c, (i + n) * n_c)
-        out = _samples(_cell_corners(v[i:i + n + 1]), w[:, c], em[:, c],
+        # the strip's cell rows lo..hi-1, with the halo row i - 1
+        lo, hi = max(i - halo, 0), min(i + step, n_r)
+        c = slice(lo * n_c, hi * n_c)
+        out = _samples(_cell_corners(v[lo:hi + 1]), w[:, c], em[:, c],
                        Jus, Jup, params, want, _LOWER)
-        if want in ("energy", "eps2"):
+        if not halo:
             out_all[:, c] = out
             continue
         for cell, add in zip(pin.tolist(), pin_out.T):
             if c.start <= cell < c.stop:
                 out[:, cell - c.start] += add
-        # out[:, t] is cell row i + t, and last the strip before's last row
-        out = out.reshape(-1, n, n_c)
+        out = out.reshape(-1, hi - lo, n_c)
         if want == "gradient":
-            for k in range(4):
-                jk, ik = divmod(k, 2)
-                if ik and i:
-                    grad[i, jk:jk + n_c] += last[k]
-                # node rows i.., and the last strip closes node row n_r
-                m = n + ik * (i + n == n_r)
-                grad[i + ik:i + m, jk:jk + n_c] += out[k, :m - ik]
-        else:
-            for k, ab in enumerate(_LOWER):
-                (ja, ia), (jb, ib) = divmod(ab // 4, 2), divmod(ab % 4, 2)
-                di, dj = ib - ia, jb - ja
-                j = slice(max(0, -dj), min(n_w - max(0, dj), n_c - 1 + ja))
-                # box row r (node row r + 1) is corner a of cell row r + 1 - ia
-                # and couples to box row r + di; a quarter's axis column is no
-                # cell's corner 0 or 1.  The rows whose cells are done:
-                if ia and i:
-                    diags[di * n_w + dj][i - 1, j] += last[k, 1 - ja:][j]
-                r0, r1, t = max(i - 1 + ia, 0), min(i + n - 1, n_i - di), 1 - ia - i
-                diags[di * n_w + dj][r0:r1, j] += out[k, r0 + t:r1 + t, 1 - ja:][:, j]
-        last = out[:, -1]
+            g = np.zeros((hi - lo + 1, n_c + 1))
+            for k, corner in enumerate(_CORNERS):
+                g[corner] += out[k]
+            # node rows i..hi-1, and the last strip also has node row n_r
+            e = hi + (hi == n_r)
+            grad[i:e] = g[i - lo:e - lo]
+            continue
+        for k, ab in enumerate(_LOWER):
+            (ja, ia), (jb, ib) = divmod(ab // 4, 2), divmod(ab % 4, 2)
+            di, dj = ib - ia, jb - ja
+            # box row r (node row r + 1) is corner a of cell row r + 1 - ia
+            # and couples to box row r + di < n_i.  This strip's box rows are
+            # lo..hi-2; a quarter's axis column is no cell's corner 0 or 1.
+            r = slice(0, min(hi - 1, n_i - di) - lo)
+            j = slice(max(0, -dj), min(n_w - max(0, dj), n_c - 1 + ja))
+            band[lo:, :, di * n_w + dj][r, j] += out[k, 1 - ia:, 1 - ja:][r, j]
     if want == "energy":
         return float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
     if want == "eps2":
         return 0.5 * float(out_all.sum()) + 0.5 * float(pin_out.sum())
-    return grad if want == "gradient" else diags
+    return grad if want == "gradient" else band.reshape(n_i * n_w, n_w + 2).T
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
@@ -479,21 +477,15 @@ def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:
     The box nodes go row-major, so with w box columns a node's lower
     neighbours (i, j+1), (i+1, j-1), (i+1, j) and (i+1, j+1) sit d = 1,
     w-1, w and w+1 = kd further on, and the band has kd + 1 rows.  The
-    kernel folds each strip into these five diagonals from the lower block
-    entries of cells with both corners in the box, so couplings that would
+    kernel folds the lower block entries of cells with both corners in
+    the box straight into these five diagonals, so couplings that would
     wrap around a row's end stay zero.  The pinned node's row and column
     are the identity.  The matrix is symmetric positive definite.
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    diags = _evaluate(field, params, "hessian")
-    n_i, w = diags[0].shape
-    # built node-major, so that the returned band is in Fortran order and
-    # LAPACK factors it without a copy
-    band = np.zeros((n_i, w, w + 2))
-    for d, diag in diags.items():
-        band[:, :, d] = diag
-    band = band.reshape(n_i * w, w + 2).T
+    band = _evaluate(field, params, "hessian")
+    w = band.shape[0] - 2
     pin = (field.grid.i_pin - 1) * w + field.grid.j_pin - 1
     d = np.arange(1, min(w + 1, pin) + 1)
     band[:, pin] = 0.0

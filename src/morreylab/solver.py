@@ -27,9 +27,10 @@ half-plane gradient sup-norm is at most grad_tol; it also ends,
 unconverged, after _MAX_ITERS_PER_STAGE steps or on a failed line
 search.  The free nodes lie in the box of rows 1..n_s-2 and columns
 1..n_phi-1 of the quarter grid, and in row-major order their Hessian is
-a band of half-width n_phi: grid.energy_hessian folds the per-cell blocks
-straight into LAPACK band storage, with the pinned node's row and column
-the identity, so the pin's component of every direction is exactly 0.
+a band of half-width n_phi: grid.energy_hessian folds the ten lower
+entries of each cell's 4x4 block straight into the band's five diagonals,
+in LAPACK band storage, and makes the pinned node's row and column the
+identity, so the pin's component of every direction is exactly 0.
 The Armijo test allows an energy rise of _ENERGY_ROUNDOFF relative: near
 the optimum a full Newton step changes the energy by a few ulp, and
 without the allowance summation order would decide where a stage ends.
@@ -139,9 +140,10 @@ class SolveResult:
 def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
     """Start in the expected decay regime: min(r, r^-beta_p) * sin(phi).
 
-    The radial factor is continuous: it rises linearly to the pin radius
-    r = 1 and decays at the critical rate beyond it, so the start has no
-    jump at r_min and its energy is of the order of the minimum's.
+    The radial factor rises linearly to the pin radius r = 1 and decays at
+    the critical rate beyond it.  apply_dirichlet zeroes the row r = r_min,
+    leaving a one-cell layer of slope about 1/ds: at p = 4 on the 577 x 65
+    grid over [2^-6, 2^12] the start's energy is 8.04, the minimum's 0.198.
     """
     radial = np.minimum(grid.r, grid.r ** (-beta_p(p)))
     values = radial[:, None] * np.sin(grid.phi)[None, :]

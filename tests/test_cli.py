@@ -220,13 +220,20 @@ def test_solve_large_p_coarse_grid_keeps_the_maximum_principle(tmp_path):
 def test_solve_energy_overflow_is_not_a_raw_warning(tmp_path, capsys):
     # the closed-form start's energy is 1.25e28 here, and a trial step's
     # energy overflows to inf; the line search rejects it, and the user
-    # sees solve's own diagnosis, not numpy's overflow warning
+    # sees solve's own diagnosis, not numpy's overflow warning.  Every
+    # stage takes one gradient-step fallback and fails one line search,
+    # and the one stderr line names both
     rc = main(["solve", "--p", "32", "--r-min", "0.015625", "--r-max", "4096",
                "--n-s", "145", "--n-phi", "33", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
     assert "RuntimeWarning" not in err
-    assert "solver did not converge" in err
+    stages = ", ".join(f"{k} (eps={eps:g})" for k, eps in
+                       enumerate((1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 1))
+    assert err.splitlines() == [
+        f"5 gradient-step fallback(s) in stage(s) {stages}; "
+        f"5 failed line search(es) in stage(s) {stages}",
+        "solver did not converge; partial outputs retained"]
 
 
 def test_solve_usage_error(tmp_path):

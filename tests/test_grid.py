@@ -447,10 +447,11 @@ def _kernel_outputs(field, params):
             m.energy_hessian(field, params), m.interpolate(field, r, phi))
 
 
-@pytest.mark.parametrize("spec", [QUARTER_SPECS[0], STRIP_SPEC])
+@pytest.mark.parametrize("spec", [QUARTER_SPECS[0], STRIP_SPEC] + NARROW_SPECS)
 def test_kernel_does_not_depend_on_the_strip_size(spec, monkeypatch):
     # one cell row (or one interpolated point) per strip puts the pin cells
-    # on a strip boundary; 10**9 cells make one strip of the whole grid
+    # on a strip boundary; 10**9 cells make one strip of the whole grid.
+    # On the narrow boxes two of the band's five diagonals share a row.
     uq, half = random_even_field(spec)
     for field in (uq, half):
         for p in (4.0, 8.0):
