@@ -344,8 +344,10 @@ def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
     q *= em
     q += params.eps**2
     if want == "energy":
-        # E = inf on a step far off the minimizer; the line search rejects it
-        with np.errstate(over="ignore"):
+        # E = inf on a step far off the minimizer; the line search rejects
+        # it.  Where q^(p/2) overflows on a sample of mass 0 (the pin
+        # cells' corners), inf * 0 is NaN; _evaluate reads that as inf.
+        with np.errstate(over="ignore", invalid="ignore"):
             q **= params.p / 2.0
             q *= w
         return q
@@ -439,7 +441,8 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
             j = slice(max(0, -dj), min(n_w - max(0, dj), n_c - 1 + ja))
             band[lo:, :, di * n_w + dj][r, j] += out[k, 1 - ia:, 1 - ja:][r, j]
     if want == "energy":
-        return float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
+        e = float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
+        return math.inf if math.isnan(e) else e
     if want == "eps2":
         return 0.5 * float(out_all.sum()) + 0.5 * float(pin_out.sum())
     return grad if want == "gradient" else band.reshape(n_i * n_w, n_w + 2).T

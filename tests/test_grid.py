@@ -148,6 +148,16 @@ def test_energy_rejects_non_finite():
         m.energy(f, m.EnergyParams(p=4.0, eps=0.1))
 
 
+def test_overflowing_energy_is_inf_without_a_warning():
+    # q^(p/2) overflows on every sample next to a spike at the pin, the
+    # pin cells' corner samples of mass 0 among them, where inf * 0 is NaN;
+    # the suite turns numpy's RuntimeWarning into an error
+    g = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17))
+    f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
+    f.values[g.pin_index] = 1e3
+    assert m.energy(f, m.EnergyParams(p=128.0, eps=1e-2)) == math.inf
+
+
 def test_energy_convexity_surrogate():
     g = m.build_grid(small_spec(41, 9))
     rng = np.random.default_rng(7)

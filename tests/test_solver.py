@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 import morreylab as m
 from morreylab import solver
 from morreylab.grid import energy_eps2_derivative
-from conftest import coo_hessian, random_even_field, warm_refine
+from conftest import ACC_SPEC, coo_hessian, random_even_field, warm_refine
 
 
 TINY_SPEC = m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9)
@@ -112,10 +112,28 @@ def test_minimizer_independent_of_start(solve_small):
     assert np.abs(other.field.values - solve_small.field.values).max() < 1e-6
 
 
+@pytest.mark.parametrize("p", [2.5, 4.0, 8.0, 24.0])
+def test_closed_form_start_has_no_boundary_layer(monkeypatch, p):
+    # the radial factor is 0 on both rims and 1 at the pin, so
+    # apply_dirichlet changes none of the columns the quarter solve reads
+    grid = m.build_grid(ACC_SPEC)
+    monkeypatch.setattr(m.ScalarField, "apply_dirichlet", lambda self: self)
+    start = solver._initial_field(grid, p).values[:, :grid.j_pin + 1]
+    monkeypatch.undo()
+    fixed = m.ScalarField(grid.quarter(), start.copy()).apply_dirichlet()
+    assert np.array_equal(fixed.values, start)
+    assert start[grid.pin_index] == 1.0
+    assert start.min() >= 0.0 and start.max() <= 1.0
+
+
 def test_closed_form_start_shortens_first_stage(solve_p4, solve_p8):
-    # min(1, r^-beta_p) sin(phi), which jumps to 0 at r_min, took 23 and 54
-    assert solve_p4.stages[0].iterations <= 15
-    assert solve_p8.stages[0].iterations <= 30
+    # min(r, r^-beta_p) sin(phi), zeroed at r_min, started 41 and 2e8 times
+    # above the minimum, in a one-cell layer of slope about 1/ds, and took
+    # 13 and 28 steps; min(1, r^-beta_p) sin(phi) took 23 and 54
+    assert solve_p4.stages[0].energy_history[0] <= 3.0 * solve_p4.energy
+    assert solve_p8.stages[0].energy_history[0] <= 4.0 * solve_p8.energy
+    assert solve_p4.stages[0].iterations <= 8
+    assert solve_p8.stages[0].iterations <= 20
 
 
 def test_stage_end_robust_to_roundoff_in_direction(monkeypatch, solve_p4,
