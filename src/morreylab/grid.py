@@ -27,15 +27,15 @@ there and a two-point rule misjudges the nearly singular integrand by
 tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
-energy, its derivative in eps**2, its exact gradient (a 3x3 stencil) or
-its Hessian from the same per-sample gradients, computing only the one
-asked for.  It walks the cells in strips of whole s-rows, about 4,096
-cells each, so that its temporaries stay in the cache; a gradient or
-Hessian strip also evaluates the cell row before its own and writes the
-node rows whose cells it holds, summed as one whole-array pass would, so
-no bit depends on the strips.  On the free nodes in row-major order the
-Hessian is a band matrix: the kernel folds the ten lower entries of its
-4x4 cell blocks straight into LAPACK band storage, for a band Cholesky.
+energy, its exact gradient (a 3x3 stencil) or its Hessian from the same
+per-sample gradients, computing only the one asked for.  It walks the
+cells in strips of whole s-rows, about 4,096 cells each, so that its
+temporaries stay in the cache; a gradient or Hessian strip also
+evaluates the cell row before its own and writes the node rows whose
+cells it holds, summed as one whole-array pass would, so no bit depends
+on the strips.  On the free nodes in row-major order the Hessian is a
+band matrix: the kernel folds the ten lower entries of its 4x4 cell
+blocks straight into LAPACK band storage, for a band Cholesky.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -331,14 +331,13 @@ _LOWER = [4 * a + b for a, b in np.ndindex(4, 4)
 
 def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
     """One rule (w, em, Jus, Jup) on the cells with corner values v4, (4,
-    cells): the per-sample summands of E or dE/d(eps**2), the cell
-    gradients (4, cells), or the given rows of the cell blocks."""
+    cells): the per-sample summands of E, the cell gradients (4, cells),
+    or the given rows of the cell blocks."""
     us, up = Jus @ v4, Jup @ v4
-    # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in place
-    # where us and up are not needed again (E and dE/d(eps**2)).  The
-    # operations and their order are those of the expression, so E keeps
-    # its bits.
-    reuse = want in ("energy", "eps2")
+    # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in us and
+    # up, which E alone does not need again.  The operations and their
+    # order are those of the expression, so E keeps its bits.
+    reuse = want == "energy"
     q = np.multiply(us, us, out=us if reuse else None)
     q += np.multiply(up, up, out=up if reuse else None)
     q *= em
@@ -354,8 +353,6 @@ def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
     # coef = w q^(p/2 - 1) em, computed in place like E
     coef = q ** (params.p / 2.0 - 1.0)
     coef *= w
-    if want == "eps2":
-        return coef
     coef *= em
     if want == "gradient":
         # g4 = Jus^T (coef us) + Jup^T (coef up), in place
@@ -376,18 +373,18 @@ def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
 def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
-    want is "energy" for E, "eps2" for dE/d(eps**2), "gradient" for the
-    unmasked nodal gradient g, or "hessian" for the Hessian on the
-    free_box in LAPACK lower band storage, the pin's row and column not
-    yet the identity (see energy_hessian).  All come from the per-sample
-    gradient (us, up) and integrand q of the grid's quadrature rules: the
-    pin rule's, then the corner rule's in strips of whole s-rows of cells.
-    The summands of E and dE/d(eps**2) are summed once, as one array.  g
-    and the cell blocks B[4a + b, c], coupling corner a of cell c (in
-    _CORNERS' order) to its corner b, are summed per cell; a strip folds
-    them with the cell row before it and writes the node rows whose cells
-    all lie in it, each summed from zero in ascending corner, as one
-    whole-array pass would.  Only B's ten entries in _LOWER are made.
+    want is "energy" for E, "gradient" for the unmasked nodal gradient g,
+    or "hessian" for the Hessian on the free_box in LAPACK lower band
+    storage, the pin's row and column not yet the identity (see
+    energy_hessian).  All come from the per-sample gradient (us, up) and
+    integrand q of the grid's quadrature rules: the pin rule's, then the
+    corner rule's in strips of whole s-rows of cells.  The summands of E
+    are summed once, as one array.  g and the cell blocks B[4a + b, c],
+    coupling corner a of cell c (in _CORNERS' order) to its corner b, are
+    summed per cell; a strip folds them with the cell row before it and
+    writes the node rows whose cells all lie in it, each summed from zero
+    in ascending corner, as one whole-array pass would.  Only B's ten
+    entries in _LOWER are made.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
@@ -398,7 +395,7 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     # rows, as with ten the K = 64 product rounds apart
     nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
     pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want, slice(None))
-    halo = want in ("gradient", "hessian")
+    halo = want != "energy"
     if not halo:
         out_all = np.empty((4, n_r * n_c))
     elif want == "gradient":
@@ -443,23 +440,12 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     if want == "energy":
         e = float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
         return math.inf if math.isnan(e) else e
-    if want == "eps2":
-        return 0.5 * float(out_all.sum()) + 0.5 * float(pin_out.sum())
     return grad if want == "gradient" else band.reshape(n_i * n_w, n_w + 2).T
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
     """Discrete regularized p-Dirichlet energy of the field."""
     return _evaluate(field, params, "energy")
-
-
-def energy_eps2_derivative(field: ScalarField, params: EnergyParams) -> float:
-    """Derivative of the discrete energy with respect to eps**2.
-
-    The integrand is convex in eps**2, so eps**2 times this derivative
-    bounds the energy change when eps is dropped to zero.
-    """
-    return _evaluate(field, params, "eps2")
 
 
 def energy_gradient(field: ScalarField, params: EnergyParams) -> ScalarField:

@@ -50,9 +50,9 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
-                   build_grid, energy, energy_eps2_derivative, energy_gradient,
-                   energy_hessian, from_fields, interpolate, load_field,
-                   save_field, write_json)
+                   build_grid, energy, energy_gradient, energy_hessian,
+                   from_fields, interpolate, load_field, save_field,
+                   write_json)
 
 __all__ = [
     "SolverConfig",
@@ -112,8 +112,6 @@ class StageInfo:
     line_search_failures: int = 0
     fallbacks: int = 0
     energy_history: list = dataclass_field(default_factory=list)
-    energy_drift_from_prev: float = math.nan
-    predicted_drift_bound: float = math.nan
 
 
 @dataclass
@@ -253,12 +251,6 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     for eps in config.eps_schedule:
         field, stage, pin_force = _newton_stage(
             field, EnergyParams(p=p, eps=eps), config.grad_tol)
-        if stages:
-            eps_prev = stages[-1].eps
-            stage.energy_drift_from_prev = abs(stages[-1].energy - stage.energy)
-            # bounds the change of F = 2 E_quarter when eps_prev is dropped
-            stage.predicted_drift_bound = 2.0 * eps_prev**2 * (
-                energy_eps2_derivative(field, EnergyParams(p=p, eps=eps_prev)))
         stages.append(stage)
 
     v = field.values
@@ -362,8 +354,9 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
-    The sidecar and the field dump must agree on the grid and on p, and
-    the sidecar's converged and energy must be a JSON boolean and number.
+    The sidecar and the field dump must agree on the grid and on p, p must
+    be one EnergyParams accepts, and the sidecar's converged and energy
+    must be a JSON boolean and number.
     """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
@@ -377,7 +370,7 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         spec = from_fields(GridSpec, meta["spec"])
         config = from_fields(SolverConfig, meta["config"])
         stages = [from_fields(StageInfo, d) for d in meta["stages"]]
-        p = float(meta["p"])
+        p = EnergyParams(p=float(meta["p"])).p
         dipole = float(meta.get("dipole_strength", math.nan))
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc

@@ -148,6 +148,29 @@ def test_one_gradient_per_newton_iterate(monkeypatch):
     assert len(calls) == steps + len(result.stages)
 
 
+def test_solver_makes_no_kernel_pass_beyond_e_g_and_hessian(monkeypatch):
+    # every pass of the kernel inside a solve is one the traced energy,
+    # gradient and Hessian layers see, in the counts asserted above
+    calls = []
+    evaluate = grid._evaluate
+
+    def counted(field, params, want):
+        calls.append(want)
+        return evaluate(field, params, want)
+
+    monkeypatch.setattr(grid, "_evaluate", counted)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
+    assert result.converged
+    steps = sum(st.iterations for st in result.stages)
+    stages = len(result.stages)
+    assert steps > 0
+    assert sorted(set(calls)) == ["energy", "gradient", "hessian"]
+    assert calls.count("energy") == stages + steps
+    assert calls.count("gradient") == stages + steps
+    assert calls.count("hessian") == steps
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     # setup_s times a fresh `import morreylab`; scipy.sparse alone adds
     # tens of milliseconds to it, and the band Cholesky does not need it

@@ -427,29 +427,49 @@ def test_analyze_degenerate_field_is_numerical_failure(tmp_path, capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
+def test_analyze_checkpoint_with_invalid_p_is_usage_error(p, tmp_path, capsys):
+    """A p outside (2, inf) on which the field dump and the sidecar agree
+    makes the checkpoint malformed, not the analysis a numerical failure."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt", p=p)
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--window", "2,7.5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot read checkpoint")
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_accepts_retired_sidecar_keys(tmp_path):
     """A sidecar with the keys of older versions loads and analyzes alike."""
-    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    _write_synthetic_checkpoint(tmp_path / "ckpt", stages=[
+        solver.StageInfo(eps=eps, iterations=3, energy=0.5, grad_sup=1e-10,
+                         converged=True) for eps in (1e-2, 1e-3)])
     argv = ["analyze", "--checkpoint", str(tmp_path / "ckpt"), "--window", "2,7.5"]
     assert main(argv + ["--out-dir", str(tmp_path / "new")]) == 0
+    loaded = m.load_checkpoint(tmp_path / "ckpt")[0].stages
     sidecar = tmp_path / "ckpt.json"
     meta = json.loads(sidecar.read_text())
     meta["pin_value"] = 1.0
     meta["config"].update(armijo_c=1e-4, max_halvings=60,
                           energy_rel_tol=1e-12, max_iters_per_stage=100)
+    for stage in meta["stages"]:
+        stage.update(energy_drift_from_prev=1e-6, predicted_drift_bound=2e-6)
     sidecar.write_text(json.dumps(meta))
-    assert m.load_checkpoint(tmp_path / "ckpt")[1] == m.SolverConfig()
+    result, config = m.load_checkpoint(tmp_path / "ckpt")
+    assert config == m.SolverConfig()
+    assert result.stages == loaded and len(loaded) == 2
     assert main(argv + ["--out-dir", str(tmp_path / "old")]) == 0
     for name in ("decay_profile.csv", "gradient_profile.csv", "fit_summary.json"):
         assert ((tmp_path / "old" / name).read_bytes()
                 == (tmp_path / "new" / name).read_bytes())
 
 
-def _write_synthetic_checkpoint(base):
+def _write_synthetic_checkpoint(base, p=4.0, stages=()):
     grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
     values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
     result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
-                           stages=[], converged=True, p=4.0)
+                           stages=list(stages), converged=True, p=p)
     m.save_checkpoint(result, m.SolverConfig(), base)
 
 

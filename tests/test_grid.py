@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import morreylab as m
 from morreylab import grid as grid_module
-from morreylab.grid import energy_eps2_derivative, open_new
+from morreylab.grid import open_new
 from conftest import band_matrix, coo_hessian, random_even_field
 
 
@@ -182,9 +182,9 @@ def test_energy_reflection_symmetry():
 
 
 def _reference_sums(field, params):
-    """E, dE/d(eps**2) and the unmasked gradient as plain expressions over
-    the samples of every quadrature rule."""
-    p, e, de2 = params.p, 0.0, 0.0
+    """E and the unmasked gradient as plain expressions over the samples of
+    every quadrature rule."""
+    p, e = params.p, 0.0
     v4_all = grid_module._cell_corners(field.values)
     g4_all = np.zeros_like(v4_all)
     for cells, w, em, Jus, Jup in grid_module._quadrature(field.grid):
@@ -193,13 +193,12 @@ def _reference_sums(field, params):
         q = (us * us + up * up) * em + params.eps**2
         e += float((w * q ** (p / 2.0)).sum()) / p
         wq = w * q ** (p / 2.0 - 1.0)
-        de2 += 0.5 * float(wq.sum())
         coef = wq * em
         g4_all[:, cells] += Jus.T @ (coef * us) + Jup.T @ (coef * up)
     grad = np.zeros_like(field.values)
     for k, c in enumerate(grid_module._CORNERS):
         grad[c] += g4_all[k].reshape(grad[c].shape)
-    return e, de2, grad
+    return e, grad
 
 
 def _reference_band(field, params):
@@ -256,9 +255,8 @@ def test_energy_and_gradient_bitwise_equal_to_reference_sums(p):
         for field in (uq, half, noisy.apply_dirichlet()):
             for eps in (0.0, 1e-3):
                 params = m.EnergyParams(p=p, eps=eps)
-                e, de2, grad = _reference_sums(field, params)
+                e, grad = _reference_sums(field, params)
                 assert m.energy(field, params) == e
-                assert energy_eps2_derivative(field, params) == de2
                 assert np.array_equal(
                     m.energy_gradient(field, params).values, grad)
 
@@ -452,8 +450,7 @@ def _kernel_outputs(field, params):
     rng = np.random.default_rng(5)      # 2,000 points and every node
     r = np.r_[np.exp(rng.uniform(g.s[0], g.s[-1], 2000)), np.repeat(g.r, g.n_phi)]
     phi = np.r_[rng.uniform(0.0, g.phi[-1], 2000), np.tile(g.phi, g.n_s)]
-    return (m.energy(field, params), energy_eps2_derivative(field, params),
-            m.energy_gradient(field, params).values,
+    return (m.energy(field, params), m.energy_gradient(field, params).values,
             m.energy_hessian(field, params), m.interpolate(field, r, phi))
 
 
