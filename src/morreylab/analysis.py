@@ -49,6 +49,9 @@ __all__ = [
 
 # local refinement rounds of the Hoelder search
 _HOLDER_REFINE_ROUNDS = 3
+# the Hoelder search scores its pairs in blocks of whole rows of at most
+# this many pairs (or one row), so that its temporaries stay small
+_PAIR_CHUNK = 32768
 # inner radius of the barrier annulus (its outer radius is r_max / 8, the
 # end of the fit window) and samples of the barrier's angular profile
 _BARRIER_R_INNER = 1.0
@@ -224,18 +227,28 @@ def _bit_reversed_order(n: int, k: int) -> np.ndarray:
 def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
     """Best Hoelder quotient over all pairs of the given points.
 
-    Only the upper-triangle pairs are formed, in row order, and the first
-    best quotient wins.  The distance adds the squared coordinate
-    differences column by column; in one and two dimensions that rounds as
-    numpy's 2-norm of the difference vector.
+    Only the upper-triangle pairs are formed, in row order and in blocks of
+    whole rows of at most _PAIR_CHUNK pairs, and the first best quotient
+    wins.  The distance adds the squared coordinate differences column by
+    column; in one and two dimensions that rounds as numpy's 2-norm of the
+    difference vector.
     """
-    ia, ib = np.triu_indices(len(points), k=1)
-    diff = np.abs(values[ia] - values[ib])
-    d = np.sqrt(sum((col[ia] - col[ib]) ** 2 for col in points.T))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        quot = np.where(d > 0.0, diff / d**alpha, 0.0)
-    k = int(np.argmax(quot))
-    return float(quot[k]), points[ia[k]], points[ib[k]], len(quot)
+    n, a, best, seen = len(points), 0, None, 0
+    while a < n - 1:
+        rows = min(max(1, _PAIR_CHUNK // (n - 1 - a)), n - 1 - a)
+        ia, ib = np.triu_indices(rows, 1, n - a)
+        ia += a
+        ib += a
+        diff = np.abs(values[ia] - values[ib])
+        d = np.sqrt(sum((col[ia] - col[ib]) ** 2 for col in points.T))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            quot = np.where(d > 0.0, diff / d**alpha, 0.0)
+        k = int(np.argmax(quot))
+        if best is None or quot[k] > best[0]:
+            best = (float(quot[k]), points[ia[k]], points[ib[k]])
+        seen += len(quot)
+        a += rows
+    return (*best, seen)
 
 
 def holder_seminorm(evaluator, alpha: float, sample_budget: int,

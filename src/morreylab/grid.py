@@ -75,7 +75,7 @@ __all__ = [
     "field_to_csv",
 ]
 
-_FIELD_MAGIC = "# morreylab field v1"
+_FIELD_MAGIC = b"# morreylab field v2"
 # the grid uses r**2 and r**-2, which overflow beyond these radii
 _R_MAX = math.sqrt(sys.float_info.max)
 _R_MIN = 1.0 / _R_MAX
@@ -90,7 +90,8 @@ class GridSpec:
     n_s nodes span [ln r_min, ln r_max] uniformly and must contain s = 0;
     n_phi is odd so that phi = pi/2 is a node.  The spec therefore always
     resolves the point (r=1, phi=pi/2) exactly.  The radii lie strictly
-    between about 7.46e-155 and 1.34e154, where r**2 and r**-2 are finite.
+    between about 7.46e-155 and 1.34e154, where r**2 and r**-2 are finite,
+    and numpy must be able to allocate one array of n_s x n_phi values.
     """
 
     r_min: float
@@ -106,6 +107,11 @@ class GridSpec:
             raise ValueError(f"n_s must be at least 3, got {self.n_s}")
         if self.n_phi < 3 or self.n_phi % 2 == 0:
             raise ValueError(f"n_phi must be odd and >= 3, got {self.n_phi}")
+        try:
+            np.empty((self.n_s, self.n_phi))
+        except MemoryError as exc:
+            raise ValueError(f"cannot allocate a field of {self.n_s} x "
+                             f"{self.n_phi} nodes") from exc
         s = np.linspace(math.log(self.r_min), math.log(self.r_max), self.n_s)
         if np.abs(s).min() > 1e-9:
             raise ValueError(
@@ -523,20 +529,21 @@ def interpolate(field: ScalarField, r, phi):
     return float(out[0]) if scalar else out.reshape(r.shape)
 
 
-def open_new(path):
-    """Open path for writing as a new file, unlinking any old one first.
+def open_new(path, mode: str):
+    """Open path as a new file in mode ("w" or "wb"), unlinking any old
+    one first.
 
     On ext4, truncating or renaming over a written file waits about 90 ms
     for its old data to be flushed.  A link at path is replaced, not written
     through.
     """
     Path(path).unlink(missing_ok=True)
-    return open(path, "w")
+    return open(path, mode)
 
 
 def write_csv(path, header: list[str], rows) -> None:
     """Rows in full-precision scientific notation, 17 significant digits."""
-    with open_new(path) as fh:
+    with open_new(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             row = tuple(row)
@@ -545,41 +552,45 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_json(path, obj) -> None:
     """Indented JSON with sorted keys and a final newline, as a new file."""
-    with open_new(path) as fh:
+    with open_new(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def save_field(field: ScalarField, path, p: float) -> None:
-    """Write a self-describing textual dump: JSON header, then nodal rows."""
-    header = {"format": "morreylab-field", "version": 1,
+    """Write a field dump: the magic line, the JSON header line, then the
+    n_s * n_phi nodal values as raw little-endian float64, row-major."""
+    header = {"format": "morreylab-field", "version": 2,
               "p": p, **asdict(field.grid.spec)}
-    with open_new(path) as fh:
-        fh.write(_FIELD_MAGIC + "\n")
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        line = " ".join(["%.17g"] * field.values.shape[1]) + "\n"
-        for row in field.values:
-            fh.write(line % tuple(row))
+    with open_new(path, "wb") as fh:
+        fh.write(_FIELD_MAGIC + b"\n"
+                 + json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
 def load_field(path) -> tuple[ScalarField, dict]:
     """Read a field dump; returns the field and its header dict.
 
-    A body of the wrong shape or with a non-finite value is rejected.
+    Another magic line (a version 1 text dump among them), a body that is
+    not exactly n_s * n_phi float64 values or a non-finite value is
+    rejected.  The values are the saved ones, bit for bit.
     """
-    with open(path) as fh:
-        magic = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh:
+        magic = fh.readline(len(_FIELD_MAGIC) + 1).rstrip(b"\n")
         if magic != _FIELD_MAGIC:
-            raise ValueError(f"not a field dump: {path}")
+            raise ValueError(f"not a field dump: {path} starts with "
+                             f"{magic.decode(errors='replace')!r}, expected "
+                             f"{_FIELD_MAGIC.decode()!r}")
         header = json.loads(fh.readline())
         spec = from_fields(GridSpec, header)
-        values = np.loadtxt(fh, ndmin=2)
-    grid = build_grid(spec)
-    if values.shape != (spec.n_s, spec.n_phi):
-        raise ValueError(f"corrupt field dump: body shape {values.shape}")
+        body = bytearray(8 * spec.n_s * spec.n_phi)
+        if fh.readinto(body) != len(body) or fh.read(1):
+            raise ValueError(f"corrupt field dump: the body is not {len(body)} "
+                             f"bytes, {spec.n_s} x {spec.n_phi} float64 values")
+    values = np.frombuffer(body, dtype="<f8").reshape(spec.n_s, spec.n_phi)
     if not np.all(np.isfinite(values)):
         raise ValueError("corrupt field dump: non-finite value in the body")
-    return ScalarField(grid, values), header
+    return ScalarField(build_grid(spec), values), header
 
 
 def field_to_csv(field: ScalarField, path) -> None:

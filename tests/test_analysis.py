@@ -254,6 +254,31 @@ def test_pair_max_equals_the_dense_form(alpha):
         assert np.array_equal(pa, pa_ref) and np.array_equal(pb, pb_ref)
 
 
+def test_holder_search_does_not_depend_on_the_pair_chunk(monkeypatch):
+    # one pair per chunk scores each row alone; 10**9 pairs make one block
+    # of the whole triangle
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**8,
+                                   n_s=49, n_phi=17))
+    result = synthetic_result(grid, power_law_field(grid, 0.5))
+
+    def outputs():
+        for values, points in pair_max_cases():
+            yield analysis._pair_max(values, points, 0.5)
+        for budget in (2, 600):
+            h = m.holder_seminorm(m.mirror_to_fullplane(result), 0.5, budget)
+            yield h.seminorm, h.point_a, h.point_b, h.pairs_evaluated
+            est = m.estimate_morrey_constant(result, budget)
+            yield est.seminorm, est.C_estimate, *est.argmax_pair
+
+    default = list(outputs())
+    for chunk in (1, 10**9):
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", chunk)
+        for got, want in zip(outputs(), default, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want,
+                                                            strict=True))
+        monkeypatch.undo()
+
+
 def test_sample_points_list_the_pi_ray_twice():
     # sin(pi) > 0, so the phi = pi nodes come back mirrored; only the
     # phi = 0 ray (y = 0 exactly) is listed once

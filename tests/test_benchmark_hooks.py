@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import morreylab
 from morreylab import analysis, aronsson, grid, solver
 
@@ -169,6 +171,29 @@ def test_solver_makes_no_kernel_pass_beyond_e_g_and_hessian(monkeypatch):
     assert calls.count("energy") == stages + steps
     assert calls.count("gradient") == stages + steps
     assert calls.count("hessian") == steps
+
+
+def test_checkpoint_io_goes_through_the_traced_field_names(monkeypatch,
+                                                          tmp_path):
+    # perfbench's grid.save_field_s and grid.load_field_s time the calls
+    # to solver.save_field and solver.load_field
+    calls = []
+    for name in ("save_field", "load_field"):
+        def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    spec = morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17)
+    field = morreylab.ScalarField(morreylab.build_grid(spec),
+                                  np.zeros((spec.n_s, spec.n_phi)))
+    result = morreylab.SolveResult(field=field, energy=0.0, stages=[],
+                                   converged=True, p=4.0)
+    morreylab.save_checkpoint(result, morreylab.SolverConfig(),
+                              tmp_path / "ckpt")
+    assert calls == ["save_field"]
+    loaded, _ = morreylab.load_checkpoint(tmp_path / "ckpt")
+    assert calls == ["save_field", "load_field"]
+    assert loaded.field.values.tobytes() == field.values.tobytes()
 
 
 def test_import_leaves_scipy_sparse_unloaded():

@@ -300,6 +300,9 @@ def test_empty_p_values_is_usage_error(p_values, tmp_path, capsys):
 
 SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
             "--n-s", "49", "--n-phi", "17"]
+# nodes in one direction whose nodal array (PiB) numpy refuses at once,
+# without touching memory
+_UNALLOCATABLE = 10**13 + 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -312,15 +315,18 @@ SOLVE_49 = ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
      "--n-s", "112", "--n-phi", "9"),
     ("--r-min", repr(2.0**-660), "--r-max", "64", "--n-s", "667",
      "--n-phi", "9"),
+    # grids whose nodal array cannot be allocated
+    ("--n-s", str(_UNALLOCATABLE)), ("--n-phi", str(_UNALLOCATABLE)),
 ], ids="-".join)
 def test_non_finite_solve_parameter_is_usage_error(flags, tmp_path, capsys):
     with mock.patch.object(cli, "solve_extremal",
                            side_effect=AssertionError("solve was called")):
-        rc = main(SOLVE_49 + list(flags) + ["--out-dir", str(tmp_path)])
+        rc = main(SOLVE_49 + list(flags) + ["--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("usage error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -382,23 +388,60 @@ def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
         "usage error: cannot read checkpoint")
 
 
+def _edit_field_dump(dump, edit):
+    """Rewrite a field dump with edit(header dict, body bytes)."""
+    magic, header, body = dump.read_bytes().split(b"\n", 2)
+    header, body = edit(json.loads(header), body)
+    dump.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n"
+                     + body)
+
+
 @pytest.mark.parametrize("edit", [
     lambda header, body: ({**header, "r_min": None}, body),
     lambda header, body: ({k: v for k, v in header.items() if k != "n_s"}, body),
     lambda header, body: ([], body),
-    lambda header, body: (header, [body[0].replace("0", "nan", 1)] + body[1:]),
-], ids=["null-r-min", "no-n-s", "list", "nan-value"])
+    lambda header, body: (header, np.array(np.nan, "<f8").tobytes() + body[8:]),
+    lambda header, body: ({**header, "n_s": _UNALLOCATABLE}, body),
+], ids=["null-r-min", "no-n-s", "list", "nan-value", "unallocatable"])
 def test_analyze_malformed_field_header(edit, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
-    dump = tmp_path / "ckpt.field"
-    lines = dump.read_text().splitlines(keepends=True)
-    header, body = edit(json.loads(lines[1]), lines[2:])
-    dump.write_text("".join([lines[0], json.dumps(header) + "\n"] + body))
+    _edit_field_dump(tmp_path / "ckpt.field", edit)
     rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "usage error: cannot read checkpoint")
+
+
+def _write_v1_text_dump(dump):
+    """The version 1 layout: the same two lines, then %.17g text rows."""
+    field, header = m.load_field(dump)
+    header["version"] = 1
+    dump.write_text("# morreylab field v1\n" + json.dumps(header, sort_keys=True)
+                    + "\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
+                                     for row in field.values))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda dump: _edit_field_dump(dump, lambda h, b: (h, b[:-1])),
+     "body is not 11016 bytes"),
+    (lambda dump: _edit_field_dump(dump, lambda h, b: (h, b + b[-8:])),
+     "body is not 11016 bytes"),
+    (_write_v1_text_dump,
+     "starts with '# morreylab field v1', expected '# morreylab field v2'"),
+], ids=["one-byte-short", "one-value-too-many", "v1-text"])
+def test_analyze_rejects_a_dump_of_the_wrong_size_or_version(
+        edit, match, tmp_path, capsys):
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    edit(tmp_path / "ckpt.field")
+    with pytest.raises(ValueError, match=match):
+        m.load_field(tmp_path / "ckpt.field")
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: cannot read checkpoint")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [

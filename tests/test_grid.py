@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -52,6 +53,9 @@ def test_pin_node_exact_on_production_grid():
     dict(r_min=2.0**-6, r_max=4.784065733063811e+198,
          n_s=112, n_phi=9),                          # r_max**2 overflows
     dict(r_min=2.0**-660, r_max=64.0, n_s=667, n_phi=9),  # r_min**-2 overflows
+    # PiB of nodes, which numpy refuses at once
+    dict(r_min=2.0**-4, r_max=2.0**8, n_s=10**13 + 1, n_phi=65),
+    dict(r_min=2.0**-4, r_max=2.0**8, n_s=577, n_phi=10**13 + 1),
 ])
 def test_spec_rejections(kwargs):
     with pytest.raises(ValueError):
@@ -552,14 +556,19 @@ def test_csv_export_format(tmp_path):
 
 
 def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
-    # one % operation per row writes the bytes that formatting each value did
+    # the dump is two text lines, then the values as raw little-endian
+    # float64 in row-major order; one % operation per CSV row writes the
+    # bytes that formatting each value did
     g = m.build_grid(small_spec(41, 9))
     values = np.random.default_rng(4).standard_normal((g.n_s, g.n_phi))
     values[3, :5] = [-0.0, 5e-324, 1e300, -1e300, -5e-324]
     m.save_field(m.ScalarField(g, values), tmp_path / "f.field", p=4.0)
-    lines = (tmp_path / "f.field").read_text().splitlines(keepends=True)
-    assert lines[2:] == [" ".join(f"{x:.17g}" for x in row) + "\n"
-                         for row in values]
+    header = {"format": "morreylab-field", "version": 2, "p": 4.0,
+              "r_min": 2.0**-4, "r_max": 2.0**6, "n_s": 41, "n_phi": 9}
+    assert (tmp_path / "f.field").read_bytes() == (
+        b"# morreylab field v2\n"
+        + json.dumps(header, sort_keys=True).encode() + b"\n"
+        + values.astype("<f8").tobytes())
     rows = list(zip(values[:, 0], values[:, 3], values[:, 4]))
     grid_module.write_csv(tmp_path / "f.csv", ["a", "b", "c"], rows)
     assert (tmp_path / "f.csv").read_text() == "a,b,c\n" + "".join(
@@ -571,11 +580,11 @@ def test_open_new_replaces_links(tmp_path):
     target.write_text("old\n")
     link = tmp_path / "out.csv"
     link.symlink_to(target)
-    with open_new(link) as fh:
+    with open_new(link, "w") as fh:
         fh.write("new\n")
     assert target.read_text() == "old\n"
     assert not link.is_symlink() and link.read_text() == "new\n"
-    with open_new(tmp_path / "fresh.csv") as fh:
+    with open_new(tmp_path / "fresh.csv", "w") as fh:
         fh.write("x\n")
     assert (tmp_path / "fresh.csv").read_text() == "x\n"
 
