@@ -50,7 +50,7 @@ __all__ = [
 # local refinement rounds of the Hoelder search
 _HOLDER_REFINE_ROUNDS = 3
 # the Hoelder search scores its pairs in blocks of whole rows of at most
-# this many pairs (or one row), so that its temporaries stay small
+# this many entries (or one row), so that its temporaries stay small
 _PAIR_CHUNK = 32768
 # inner radius of the barrier annulus (its outer radius is r_max / 8, the
 # end of the fit window) and samples of the barrier's angular profile
@@ -227,26 +227,30 @@ def _bit_reversed_order(n: int, k: int) -> np.ndarray:
 def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
     """Best Hoelder quotient over all pairs of the given points.
 
-    Only the upper-triangle pairs are formed, in row order and in blocks of
-    whole rows of at most _PAIR_CHUNK pairs, and the first best quotient
-    wins.  The distance adds the squared coordinate differences column by
-    column; in one and two dimensions that rounds as numpy's 2-norm of the
-    difference vector.
+    Only the upper-triangle pairs count, in row order and in blocks of
+    whole rows of at most _PAIR_CHUNK entries (or one row), and the first
+    best quotient wins.  A block scores its rows against every later column
+    by broadcasting; its entries on or below the diagonal get -1, below any
+    pair's quotient, so the first row-major argmax is the first best pair
+    in triangle order.  The distance adds the squared coordinate
+    differences column by column; in one and two dimensions that rounds as
+    numpy's 2-norm of the difference vector.
     """
     n, a, best, seen = len(points), 0, None, 0
     while a < n - 1:
-        rows = min(max(1, _PAIR_CHUNK // (n - 1 - a)), n - 1 - a)
-        ia, ib = np.triu_indices(rows, 1, n - a)
-        ia += a
-        ib += a
-        diff = np.abs(values[ia] - values[ib])
-        d = np.sqrt(sum((col[ia] - col[ib]) ** 2 for col in points.T))
+        cols = n - 1 - a
+        rows = min(max(1, _PAIR_CHUNK // cols), cols)
+        ra, cb = slice(a, a + rows), slice(a + 1, n)
+        diff = np.abs(values[ra, None] - values[None, cb])
+        d = np.sqrt(sum((col[ra, None] - col[None, cb]) ** 2
+                        for col in points.T))
         with np.errstate(invalid="ignore", divide="ignore"):
             quot = np.where(d > 0.0, diff / d**alpha, 0.0)
-        k = int(np.argmax(quot))
-        if best is None or quot[k] > best[0]:
-            best = (float(quot[k]), points[ia[k]], points[ib[k]])
-        seen += len(quot)
+        quot[np.tri(rows, cols, -1, dtype=bool)] = -1.0
+        i, j = divmod(int(np.argmax(quot)), cols)
+        if best is None or quot[i, j] > best[0]:
+            best = (float(quot[i, j]), points[a + i], points[a + 1 + j])
+        seen += rows * cols - rows * (rows - 1) // 2
         a += rows
     return (*best, seen)
 

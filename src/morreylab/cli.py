@@ -9,7 +9,7 @@ Subcommands
                  refinement and a coarse solve with its fit
 
 Every run writes a manifest JSON listing the command, the full effective
-parameter set, the artifact paths, the wall clock, the numpy and scipy
+parameter set, the artifact paths, the elapsed time, the numpy and scipy
 versions and the process's peak resident set size.  Parameters may come
 from a JSON config file (--config) keyed by the flag names with
 underscores; explicit flags win.  Data files carry no timestamps, so
@@ -147,7 +147,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
         "command": command,
         "parameters": params,
         "artifacts": sorted(str(a) for a in artifacts),
-        "wall_clock_seconds": time.time() - t0,
+        "wall_clock_seconds": time.perf_counter() - t0,
         "version": __version__,
         "numpy_version": numpy.__version__,
         "scipy_version": scipy.__version__,
@@ -173,7 +173,7 @@ def _out_dir(params: dict) -> Path:
 # ---------------------------------------------------------------- beta-table
 
 def cmd_beta_table(params: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     try:
         for p in _floats(params["p_values"]):
@@ -192,7 +192,7 @@ def cmd_beta_table(params: dict) -> int:
 # ------------------------------------------------------------------ aronsson
 
 def cmd_aronsson(params: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if (params["kappa"] is None) == (params["L"] is None):
         raise UsageError("give exactly one of --kappa and --L")
     p = params["p"]
@@ -225,7 +225,7 @@ def cmd_aronsson(params: dict) -> int:
 # --------------------------------------------------------------------- solve
 
 def cmd_solve(params: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         p = EnergyParams(p=params["p"]).p
         spec = from_fields(GridSpec, params)
@@ -264,7 +264,7 @@ def cmd_solve(params: dict) -> int:
 # ------------------------------------------------------------------- analyze
 
 def cmd_analyze(params: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if params["checkpoint"] is None:
         raise UsageError("--checkpoint is required")
     try:
@@ -328,7 +328,7 @@ def cmd_analyze(params: dict) -> int:
 # -------------------------------------------------------------------- verify
 
 def cmd_verify(params: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         p = EnergyParams(p=params["p"]).p
         aperture_L(beta_p(p), p)    # the cone suites need 2 < p < ~1.8e16

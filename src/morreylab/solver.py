@@ -46,7 +46,6 @@ from dataclasses import asdict, dataclass, field as dataclass_field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .aronsson import beta_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
@@ -161,7 +160,13 @@ def splu(band: np.ndarray) -> SimpleNamespace:
     non-positive pivot raises RuntimeError.  The name is kept from the
     SuperLU factorization it replaced: perfbench's factorization layer
     wraps solver.splu.  The band is factored in place.
+
+    scipy.linalg is imported on the first call, not with the module: only
+    splu uses it, and its ~0.3 s import would be most of the start-up of
+    the commands that never factor (analyze, verify --mode quick).
     """
+    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True,
                                  check_finite=False)

@@ -206,3 +206,44 @@ def test_import_leaves_scipy_sparse_unloaded():
          "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_LINALG_PROBE = """
+import sys
+from morreylab import cli
+loaded = {"import": "scipy.linalg" in sys.modules}
+import numpy as np
+import morreylab as m
+out = sys.argv[1]
+grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
+values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
+m.save_checkpoint(m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
+                                stages=[], converged=True, p=4.0),
+                  m.SolverConfig(), out + "/ckpt")
+runs = {
+    "beta-table": ["beta-table", "--p-values", "3,4"],
+    "aronsson": ["aronsson", "--p", "4", "--kappa", "1.0", "--n-samples", "65"],
+    "verify quick": ["verify", "--p", "4", "--mode", "quick"],
+    "analyze": ["analyze", "--checkpoint", out + "/ckpt", "--window", "2,7.5"],
+    "solve": ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
+              "--n-s", "49", "--n-phi", "17"],
+}
+for name, argv in runs.items():
+    assert cli.main(argv + ["--out-dir", out]) == 0, name
+    loaded[name] = "scipy.linalg" in sys.modules
+print(loaded)
+"""
+
+
+def test_only_factoring_commands_load_scipy_linalg(tmp_path):
+    # scipy.linalg is about 0.3 s of a fresh process's import; only
+    # solver.splu needs it, so the commands that never factor skip it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _LINALG_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = ast.literal_eval(out.stdout.splitlines()[-1])
+    assert not loaded.pop("import")
+    assert loaded.pop("solve")
+    assert not any(loaded.values()), loaded

@@ -616,6 +616,22 @@ def test_manifest_parameters_round_trip(argv, data_files, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_manifest_elapsed_time_survives_a_clock_step(tmp_path, monkeypatch):
+    # the wall clock steps back an hour after its first read, as NTP or a
+    # resume from suspend may set it; the elapsed time stays non-negative
+    real, reads = cli.time.time, []
+
+    def stepped():
+        reads.append(None)
+        return real() - (3600.0 if len(reads) > 1 else 0.0)
+
+    monkeypatch.setattr(cli.time, "time", stepped)
+    assert main(["beta-table", "--p-values", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "beta_table_manifest.json").read_text())
+    assert manifest["wall_clock_seconds"] >= 0.0
+
+
 @pytest.mark.parametrize("content", [None, "{]", "[1, 2]"],
                          ids=["missing", "invalid-json", "not-an-object"])
 def test_unreadable_config_is_usage_error(content, tmp_path, capsys):
