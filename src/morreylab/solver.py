@@ -40,9 +40,14 @@ on the descent path.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field as dataclass_field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,27 +158,53 @@ def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
     return ScalarField(grid, values).apply_dirichlet()
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy.linalg._flapack, the LAPACK extension behind scipy.linalg's
+    banded Cholesky, loaded by path: the package __init__, about 0.3 s of a
+    fresh process against under 10 ms for the extension, never runs.  It is
+    registered under its own name, so a later `import scipy.linalg` reuses
+    it; where no file is found it is imported the ordinary way."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+    spec = PathFinder.find_spec(_FLAPACK,
+                                [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        return importlib.import_module(_FLAPACK)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
 def splu(band: np.ndarray) -> SimpleNamespace:
-    """Factor a Hessian band (grid.energy_hessian) by LAPACK dpbtrf.
+    """Factor a Hessian band (grid.energy_hessian) in place by dpbtrf.
 
-    The factor has solve(rhs) and nnz, the stored band entries.  A
-    non-positive pivot raises RuntimeError.  The name is kept from the
-    SuperLU factorization it replaced: perfbench's factorization layer
-    wraps solver.splu.  The band is factored in place.
-
-    scipy.linalg is imported on the first call, not with the module: only
-    splu uses it, and its ~0.3 s import would be most of the start-up of
-    the commands that never factor (analyze, verify --mode quick).
+    The factor has solve(rhs), by dpbtrs, and nnz, the stored band entries.
+    A non-positive pivot raises RuntimeError, an illegal argument
+    ValueError.  The name is kept from the SuperLU factorization it
+    replaced: perfbench's factorization layer wraps solver.splu.  dpbtrf
+    and dpbtrs are the functions scipy.linalg's cholesky_banded and
+    cho_solve_banded call, so the results are bit-identical to theirs.
     """
-    from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+    lapack = _flapack()
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
 
-    try:
-        factor = cholesky_banded(band, overwrite_ab=True, lower=True,
-                                 check_finite=False)
-    except LinAlgError as exc:      # a non-positive pivot
-        raise RuntimeError(str(exc)) from exc
-    return SimpleNamespace(nnz=band.size, solve=lambda rhs: cho_solve_banded(
-        (factor, True), rhs, check_finite=False))
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpbtrs(factor, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs failed with info = {info}")
+        return x
+
+    return SimpleNamespace(nnz=band.size, solve=solve)
 
 
 def _newton_stage(field: ScalarField, params: EnergyParams,

@@ -2,9 +2,15 @@ import dataclasses
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 import morreylab as m
@@ -13,6 +19,7 @@ from conftest import ACC_SPEC, coo_hessian, random_even_field, warm_refine
 
 
 TINY_SPEC = m.GridSpec(r_min=2.0**-3, r_max=2.0**4, n_s=29, n_phi=9)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ------------------------------------------------------------------- config
@@ -223,10 +230,88 @@ def test_band_direction_matches_superlu(spec):
             <= 1e-12 * np.abs(expected).max())
 
 
+def start_band(spec, p=4.0):
+    """Hessian band of the closed-form start on the spec's quarter grid."""
+    grid = m.build_grid(spec)
+    quarter = grid.quarter()
+    field = m.ScalarField(
+        quarter, solver._initial_field(grid, p).values[:, :quarter.n_phi])
+    return m.energy_hessian(field, m.EnergyParams(p=p, eps=1e-3))
+
+
+@pytest.mark.parametrize("spec", [
+    m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33),
+    m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=1153, n_phi=129)])
+def test_band_factor_equals_cholesky_banded(spec):
+    # splu calls the dpbtrf and dpbtrs that cholesky_banded and
+    # cho_solve_banded call; at 1153 x 129 LAPACK takes its blocked path
+    band = start_band(spec)
+    rhs = np.cos(np.arange(band.shape[1]))
+    expected = cholesky_banded(band.copy(order="F"), lower=True)
+    factor = solver.splu(band)
+    assert np.array_equal(band, expected)       # factored in place
+    assert np.array_equal(factor.solve(rhs),
+                          cho_solve_banded((expected, True), rhs))
+
+
+_LOAD_PROBE = """
+import sys
+from types import SimpleNamespace
+import numpy as np
+import morreylab as m
+from morreylab import solver
+if sys.argv[1] == "no-file":
+    solver.PathFinder = SimpleNamespace(find_spec=lambda name, path: None)
+spec = m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)
+grid = m.build_grid(spec)
+quarter = grid.quarter()
+field = m.ScalarField(
+    quarter, solver._initial_field(grid, 4.0).values[:, :quarter.n_phi])
+band = m.energy_hessian(field, m.EnergyParams(p=4.0, eps=1e-3))
+rhs = np.cos(np.arange(band.shape[1]))
+expected = band.copy(order="F")
+direction = solver.splu(band).solve(rhs)
+paid = "scipy.linalg" in sys.modules
+import scipy.linalg
+expected = scipy.linalg.cholesky_banded(expected, lower=True)
+print(paid, scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"],
+      np.array_equal(band, expected), np.array_equal(
+          direction, scipy.linalg.cho_solve_banded((expected, True), rhs)))
+"""
+
+
+@pytest.mark.parametrize("how, paid", [("by-path", False), ("no-file", True)])
+def test_lapack_load_is_shared_with_scipy_linalg(how, paid):
+    # by path, splu leaves scipy.linalg unimported and a later import of it
+    # reuses the same _flapack; where no file is found, the ordinary import
+    # gives the same module, with scipy.linalg's import paid
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _LOAD_PROBE, how], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(paid), "True", "True", "True"]
+
+
 def test_band_factor_rejects_a_non_positive_pivot():
     band = np.asfortranarray([[1.0, -1.0, 1.0], [2.0, 0.5, 0.0]])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError,
+                       match="leading minor not positive definite"):
         solver.splu(band)
+
+
+def test_band_factor_raises_on_a_lapack_argument_error(monkeypatch):
+    lapack = solver._flapack()
+    band = start_band(m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17))
+    monkeypatch.setattr(solver, "_flapack", lambda: SimpleNamespace(
+        dpbtrf=lambda ab, **kw: (ab, -1), dpbtrs=lapack.dpbtrs))
+    with pytest.raises(ValueError):
+        solver.splu(band.copy(order="F"))
+    monkeypatch.setattr(solver, "_flapack", lambda: SimpleNamespace(
+        dpbtrf=lapack.dpbtrf, dpbtrs=lambda ab, b, **kw: (b.copy(), -2)))
+    factor = solver.splu(band)
+    with pytest.raises(ValueError):
+        factor.solve(np.ones(band.shape[1]))
 
 
 def test_band_factor_leaves_no_reference_cycle():
