@@ -274,10 +274,16 @@ def cmd_analyze(params: dict) -> int:
     if not result.converged:
         print("checkpoint is not converged", file=sys.stderr)
         return EXIT_NUMERICAL
+    r_max = result.grid.spec.r_max
     window = (tuple(_floats(params["window"])) if params["window"]
-              else (4.0, result.grid.spec.r_max / 8.0))
+              else (4.0, r_max / 8.0))
     if len(window) != 2:
         raise UsageError("--window must be 'r_lo,r_hi'")
+    if not params["window"] and window[0] >= window[1]:
+        raise UsageError(
+            f"the default window (4, r_max/8) = (4, {r_max / 8.0:g}) is empty "
+            f"for the checkpoint's r_max = {r_max:g}; pass --window r_lo,r_hi "
+            "with 2 <= r_lo < r_hi <= r_max/8")
 
     profile = decay_profile(result)
     try:

@@ -28,7 +28,10 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its exact gradient (a 3x3 stencil) or its Hessian from the same
-per-sample gradients, computing only the one asked for.  It walks the
+per-sample gradients, computing only the one asked for.  The quarter grid
+a solve makes carries the kernel's tables (the quadrature and the
+Hessian's outer products), so they are built once per solve; on any other
+grid each call builds its own.  It walks the
 cells in strips of whole s-rows, about 4,096 cells each, so that its
 temporaries stay in the cache; a gradient or Hessian strip also
 evaluates the cell row before its own and writes the node rows whose
@@ -173,10 +176,13 @@ class LogPolarGrid:
         """This grid's columns 0..j_pin, the quadrant phi <= pi/2.
 
         The nodes are the same floats as the half plane's first j_pin + 1
-        columns; spec still describes the half plane.
+        columns; spec still describes the half plane.  The quarter carries
+        the energy kernel's tables, kernel_tables, so the solve that makes
+        it builds them once; the half plane gains nothing.
         """
         q = copy.copy(self)
         q.phi = self.phi[:self.j_pin + 1]
+        q.kernel_tables = _kernel_tables(q, True)
         return q
 
     def constrained_mask(self) -> np.ndarray:
@@ -335,10 +341,45 @@ _LOWER = [4 * a + b for a, b in np.ndindex(4, 4)
           if (b % 2 - a % 2, b // 2 - a // 2) >= (0, 0)]
 
 
-def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
-    """One rule (w, em, Jus, Jup) on the cells with corner values v4, (4,
+def _kernel_tables(grid: LogPolarGrid, hessian: bool) -> tuple:
+    """What _evaluate reads of the grid: the corner rule (w, em, jac),
+    the pin rule (pin cells, their corner nodes, w, em, jac) and, for the
+    Hessian, the band's pin column c with the lower diagonals d and rows
+    c - d that reach it (None without).
+
+    A rule's jac is (Jus, Jup), followed for the Hessian by the rows of
+    the per-sample outer products Jus Jus, Jus Jup + Jup Jus and Jup Jup
+    that its blocks need: the corner rule's _LOWER rows, the pin rule's
+    sixteen, as with ten its K = 64 product rounds apart.
+    """
+    (_, w, em, Jus, Jup), (pin, w_pin, em_pin, Pus, Pup) = _quadrature(grid)
+    n_c = grid.n_phi - 1
+    # the pin cells' corner nodes, in _CORNERS' order
+    nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
+    jac, pin_jac, band_pin = (Jus, Jup), (Pus, Pup), None
+    if hessian:
+        jac += _outer_rows(Jus, Jup, _LOWER)
+        pin_jac += _outer_rows(Pus, Pup, slice(None))
+        # the free_box's width
+        n_w = len(range(grid.n_phi)[grid.free_box()[1]])
+        col = (grid.i_pin - 1) * n_w + grid.j_pin - 1
+        d = np.arange(1, min(n_w + 1, col) + 1)
+        band_pin = (col, d, col - d)
+    return (w, em, jac), (pin, nodes, w_pin, em_pin, pin_jac), band_pin
+
+
+def _outer_rows(Jus, Jup, rows) -> tuple:
+    """The given rows of a rule's outer products, _outer of (Jus, Jus),
+    (Jus, Jup) plus (Jup, Jus), and (Jup, Jup)."""
+    return (_outer(Jus, Jus)[rows], (_outer(Jus, Jup) + _outer(Jup, Jus))[rows],
+            _outer(Jup, Jup)[rows])
+
+
+def _samples(v4, w, em, jac, params: EnergyParams, want: str):
+    """One rule (w, em, jac) on the cells with corner values v4, (4,
     cells): the per-sample summands of E, the cell gradients (4, cells),
-    or the given rows of the cell blocks."""
+    or the rows of the cell blocks that jac holds."""
+    Jus, Jup = jac[:2]
     us, up = Jus @ v4, Jup @ v4
     # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in us and
     # up, which E alone does not need again.  The operations and their
@@ -368,11 +409,24 @@ def _samples(v4, w, em, Jus, Jup, params: EnergyParams, want: str, rows):
         g4 += Jup.T @ up
         return g4
     # the Hessian of w q^(p/2) / p in the cell's nodal values is
-    # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup
-    beta = (params.p - 2.0) * w * q ** (params.p / 2.0 - 2.0) * em * em
-    blk = _outer(Jus, Jus)[rows] @ (coef + beta * us * us)
-    blk += (_outer(Jus, Jup) + _outer(Jup, Jus))[rows] @ (beta * us * up)
-    blk += _outer(Jup, Jup)[rows] @ (coef + beta * up * up)
+    # coef (Jus Jus + Jup Jup) + beta c c, with c = us Jus + up Jup and
+    # beta = (p - 2) w q^(p/2 - 2) em em.  beta is made in q and beta us
+    # once; each product keeps its operands and order, so the bits stay.
+    q **= params.p / 2.0 - 2.0
+    q *= (params.p - 2.0) * w
+    q *= em
+    q *= em
+    bus = q * us
+    us *= bus
+    us += coef
+    bus *= up
+    q *= up
+    q *= up
+    q += coef
+    Hss, Hsp, Hpp = jac[2:]
+    blk = Hss @ us
+    blk += Hsp @ bus
+    blk += Hpp @ q
     return blk
 
 
@@ -380,27 +434,26 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
     want is "energy" for E, "gradient" for the unmasked nodal gradient g,
-    or "hessian" for the Hessian on the free_box in LAPACK lower band
-    storage, the pin's row and column not yet the identity (see
-    energy_hessian).  All come from the per-sample gradient (us, up) and
-    integrand q of the grid's quadrature rules: the pin rule's, then the
-    corner rule's in strips of whole s-rows of cells.  The summands of E
-    are summed once, as one array.  g and the cell blocks B[4a + b, c],
-    coupling corner a of cell c (in _CORNERS' order) to its corner b, are
-    summed per cell; a strip folds them with the cell row before it and
-    writes the node rows whose cells all lie in it, each summed from zero
-    in ascending corner, as one whole-array pass would.  Only B's ten
-    entries in _LOWER are made.
+    or "hessian" for energy_hessian's band.  All come from the per-sample
+    gradient (us, up) and integrand q of the grid's quadrature rules, read
+    from the grid's kernel_tables where it has them (a solve's quarter)
+    and built otherwise: the pin rule's, then the corner rule's in strips
+    of whole s-rows of cells.  The summands of E are summed once, as one
+    array.  g and the cell blocks B[4a + b, c], coupling corner a of cell
+    c (in _CORNERS' order) to its corner b, are summed per cell; a strip
+    folds them with the cell row before it and writes the node rows whose
+    cells all lie in it, each summed from zero in ascending corner, as one
+    whole-array pass would.  Only B's ten entries in _LOWER are made.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
         raise ValueError("field contains non-finite values")
-    (_, w, em, Jus, Jup), (pin, *pin_rule) = _quadrature(field.grid)
+    tables = getattr(field.grid, "kernel_tables", None)
+    if tables is None:
+        tables = _kernel_tables(field.grid, want == "hessian")
+    (w, em, jac), (pin, nodes, *pin_rule), band_pin = tables
     n_r, n_c = v.shape[0] - 1, v.shape[1] - 1
-    # the pin cells' corner nodes, in _CORNERS' order; all sixteen block
-    # rows, as with ten the K = 64 product rounds apart
-    nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
-    pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want, slice(None))
+    pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want)
     halo = want != "energy"
     if not halo:
         out_all = np.empty((4, n_r * n_c))
@@ -417,8 +470,8 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
         # the strip's cell rows lo..hi-1, with the halo row i - 1
         lo, hi = max(i - halo, 0), min(i + step, n_r)
         c = slice(lo * n_c, hi * n_c)
-        out = _samples(_cell_corners(v[lo:hi + 1]), w[:, c], em[:, c],
-                       Jus, Jup, params, want, _LOWER)
+        out = _samples(_cell_corners(v[lo:hi + 1]), w[:, c], em[:, c], jac,
+                       params, want)
         if not halo:
             out_all[:, c] = out
             continue
@@ -446,7 +499,15 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     if want == "energy":
         e = float(out_all.sum()) / params.p + float(pin_out.sum()) / params.p
         return math.inf if math.isnan(e) else e
-    return grad if want == "gradient" else band.reshape(n_i * n_w, n_w + 2).T
+    if want == "gradient":
+        return grad
+    # the pin's row and column become the identity
+    col, d, row = band_pin
+    band = band.reshape(n_i * n_w, n_w + 2).T
+    band[:, col] = 0.0
+    band[d, row] = 0.0
+    band[0, col] = 1.0
+    return band
 
 
 def energy(field: ScalarField, params: EnergyParams) -> float:
@@ -479,14 +540,7 @@ def energy_hessian(field: ScalarField, params: EnergyParams) -> np.ndarray:
     """
     if params.eps <= 0.0:
         raise ValueError("energy_hessian requires eps > 0")
-    band = _evaluate(field, params, "hessian")
-    w = band.shape[0] - 2
-    pin = (field.grid.i_pin - 1) * w + field.grid.j_pin - 1
-    d = np.arange(1, min(w + 1, pin) + 1)
-    band[:, pin] = 0.0
-    band[d, pin - d] = 0.0
-    band[0, pin] = 1.0
-    return band
+    return _evaluate(field, params, "hessian")
 
 
 def interpolate(field: ScalarField, r, phi):
@@ -542,12 +596,22 @@ def open_new(path, mode: str):
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Rows in full-precision scientific notation, 17 significant digits."""
+    """Rows in full-precision scientific notation, 17 significant digits.
+
+    A row whose length is not the header's raises ValueError.
+    """
+    line = ",".join(["%.16e"] * len(header)) + "\n"
     with open_new(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             row = tuple(row)
-            fh.write(",".join(["%.16e"] * len(row)) % row + "\n")
+            try:
+                fh.write(line % row)
+            except TypeError:
+                if len(row) != len(header):
+                    raise ValueError(f"a row of {len(row)} values under a "
+                                     f"header of {len(header)}") from None
+                raise
 
 
 def write_json(path, obj) -> None:

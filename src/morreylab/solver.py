@@ -280,6 +280,8 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     if initial is not None and initial.grid.spec != spec:
         raise ValueError("initial field lives on a different grid")
     start = (initial if initial is not None else _initial_field(grid, p)).values
+    # every kernel call of the solve reads the quarter's kernel tables; the
+    # result keeps the half plane only, so they go when the solve returns
     quarter = grid.quarter()
     field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
 

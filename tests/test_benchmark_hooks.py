@@ -8,17 +8,21 @@ library and is loaded by path; perfbench/workloads.py is read with ast.
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import morreylab
 from morreylab import analysis, aronsson, grid, solver
+from test_grid import _reference_band, _reference_sums
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -171,6 +175,77 @@ def test_solver_makes_no_kernel_pass_beyond_e_g_and_hessian(monkeypatch):
     assert calls.count("energy") == stages + steps
     assert calls.count("gradient") == stages + steps
     assert calls.count("hessian") == steps
+
+
+def test_kernel_tables_are_built_once_per_solve(monkeypatch):
+    # the quarter grid a solve makes carries the kernel's tables, so its
+    # energy, gradient and Hessian passes share one quadrature build
+    built = []
+    quadrature = grid._quadrature
+
+    def counted(g):
+        built.append(g.n_phi)
+        return quadrature(g)
+
+    monkeypatch.setattr(grid, "_quadrature", counted)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
+    assert result.converged
+    assert sum(st.iterations for st in result.stages) > 0
+    assert built == [9]
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0])
+def test_solver_kernel_outputs_equal_the_reference_sums(p, monkeypatch):
+    # the shared tables are the ones a call would build: every E, g and
+    # Hessian band the solver computes on its iterates rounds as the plain
+    # sums of test_grid's reference helpers, which build their own
+    # quadrature.  The solver masks g and factors the band in place, so
+    # both are copied.
+    seen = []
+    for name in ("energy", "energy_gradient", "energy_hessian"):
+        def recorded(field, params, _name=name, _fn=getattr(solver, name)):
+            out = _fn(field, params)
+            kept = out if _name == "energy" else np.array(
+                out.values if _name == "energy_gradient" else out)
+            seen.append((_name, field, params, kept))
+            return out
+        monkeypatch.setattr(solver, name, recorded)
+    result = morreylab.solve_extremal(
+        morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), p)
+    assert result.converged
+    assert {name for name, *_ in seen} == {"energy", "energy_gradient",
+                                           "energy_hessian"}
+    for name, field, params, out in seen:
+        if name == "energy":
+            assert out == _reference_sums(field, params)[0]
+        elif name == "energy_gradient":
+            assert np.array_equal(out, _reference_sums(field, params)[1])
+        else:
+            assert np.array_equal(out, _reference_band(field, params))
+
+
+def test_a_result_reaches_no_kernel_tables(monkeypatch):
+    # perfbench keeps every SolveResult of a run, so peak_rss_mb counts
+    # what they reach: the quarter grid that holds the kernel's tables is
+    # garbage once the solve returns, and the result's half plane gains
+    # no attribute
+    quarters = {}
+    energy = solver.energy
+
+    def watched(field, params):
+        assert field.grid.kernel_tables is not None
+        quarters[id(field.grid)] = weakref.ref(field.grid)
+        return energy(field, params)
+
+    monkeypatch.setattr(solver, "energy", watched)
+    spec = morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17)
+    result = morreylab.solve_extremal(spec, 4.0)
+    assert result.converged
+    gc.collect()
+    assert len(quarters) == 1
+    assert [ref() for ref in quarters.values()] == [None]
+    assert vars(result.grid).keys() == vars(morreylab.build_grid(spec)).keys()
 
 
 def test_checkpoint_io_goes_through_the_traced_field_names(monkeypatch,

@@ -457,6 +457,20 @@ def test_analyze_bad_flag_is_usage_error(flags, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_empty_default_window_is_usage_error(tmp_path, capsys):
+    """With no --window, an r_max/8 at or below 4 empties the default
+    window (4, r_max/8); the message names it, not a window never given."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt", r_max=16.0)
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "usage error: the default window (4, r_max/8) = (4, 2) is empty for "
+        "the checkpoint's r_max = 16; pass --window r_lo,r_hi with "
+        "2 <= r_lo < r_hi <= r_max/8\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_degenerate_field_is_numerical_failure(tmp_path, capsys):
     """A field that vanishes inside the fit window still exits 2."""
     _write_synthetic_checkpoint(tmp_path / "ckpt")
@@ -508,8 +522,8 @@ def test_analyze_accepts_retired_sidecar_keys(tmp_path):
                 == (tmp_path / "new" / name).read_bytes())
 
 
-def _write_synthetic_checkpoint(base, p=4.0, stages=()):
-    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**6, n_s=81, n_phi=17))
+def _write_synthetic_checkpoint(base, p=4.0, stages=(), r_max=2.0**6):
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=r_max, n_s=81, n_phi=17))
     values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
     result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
                            stages=list(stages), converged=True, p=p)

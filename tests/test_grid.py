@@ -573,6 +573,11 @@ def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
     grid_module.write_csv(tmp_path / "f.csv", ["a", "b", "c"], rows)
     assert (tmp_path / "f.csv").read_text() == "a,b,c\n" + "".join(
         ",".join(f"{x:.16e}" for x in row) + "\n" for row in rows)
+    # the row format is the header's, so a ragged row raises
+    for ragged in (rows[:2] + [rows[2][:2]], rows[:2] + [rows[2] + (1.0,)]):
+        with pytest.raises(ValueError, match="a row of [24] values under a "
+                                             "header of 3"):
+            grid_module.write_csv(tmp_path / "r.csv", ["a", "b", "c"], ragged)
 
 
 def test_open_new_replaces_links(tmp_path):
