@@ -450,6 +450,8 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
         raise ValueError("field contains non-finite values")
     tables = getattr(field.grid, "kernel_tables", None)
     if tables is None:
+        # only what this call needs: on a small grid the Hessian's parts
+        # would cost an energy or gradient call about a third more
         tables = _kernel_tables(field.grid, want == "hessian")
     (w, em, jac), (pin, nodes, *pin_rule), band_pin = tables
     n_r, n_c = v.shape[0] - 1, v.shape[1] - 1
