@@ -52,15 +52,17 @@ def gradient_consistency(p: float) -> dict:
     grad = grid.energy_gradient(field, params).values
     free = ~g.constrained_mask()
     h = 1e-5
-    worst = 0.0
+    errors = []
     for _ in range(20):
         delta = np.zeros_like(field.values)
         delta[free] = rng.standard_normal(int(free.sum()))
         up = grid.ScalarField(g, field.values + h * delta)
         dn = grid.ScalarField(g, field.values - h * delta)
         fd = (grid.energy(up, params) - grid.energy(dn, params)) / (2 * h)
-        worst = max(worst, abs(fd - float((grad * delta).sum()))
-                    / max(1.0, abs(fd)))
+        errors.append(abs(fd - float((grad * delta).sum())) / max(1.0, abs(fd)))
+    # np.max, not max: an energy or gradient that overflows makes an error
+    # NaN, which fails the gate instead of being passed over
+    worst = float(np.max(errors))
     return {"max_rel_error": worst, "pass": bool(worst < 1e-7)}
 
 

@@ -28,17 +28,17 @@ tens of percent.
 
 The two rules form the grid's quadrature, and one kernel evaluates the
 energy, its exact gradient (a 3x3 stencil) or its Hessian from the same
-per-sample gradients, computing only the one asked for.  The quarter grid
-a solve makes carries the kernel's tables (the quadrature and the
-Hessian's outer products), so they are built once per solve; on any other
-grid each call builds its own.  It walks the
-cells in strips of whole s-rows, about 4,096 cells each, so that its
-temporaries stay in the cache; a gradient or Hessian strip also
-evaluates the cell row before its own and writes the node rows whose
-cells it holds, summed as one whole-array pass would, so no bit depends
-on the strips.  On the free nodes in row-major order the Hessian is a
-band matrix: the kernel folds the ten lower entries of its 4x4 cell
-blocks straight into LAPACK band storage, for a band Cholesky.
+per-sample gradients, computing only the one asked for.  A grid builds
+the kernel's tables (the quadrature and the Hessian's outer products)
+at its first kernel call and keeps them, so a solve builds them once,
+on the quarter grid it makes.  The kernel walks the cells in strips of
+whole s-rows, about 4,096 cells each, so that its temporaries stay in
+the cache; a gradient or Hessian strip also evaluates the cell row
+before its own and writes the node rows whose cells it holds, summed as
+one whole-array pass would, so no bit depends on the strips.  On the
+free nodes in row-major order the Hessian is a band matrix: the kernel
+folds the ten lower entries of its 4x4 cell blocks straight into LAPACK
+band storage, for a band Cholesky.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -53,11 +53,11 @@ quarter's off the axis and twice it on the axis column.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -176,14 +176,37 @@ class LogPolarGrid:
         """This grid's columns 0..j_pin, the quadrant phi <= pi/2.
 
         The nodes are the same floats as the half plane's first j_pin + 1
-        columns; spec still describes the half plane.  The quarter carries
-        the energy kernel's tables, kernel_tables, so the solve that makes
-        it builds them once; the half plane gains nothing.
+        columns; spec still describes the half plane.  The quarter is
+        built afresh from spec, so it holds none of the half plane's
+        kernel_tables and builds its own at its first kernel call.
         """
-        q = copy.copy(self)
-        q.phi = self.phi[:self.j_pin + 1]
-        q.kernel_tables = _kernel_tables(q, True)
+        q = LogPolarGrid(self.spec)
+        q.phi = q.phi[:self.j_pin + 1]
         return q
+
+    @cached_property
+    def kernel_tables(self) -> tuple:
+        """What the energy kernel reads of the grid, built at the first
+        kernel call on it: the corner rule (w, em, jac), the pin rule (pin
+        cells, their corner nodes, w, em, jac) and the Hessian band's pin
+        column c with the lower diagonals d and rows c - d that reach it.
+
+        A rule's jac is (Jus, Jup), followed by the rows of the per-sample
+        outer products Jus Jus, Jus Jup + Jup Jus and Jup Jup that its
+        Hessian blocks need: the corner rule's _LOWER rows, the pin rule's
+        sixteen, as with ten its K = 64 product rounds apart.
+        """
+        (_, w, em, Jus, Jup), (pin, w_pin, em_pin, Pus, Pup) = _quadrature(self)
+        n_c = self.n_phi - 1
+        # the pin cells' corner nodes, in _CORNERS' order
+        nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
+        jac = (Jus, Jup) + _outer_rows(Jus, Jup, _LOWER)
+        pin_jac = (Pus, Pup) + _outer_rows(Pus, Pup, slice(None))
+        # the free_box's width
+        n_w = len(range(self.n_phi)[self.free_box()[1]])
+        col = (self.i_pin - 1) * n_w + self.j_pin - 1
+        d = np.arange(1, min(n_w + 1, col) + 1)
+        return (w, em, jac), (pin, nodes, w_pin, em_pin, pin_jac), (col, d, col - d)
 
     def constrained_mask(self) -> np.ndarray:
         """Boolean mask of Dirichlet edge nodes plus the pinned node.
@@ -341,33 +364,6 @@ _LOWER = [4 * a + b for a, b in np.ndindex(4, 4)
           if (b % 2 - a % 2, b // 2 - a // 2) >= (0, 0)]
 
 
-def _kernel_tables(grid: LogPolarGrid, hessian: bool) -> tuple:
-    """What _evaluate reads of the grid: the corner rule (w, em, jac),
-    the pin rule (pin cells, their corner nodes, w, em, jac) and, for the
-    Hessian, the band's pin column c with the lower diagonals d and rows
-    c - d that reach it (None without).
-
-    A rule's jac is (Jus, Jup), followed for the Hessian by the rows of
-    the per-sample outer products Jus Jus, Jus Jup + Jup Jus and Jup Jup
-    that its blocks need: the corner rule's _LOWER rows, the pin rule's
-    sixteen, as with ten its K = 64 product rounds apart.
-    """
-    (_, w, em, Jus, Jup), (pin, w_pin, em_pin, Pus, Pup) = _quadrature(grid)
-    n_c = grid.n_phi - 1
-    # the pin cells' corner nodes, in _CORNERS' order
-    nodes = pin + pin // n_c + np.array([[0], [n_c + 1], [1], [n_c + 2]])
-    jac, pin_jac, band_pin = (Jus, Jup), (Pus, Pup), None
-    if hessian:
-        jac += _outer_rows(Jus, Jup, _LOWER)
-        pin_jac += _outer_rows(Pus, Pup, slice(None))
-        # the free_box's width
-        n_w = len(range(grid.n_phi)[grid.free_box()[1]])
-        col = (grid.i_pin - 1) * n_w + grid.j_pin - 1
-        d = np.arange(1, min(n_w + 1, col) + 1)
-        band_pin = (col, d, col - d)
-    return (w, em, jac), (pin, nodes, w_pin, em_pin, pin_jac), band_pin
-
-
 def _outer_rows(Jus, Jup, rows) -> tuple:
     """The given rows of a rule's outer products, _outer of (Jus, Jus),
     (Jus, Jup) plus (Jup, Jus), and (Jup, Jup)."""
@@ -436,24 +432,19 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     want is "energy" for E, "gradient" for the unmasked nodal gradient g,
     or "hessian" for energy_hessian's band.  All come from the per-sample
     gradient (us, up) and integrand q of the grid's quadrature rules, read
-    from the grid's kernel_tables where it has them (a solve's quarter)
-    and built otherwise: the pin rule's, then the corner rule's in strips
-    of whole s-rows of cells.  The summands of E are summed once, as one
-    array.  g and the cell blocks B[4a + b, c], coupling corner a of cell
-    c (in _CORNERS' order) to its corner b, are summed per cell; a strip
-    folds them with the cell row before it and writes the node rows whose
-    cells all lie in it, each summed from zero in ascending corner, as one
-    whole-array pass would.  Only B's ten entries in _LOWER are made.
+    from the grid's kernel_tables: the pin rule's, then the corner rule's
+    in strips of whole s-rows of cells.  The summands of E are summed
+    once, as one array.  g and the cell blocks B[4a + b, c], coupling
+    corner a of cell c (in _CORNERS' order) to its corner b, are summed
+    per cell; a strip folds them with the cell row before it and writes
+    the node rows whose cells all lie in it, each summed from zero in
+    ascending corner, as one whole-array pass would.  Only B's ten
+    entries in _LOWER are made.
     """
     v = field.values
     if not np.all(np.isfinite(v)):
         raise ValueError("field contains non-finite values")
-    tables = getattr(field.grid, "kernel_tables", None)
-    if tables is None:
-        # only what this call needs: on a small grid the Hessian's parts
-        # would cost an energy or gradient call about a third more
-        tables = _kernel_tables(field.grid, want == "hessian")
-    (w, em, jac), (pin, nodes, *pin_rule), band_pin = tables
+    (w, em, jac), (pin, nodes, *pin_rule), band_pin = field.grid.kernel_tables
     n_r, n_c = v.shape[0] - 1, v.shape[1] - 1
     pin_out = _samples(v.ravel()[nodes], *pin_rule, params, want)
     halo = want != "energy"

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import morreylab
-from morreylab import analysis, aronsson, grid, solver
+from morreylab import analysis, aronsson, checks, grid, solver
 from test_grid import _reference_band, _reference_sums
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -192,6 +192,22 @@ def test_kernel_tables_are_built_once_per_solve(monkeypatch):
         morreylab.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=49, n_phi=17), 4.0)
     assert result.converged
     assert sum(st.iterations for st in result.stages) > 0
+    assert built == [9]
+
+
+def test_the_gradient_check_builds_its_tables_once(monkeypatch):
+    # checks.gradient_consistency makes 41 kernel calls (40 energies and a
+    # gradient) on one 17 x 9 grid, which builds its tables at the first of
+    # them
+    built = []
+    quadrature = grid._quadrature
+
+    def counted(g):
+        built.append(g.n_phi)
+        return quadrature(g)
+
+    monkeypatch.setattr(grid, "_quadrature", counted)
+    assert checks.gradient_consistency(4.0)["pass"]
     assert built == [9]
 
 

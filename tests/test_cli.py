@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import morreylab as m
-from morreylab import aronsson, cli, solver
+from morreylab import aronsson, checks, cli, solver
 from morreylab.cli import main
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
@@ -762,6 +762,22 @@ def test_verify_quick_passes(tmp_path):
     assert report["aronsson_identities"]["identity_max_abs_err"] < 1e-10
     assert report["barrier_synthetic"]["slow_decay_report"]["violations"] > 0
     assert report["barrier_synthetic"]["fast_decay_report"]["violations"] == 0
+
+
+def test_verify_fails_where_the_gradient_check_overflows(tmp_path):
+    # at p = 256 the check's 17 x 9 random field overflows the energy and
+    # the gradient; their NaN errors fail the check instead of being
+    # passed over by the fold
+    with np.errstate(all="ignore"):
+        report = checks.gradient_consistency(256.0)
+        rc = main(["verify", "--p", "256", "--mode", "quick",
+                   "--out-dir", str(tmp_path)])
+    assert report["pass"] is False
+    assert math.isnan(report["max_rel_error"])
+    assert rc == 3
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["gradient_consistency"]["pass"] is False
+    assert report["aronsson_identities"]["pass"] is True
 
 
 def test_verify_fails_on_perturbed_profile(tmp_path, monkeypatch):

@@ -292,6 +292,28 @@ def test_quarter_grid_columns_and_constraints():
     assert grid.constrained_mask()[:, -1].all()
 
 
+def test_a_quarter_holds_none_of_its_half_planes_tables():
+    # a grid keeps its kernel tables after its first kernel call; a quarter
+    # taken from a half plane that has them evaluates, to the last bit, as
+    # the quarter of a fresh grid
+    spec = QUARTER_SPECS[0]
+    half = m.build_grid(spec)
+    rng = np.random.default_rng(5)
+    m.energy(m.ScalarField(half, rng.random((half.n_s, half.n_phi))),
+             m.EnergyParams(p=4.0))
+    quarter, fresh = half.quarter(), m.build_grid(spec).quarter()
+    values = rng.random((quarter.n_s, quarter.n_phi))
+    u = m.ScalarField(quarter, values.copy()).apply_dirichlet()
+    v = m.ScalarField(fresh, values.copy()).apply_dirichlet()
+    params = m.EnergyParams(p=4.0, eps=1e-3)
+    assert m.energy(u, params) == m.energy(v, params)
+    assert np.array_equal(m.energy_gradient(u, params).values,
+                          m.energy_gradient(v, params).values)
+    assert np.array_equal(m.energy_hessian(u, params),
+                          m.energy_hessian(v, params))
+    assert quarter.kernel_tables is not half.kernel_tables
+
+
 @pytest.mark.parametrize("spec", QUARTER_SPECS)
 @pytest.mark.parametrize("p", [4.0, 8.0])
 def test_half_plane_energy_is_twice_the_quarter(spec, p):
