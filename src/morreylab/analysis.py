@@ -263,7 +263,9 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     (in bit-reversed order, so growing the budget only adds points), led by
     e and -e on the last coordinate axis, whose pair is scored first and so
     wins every tie; then local refinement around the best pair found.  The
-    result never decreases when the budget increases.
+    sampled stage's best quotient never decreases when the budget
+    increases, but the result can: the refinement starts from that stage's
+    best pair, and a larger budget may move it to a pair that refines less.
 
     evaluator is either a FullPlaneField (candidates default to its grid
     nodes) or any callable taking an (m, d) array of points; in the latter

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "check_p",
     "ConeParams",
     "AngularProfile",
     "beta_p",
@@ -53,8 +54,12 @@ __all__ = [
 _KAPPA_MIN = 1e-100
 
 
-def _check_p(p: float) -> float:
-    """p as a float; p must be finite and > 2."""
+def check_p(p: float) -> float:
+    """p as a float; p must be finite and > 2.
+
+    The package's one test of p: Morrey's inequality in the plane needs
+    p > n = 2, and so do the cone family and the energy kernel.
+    """
     p = float(p)
     if not (math.isfinite(p) and p > 2.0):
         raise ValueError(f"p must be finite and > 2, got {p}")
@@ -96,7 +101,7 @@ def kappa_of_L(L: float, p: float) -> float:
     arithmetic; an L whose kappa falls below the floor 1e-100 (past about
     1e50 at p = 4) is rejected.
     """
-    p = _check_p(p)
+    p = check_p(p)
     L = float(L)
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"aperture L={L} not attainable for p={p}")
@@ -128,7 +133,7 @@ class ConeParams:
     aperture_L: float = field(init=False)
 
     def __post_init__(self):
-        p, kappa = _check_p(self.p), float(self.kappa)
+        p, kappa = check_p(self.p), float(self.kappa)
         if not (math.isfinite(kappa) and kappa >= _KAPPA_MIN):
             raise ValueError(f"kappa must be finite and >= 1e-100, got {kappa}")
         a = (p - 1.0) / (p - 2.0)
@@ -338,7 +343,7 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
     pts = np.asarray(list(sample_points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
-    p = _check_p(p)
+    p = check_p(p)
     h = float(h)
     if not 0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")

@@ -108,7 +108,7 @@ def cone_residual(p: float) -> dict:
 def coarse_solve(p: float) -> dict:
     """Small solve plus decay fit, gated at a coarse-grid tolerance."""
     spec = grid.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=145, n_phi=33)
-    result = solver.solve_extremal(spec, p, solver.SolverConfig())
+    result = solver.solve_extremal(spec, p)
     v = result.field.values
     bounds_ok = bool(v.min() >= 0.0 and v.max() <= 1.0)
     fit = analysis.fit_exponent(analysis.decay_profile(result),

@@ -33,8 +33,8 @@ import numpy
 import scipy
 
 from . import __version__, checks
-from .aronsson import angular_profile, aperture_L, beta_p, kappa_of_L
-from .grid import EnergyParams, GridSpec, from_fields, write_csv, write_json
+from .aronsson import angular_profile, aperture_L, beta_p, check_p, kappa_of_L
+from .grid import GridSpec, from_fields, write_csv, write_json
 from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
                      solve_extremal)
 from .analysis import (ParameterError, decay_profile, estimate_morrey_constant,
@@ -227,7 +227,7 @@ def cmd_aronsson(params: dict) -> int:
 def cmd_solve(params: dict) -> int:
     t0 = time.perf_counter()
     try:
-        p = EnergyParams(p=params["p"]).p
+        p = check_p(params["p"])
         spec = from_fields(GridSpec, params)
         solver_config = SolverConfig(grad_tol=params["grad_tol"])
     except ValueError as exc:
@@ -269,7 +269,7 @@ def cmd_analyze(params: dict) -> int:
         raise UsageError("--checkpoint is required")
     try:
         result, _ = load_checkpoint(params["checkpoint"])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise UsageError(f"cannot read checkpoint: {exc}") from exc
     if not result.converged:
         print("checkpoint is not converged", file=sys.stderr)
@@ -336,7 +336,7 @@ def cmd_analyze(params: dict) -> int:
 def cmd_verify(params: dict) -> int:
     t0 = time.perf_counter()
     try:
-        p = EnergyParams(p=params["p"]).p
+        p = check_p(params["p"])
         aperture_L(beta_p(p), p)    # the cone suites need 2 < p < ~1.8e16
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

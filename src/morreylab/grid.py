@@ -38,7 +38,8 @@ before its own and writes the node rows whose cells it holds, summed as
 one whole-array pass would, so no bit depends on the strips.  On the
 free nodes in row-major order the Hessian is a band matrix: the kernel
 folds the ten lower entries of its 4x4 cell blocks straight into LAPACK
-band storage, for a band Cholesky.
+band storage, for a band Cholesky.  Where the integrand overflows, E, g
+and the band hold inf or NaN, with no numpy warning; callers reject both.
 
 The quarter grid, LogPolarGrid.quarter(), keeps the columns 0 <= phi <=
 pi/2 (the quadrant x >= 0), so the pin sits on its last column; that is
@@ -61,6 +62,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .aronsson import check_p
 
 __all__ = [
     "GridSpec",
@@ -262,14 +265,13 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """Exponent p > 2 and regularization length eps >= 0."""
+    """Exponent p > 2 (aronsson.check_p) and regularization length eps >= 0."""
 
     p: float
-    eps: float = 0.0
+    eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 2.0):
-            raise ValueError(f"p must be finite and > 2, got {self.p}")
+        object.__setattr__(self, "p", check_p(self.p))  # frozen: as a float
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be >= 0, got {self.eps}")
 
@@ -374,7 +376,8 @@ def _outer_rows(Jus, Jup, rows) -> tuple:
 def _samples(v4, w, em, jac, params: EnergyParams, want: str):
     """One rule (w, em, jac) on the cells with corner values v4, (4,
     cells): the per-sample summands of E, the cell gradients (4, cells),
-    or the rows of the cell blocks that jac holds."""
+    or the rows of the cell blocks that jac holds.  An overflow is left as
+    inf or NaN, under _evaluate's errstate."""
     Jus, Jup = jac[:2]
     us, up = Jus @ v4, Jup @ v4
     # E = sum w ((us*us + up*up) em + eps**2)^(p/2) / p, computed in us and
@@ -386,12 +389,8 @@ def _samples(v4, w, em, jac, params: EnergyParams, want: str):
     q *= em
     q += params.eps**2
     if want == "energy":
-        # E = inf on a step far off the minimizer; the line search rejects
-        # it.  Where q^(p/2) overflows on a sample of mass 0 (the pin
-        # cells' corners), inf * 0 is NaN; _evaluate reads that as inf.
-        with np.errstate(over="ignore", invalid="ignore"):
-            q **= params.p / 2.0
-            q *= w
+        q **= params.p / 2.0
+        q *= w
         return q
     # coef = w q^(p/2 - 1) em, computed in place like E
     coef = q ** (params.p / 2.0 - 1.0)
@@ -426,6 +425,7 @@ def _samples(v4, w, em, jac, params: EnergyParams, want: str):
     return blk
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     """One of the discrete energy and its derivatives, computed alone.
 
@@ -440,6 +440,11 @@ def _evaluate(field: ScalarField, params: EnergyParams, want: str):
     the node rows whose cells all lie in it, each summed from zero in
     ascending corner, as one whole-array pass would.  Only B's ten
     entries in _LOWER are made.
+
+    numpy's overflow and invalid-value warnings are off for the whole call:
+    far off the minimizer or at a large p, q^(p/2) overflows, and E, g or
+    the band hold inf or NaN, which their callers reject.  On the pin
+    cells' corner samples of mass 0, inf * 0 is NaN; E reads that as inf.
     """
     v = field.values
     if not np.all(np.isfinite(v)):

@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .aronsson import beta_p
+from .aronsson import beta_p, check_p
 from .grid import (EnergyParams, GridSpec, LogPolarGrid, ScalarField,
                    build_grid, energy, energy_gradient, energy_hessian,
                    from_fields, interpolate, load_field, save_field,
@@ -261,7 +261,8 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
     return field, stage, pin_force
 
 
-def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
+def solve_extremal(spec: GridSpec, p: float,
+                   config: SolverConfig = SolverConfig(),
                    initial: ScalarField | None = None) -> SolveResult:
     """Minimize the regularized p-energy with continuation in eps.
 
@@ -274,8 +275,6 @@ def solve_extremal(spec: GridSpec, p: float, config: SolverConfig | None = None,
     phi <= pi/2 are read.  The Newton iteration runs on the quarter grid
     and the returned field is its mirror image, even in x.
     """
-    if config is None:
-        config = SolverConfig()
     grid = build_grid(spec)
     if initial is not None and initial.grid.spec != spec:
         raise ValueError("initial field lives on a different grid")
@@ -393,7 +392,7 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
     The sidecar and the field dump must agree on the grid and on p, p must
-    be one EnergyParams accepts, and the sidecar's converged and energy
+    pass aronsson.check_p, and the sidecar's converged and energy
     must be a JSON boolean and number.
     """
     path_base = str(path_base)
@@ -408,7 +407,7 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         spec = from_fields(GridSpec, meta["spec"])
         config = from_fields(SolverConfig, meta["config"])
         stages = [from_fields(StageInfo, d) for d in meta["stages"]]
-        p = EnergyParams(p=float(meta["p"])).p
+        p = check_p(meta["p"])
         dipole = float(meta.get("dipole_strength", math.nan))
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc

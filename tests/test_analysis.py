@@ -188,6 +188,20 @@ def test_holder_search_monotone_in_budget(solve_small):
     assert all(b >= a - 1e-15 for a, b in zip(results, results[1:]))
 
 
+def test_holder_sampled_stage_is_monotone_in_budget(monkeypatch):
+    # the sampled stage's candidates nest, so its best quotient cannot fall
+    # as the budget grows; the refined result can (on this field budgets
+    # 10, 50 and 100 give 5.41, 4.33 and 3.85), so the refinement is off
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**8,
+                                   n_s=49, n_phi=17))
+    full = m.mirror_to_fullplane(synthetic_result(grid,
+                                                  power_law_field(grid, 0.5)))
+    monkeypatch.setattr(analysis, "_HOLDER_REFINE_ROUNDS", 0)
+    results = [m.holder_seminorm(full, 0.5, b).seminorm
+               for b in (10, 50, 100, 200, 400)]
+    assert all(b >= a for a, b in zip(results, results[1:]))
+
+
 def test_holder_budget_validation(solve_small):
     full = m.mirror_to_fullplane(solve_small)
     with pytest.raises(ValueError):

@@ -70,8 +70,9 @@ def test_package_namespace_is_the_modules_all():
     assert [name for name in names if not hasattr(morreylab, name)] == []
     assert set(names) == {
         "__version__",
-        "ConeParams", "AngularProfile", "beta_p", "aperture_L", "kappa_of_L",
-        "angular_profile", "evaluate_w", "invert_phi", "pharmonic_residual",
+        "check_p", "ConeParams", "AngularProfile", "beta_p", "aperture_L",
+        "kappa_of_L", "angular_profile", "evaluate_w", "invert_phi",
+        "pharmonic_residual",
         "GridSpec", "LogPolarGrid", "ScalarField", "EnergyParams",
         "build_grid", "energy", "energy_gradient", "energy_hessian",
         "cell_gradient_sq", "interpolate", "save_field", "load_field",

@@ -631,15 +631,12 @@ def test_manifest_parameters_round_trip(argv, data_files, tmp_path):
 
 
 def test_manifest_elapsed_time_survives_a_clock_step(tmp_path, monkeypatch):
-    # the wall clock steps back an hour after its first read, as NTP or a
-    # resume from suspend may set it; the elapsed time stays non-negative
-    real, reads = cli.time.time, []
+    # the wall clock may step (NTP, a resume from suspend), so the manifest
+    # times with the monotonic perf_counter and never reads it
+    def wall_clock():
+        raise AssertionError("the manifest read the wall clock")
 
-    def stepped():
-        reads.append(None)
-        return real() - (3600.0 if len(reads) > 1 else 0.0)
-
-    monkeypatch.setattr(cli.time, "time", stepped)
+    monkeypatch.setattr(cli.time, "time", wall_clock)
     assert main(["beta-table", "--p-values", "4",
                  "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "beta_table_manifest.json").read_text())
@@ -767,17 +764,28 @@ def test_verify_quick_passes(tmp_path):
 def test_verify_fails_where_the_gradient_check_overflows(tmp_path):
     # at p = 256 the check's 17 x 9 random field overflows the energy and
     # the gradient; their NaN errors fail the check instead of being
-    # passed over by the fold
-    with np.errstate(all="ignore"):
-        report = checks.gradient_consistency(256.0)
-        rc = main(["verify", "--p", "256", "--mode", "quick",
-                   "--out-dir", str(tmp_path)])
+    # passed over by the fold, and the kernel raises no RuntimeWarning,
+    # which the suite turns into an error
+    report = checks.gradient_consistency(256.0)
+    rc = main(["verify", "--p", "256", "--mode", "quick",
+               "--out-dir", str(tmp_path)])
     assert report["pass"] is False
     assert math.isnan(report["max_rel_error"])
     assert rc == 3
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["gradient_consistency"]["pass"] is False
     assert report["aronsson_identities"]["pass"] is True
+
+
+def test_solve_fails_where_the_kernel_overflows(tmp_path, capsys):
+    # at p = 1e6 the start field's gradient and Hessian band overflow to
+    # NaN, so the first trial step is non-finite and the energy rejects it,
+    # with no numpy warning (the suite turns one into an error)
+    rc = main(["solve", "--p", "1e6", "--r-min", "0.0625", "--r-max", "256",
+               "--n-s", "49", "--n-phi", "17", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == "numerical failure: field contains non-finite values\n")
 
 
 def test_verify_fails_on_perturbed_profile(tmp_path, monkeypatch):

@@ -144,6 +144,22 @@ def test_energy_matches_per_cell_reference(p):
     assert abs(got - ref) < 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5, -3.0, math.nan, math.inf])
+def test_one_rule_rejects_p(p):
+    # check_p is the package's one test of p; the energy and the cone
+    # family both defer to it
+    for make in (m.check_p, lambda p: m.EnergyParams(p=p, eps=0.0),
+                 lambda p: m.ConeParams(p, 0.5)):
+        with pytest.raises(ValueError, match="p must be finite and > 2"):
+            make(p)
+
+
+def test_energy_params_need_eps_and_keep_p_as_a_float():
+    with pytest.raises(TypeError):
+        m.EnergyParams(p=4.0)
+    assert type(m.EnergyParams(p=4, eps=0.0).p) is float
+
+
 def test_energy_rejects_non_finite():
     g = m.build_grid(small_spec())
     f = m.ScalarField(g, np.zeros((g.n_s, g.n_phi)))
@@ -300,7 +316,7 @@ def test_a_quarter_holds_none_of_its_half_planes_tables():
     half = m.build_grid(spec)
     rng = np.random.default_rng(5)
     m.energy(m.ScalarField(half, rng.random((half.n_s, half.n_phi))),
-             m.EnergyParams(p=4.0))
+             m.EnergyParams(p=4.0, eps=0.0))
     quarter, fresh = half.quarter(), m.build_grid(spec).quarter()
     values = rng.random((quarter.n_s, quarter.n_phi))
     u = m.ScalarField(quarter, values.copy()).apply_dirichlet()
