@@ -125,15 +125,17 @@ class GridSpec:
                 "that ln(r_min) is an integer multiple of the spacing")
 
 
-def from_fields(cls, data: dict):
-    """Dataclass cls from the entries of data that name its fields.
-
-    Other keys are ignored and absent fields keep their defaults; a
-    missing required field or data that is not a dict raises TypeError.
-    """
+def from_fields(cls, data: dict, **given):
+    """Dataclass cls from given and the entries of data that name its
+    other fields; other keys are ignored.  A field in neither, defaulted
+    or not, or data that is not a dict raises TypeError."""
     if not isinstance(data, dict):
         raise TypeError(f"expected an object, got {type(data).__name__}")
-    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+    names = [f.name for f in fields(cls) if f.name not in given]
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise TypeError(f"{cls.__name__} lacks {', '.join(missing)}")
+    return cls(**{name: data[name] for name in names}, **given)
 
 
 class LogPolarGrid:
@@ -196,8 +198,9 @@ class LogPolarGrid:
 
         A rule's jac is (Jus, Jup), followed by the rows of the per-sample
         outer products Jus Jus, Jus Jup + Jup Jus and Jup Jup that its
-        Hessian blocks need: the corner rule's _LOWER rows, the pin rule's
-        sixteen, as with ten its K = 64 product rounds apart.
+        Hessian blocks need: the corner rule's _LOWER rows and all sixteen
+        of the pin rule's, whose K = 64 product with only the ten rows
+        would round differently.
         """
         (_, w, em, Jus, Jup), (pin, w_pin, em_pin, Pus, Pup) = _quadrature(self)
         n_c = self.n_phi - 1

@@ -45,7 +45,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from types import SimpleNamespace
@@ -100,22 +100,25 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageInfo:
-    """Diagnostics of one continuation stage.
+    """Diagnostics of one continuation stage, recorded when it ends.
 
+    energy_history holds the objective before each of the iterations
+    Newton steps and after the last; energy is its last entry.
+    line_search_failures is 1 if a failed line search ended the stage.
     fallbacks counts the gradient steps taken because the factorization
     failed or the Newton direction was not a descent direction.
     """
 
     eps: float
-    iterations: int = 0
-    energy: float = math.nan
-    grad_sup: float = math.inf
-    converged: bool = False
-    line_search_failures: int = 0
-    fallbacks: int = 0
-    energy_history: list = dataclass_field(default_factory=list)
+    iterations: int
+    energy: float
+    grad_sup: float
+    converged: bool
+    line_search_failures: int
+    fallbacks: int
+    energy_history: list
 
 
 @dataclass
@@ -216,18 +219,15 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
     box = quarter.free_box()
     box_shape = field.values[box].shape
     constrained = quarter.constrained_mask()
-    stage = StageInfo(eps=params.eps)
-    e_now = 2.0 * energy(field, params)
-    stage.energy_history.append(e_now)
+    history = [2.0 * energy(field, params)]
+    fallbacks, search_failed = 0, False
     while True:
         g = energy_gradient(field, params).values
         pin_force = float(g[quarter.pin_index])
         g[constrained] = 0.0
         # the half plane's gradient is g off the axis column, 2 g on it
-        stage.grad_sup = float(max(np.abs(g).max(),
-                                   2.0 * np.abs(g[:, -1]).max()))
-        stage.converged = stage.grad_sup <= grad_tol
-        if stage.converged or stage.iterations == _MAX_ITERS_PER_STAGE:
+        grad_sup = float(max(np.abs(g).max(), 2.0 * np.abs(g[:, -1]).max()))
+        if grad_sup <= grad_tol or len(history) - 1 == _MAX_ITERS_PER_STAGE:
             break
         # the free box in row-major order, the Hessian band's node order
         g_f = g[box].ravel()
@@ -237,10 +237,10 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
         except RuntimeError:
             slope = 0.0     # not positive definite: take the gradient step
         if slope >= 0.0:
-            stage.fallbacks += 1
+            fallbacks += 1
             direction, slope = -g_f, -2.0 * float(g_f @ g_f)
 
-        step = 1.0
+        e_now, step = history[-1], 1.0
         for _ in range(_MAX_HALVINGS):
             trial = field.values.copy()
             trial[box] += (step * direction).reshape(box_shape)
@@ -251,13 +251,15 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
                 break
             step *= 0.5
         else:
-            stage.line_search_failures += 1
+            search_failed = True
             break
         field = trial_field
-        stage.iterations += 1
-        e_now = e_trial
-        stage.energy_history.append(e_now)
-    stage.energy = e_now
+        history.append(e_trial)
+    stage = StageInfo(eps=params.eps, iterations=len(history) - 1,
+                      energy=history[-1], grad_sup=grad_sup,
+                      converged=grad_sup <= grad_tol,
+                      line_search_failures=int(search_failed),
+                      fallbacks=fallbacks, energy_history=history)
     return field, stage, pin_force
 
 
@@ -391,9 +393,11 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
-    The sidecar and the field dump must agree on the grid and on p, p must
-    pass aronsson.check_p, and the sidecar's converged and energy
-    must be a JSON boolean and number.
+    Every field comes from the checkpoint, and one it lacks makes it
+    malformed; a stage's energy_history, which it never stores, loads
+    empty.  The sidecar and the field dump must agree on the grid and on
+    p, p must pass aronsson.check_p, converged must be a JSON boolean and
+    p, energy and dipole_strength JSON numbers.
     """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
@@ -402,23 +406,26 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         raise ValueError(f"not a checkpoint: {path_base}.json")
     if not isinstance(meta.get("stages"), list):
         raise ValueError("checkpoint stages must be a list of objects")
+    if (type(meta.get("converged")) is not bool
+            or any(type(meta.get(k)) not in (int, float)
+                   for k in ("p", "energy", "dipole_strength"))):
+        raise ValueError("converged must be a boolean and p, energy and "
+                         "dipole_strength numbers")
     try:
         field, header = load_field(path_base + ".field")
         spec = from_fields(GridSpec, meta["spec"])
         config = from_fields(SolverConfig, meta["config"])
-        stages = [from_fields(StageInfo, d) for d in meta["stages"]]
-        p = check_p(meta["p"])
-        dipole = float(meta.get("dipole_strength", math.nan))
+        stages = [from_fields(StageInfo, d, energy_history=[])
+                  for d in meta["stages"]]
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc
+    p = check_p(meta["p"])
     if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
     if header.get("p") != p:
         raise ValueError(f"field dump p={header.get('p')} does not match "
                          f"sidecar p={p}")
-    if (type(meta.get("converged")) is not bool
-            or type(meta.get("energy")) not in (int, float)):
-        raise ValueError("converged must be a boolean and energy a number")
     result = SolveResult(field=field, energy=meta["energy"], stages=stages,
-                         converged=meta["converged"], p=p, dipole_strength=dipole)
+                         converged=meta["converged"], p=p,
+                         dipole_strength=meta["dipole_strength"])
     return result, config

@@ -371,12 +371,22 @@ def test_analyze_corrupt_checkpoint(tmp_path):
                                   lambda meta: {**meta, "converged": 1},
                                   lambda meta: {**meta, "converged": None},
                                   lambda meta: {**meta, "energy": None},
-                                  lambda meta: {**meta, "energy": "x"}],
+                                  lambda meta: {**meta, "energy": "x"},
+                                  lambda meta: {**meta, "p": "4"},
+                                  lambda meta: {**meta, "dipole_strength": "1.5"},
+                                  lambda meta: {k: v for k, v in meta.items()
+                                                if k != "dipole_strength"},
+                                  lambda meta: {**meta, "stages": [{"eps": 0.01}]},
+                                  lambda meta: {**meta, "config": {}}],
                          ids=["list", "null-stages", "non-object-stage",
                               "null-spec", "null-config", "null-p",
                               "p-mismatch", "bad-converged", "int-converged",
-                              "null-converged", "null-energy", "text-energy"])
+                              "null-converged", "null-energy", "text-energy",
+                              "p-string", "dipole-string", "no-dipole",
+                              "stage-eps-only", "config-missing-keys"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
+    """Every value comes from the sidecar, with its JSON type: a missing
+    field or a number written as text exits 1, not with a stand-in."""
     _write_synthetic_checkpoint(tmp_path / "ckpt")
     sidecar = tmp_path / "ckpt.json"
     sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
@@ -501,7 +511,8 @@ def test_analyze_accepts_retired_sidecar_keys(tmp_path):
     """A sidecar with the keys of older versions loads and analyzes alike."""
     _write_synthetic_checkpoint(tmp_path / "ckpt", stages=[
         solver.StageInfo(eps=eps, iterations=3, energy=0.5, grad_sup=1e-10,
-                         converged=True) for eps in (1e-2, 1e-3)])
+                         converged=True, line_search_failures=0, fallbacks=0,
+                         energy_history=[]) for eps in (1e-2, 1e-3)])
     argv = ["analyze", "--checkpoint", str(tmp_path / "ckpt"), "--window", "2,7.5"]
     assert main(argv + ["--out-dir", str(tmp_path / "new")]) == 0
     loaded = m.load_checkpoint(tmp_path / "ckpt")[0].stages

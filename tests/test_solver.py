@@ -103,6 +103,40 @@ def test_non_convergence_flagged_with_partial_data(monkeypatch):
     assert result.stages[-1].grad_sup > 1e-30
 
 
+def _assert_recorded_once(stages, grad_tol):
+    for st in stages:
+        assert st.iterations == len(st.energy_history) - 1
+        assert st.energy == st.energy_history[-1]
+        assert st.converged == (st.grad_sup <= grad_tol)
+        # a failed line search ends the stage
+        assert st.line_search_failures in (0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.converged = not st.converged
+
+
+def test_stage_record_follows_its_history(solve_small, monkeypatch):
+    """A stage is recorded once, when it ends, from its energy history and
+    its last gradient, and stays as recorded."""
+    _assert_recorded_once(solve_small.stages, m.SolverConfig().grad_tol)
+    monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 1)
+    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30)
+    capped = m.solve_extremal(TINY_SPEC, 4.0, cfg)
+    assert [st.iterations for st in capped.stages] == [1, 1]
+    _assert_recorded_once(capped.stages, cfg.grad_tol)
+
+
+def test_failed_line_search_ends_the_stage(monkeypatch):
+    """With no trial step allowed every line search fails, so each stage
+    ends unconverged at its start with one failure recorded."""
+    monkeypatch.setattr(solver, "_MAX_HALVINGS", 0)
+    cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3))
+    result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
+    assert not result.converged
+    assert [(st.iterations, st.line_search_failures, st.converged)
+            for st in result.stages] == [(0, 1, False), (0, 1, False)]
+    _assert_recorded_once(result.stages, cfg.grad_tol)
+
+
 def test_warm_start_requires_matching_grid(solve_small):
     with pytest.raises(ValueError):
         m.solve_extremal(TINY_SPEC, 4.0, initial=solve_small.field)
@@ -184,7 +218,7 @@ def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
     assert result.converged
     assert [st.fallbacks for st in result.stages] == [1, 0, 0, 0, 0]
     assert np.abs(result.field.values - solve_small.field.values).max() < 1e-6
-    # written to the sidecar, read back, and 0 when an older sidecar lacks it
+    # written to the sidecar, read back, and a sidecar without it is malformed
     base = tmp_path / "ck"
     m.save_checkpoint(result, m.SolverConfig(), base)
     meta = json.loads((tmp_path / "ck.json").read_text())
@@ -194,8 +228,8 @@ def test_factorization_failure_counted_as_fallback(monkeypatch, tmp_path,
     for d in meta["stages"]:
         del d["fallbacks"]
     (tmp_path / "ck.json").write_text(json.dumps(meta))
-    loaded, _ = m.load_checkpoint(base)
-    assert [st.fallbacks for st in loaded.stages] == [0, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="malformed checkpoint"):
+        m.load_checkpoint(base)
 
 
 # --------------------------------------------------------- band Cholesky
