@@ -92,7 +92,11 @@ class DecayFit:
 
 @dataclass
 class HolderResult:
-    """Best Hoelder quotient found and the pair attaining it."""
+    """Best Hoelder quotient found and the pair attaining it.
+
+    pairs_evaluated counts every pair the search covers, scored or ruled
+    out by _pair_max's bound as unable to win.
+    """
 
     seminorm: float
     point_a: np.ndarray
@@ -199,10 +203,14 @@ def gradient_profile(result, window: tuple) -> tuple[DecayProfile, DecayFit]:
     """
     field = _field_of(result)
     g = field.grid
-    gmag = np.sqrt(cell_gradient_sq(field))
     r_c = np.exp(g.s_c)
-    keep = r_c >= 2.0
-    profile = DecayProfile(radii=r_c[keep], sup_values=gmag[keep].max(axis=1))
+    # r_c increases, so the kept rows are a suffix; sqrt is monotone and
+    # correctly rounded, so the root of the row maximum is the row maximum
+    # of the roots
+    keep = int(np.searchsorted(r_c, 2.0))
+    profile = DecayProfile(
+        radii=r_c[keep:],
+        sup_values=np.sqrt(cell_gradient_sq(field)[keep:].max(axis=1)))
     cap = profile.radii.max() / 8.0
     window = (float(window[0]), min(float(window[1]), cap))
     return profile, fit_exponent(profile, window)
@@ -224,35 +232,76 @@ def _bit_reversed_order(n: int, k: int) -> np.ndarray:
     return rev[rev < n][:k]
 
 
-def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
-    """Best Hoelder quotient over all pairs of the given points.
+def _quotients(u, w, x, y, alpha):
+    """The Hoelder quotients |u - w| / |x - y|**alpha of the pairs of
+    points x[:, k], y[:, k] (one row per coordinate) with values u[k], w[k].
 
-    Only the upper-triangle pairs count, in row order and in blocks of
-    whole rows of at most _PAIR_CHUNK entries (or one row), and the first
-    best quotient wins.  A block scores its rows against every later column
-    by broadcasting; its entries on or below the diagonal get -1, below any
-    pair's quotient, so the first row-major argmax is the first best pair
-    in triangle order.  The distance adds the squared coordinate
-    differences column by column; in one and two dimensions that rounds as
-    numpy's 2-norm of the difference vector.
+    A pair scores the same in either orientation, and coincident points
+    score 0.  The distance adds the squared coordinate differences row by
+    row; in one and two dimensions that rounds as numpy's 2-norm of the
+    difference vector.
     """
-    n, a, best, seen = len(points), 0, None, 0
+    diff = np.abs(u - w)
+    d = np.sqrt(sum((xc - yc) ** 2 for xc, yc in zip(x, y)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(d > 0.0, diff / d**alpha, 0.0)
+
+
+def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
+    """Best Hoelder quotient over all pairs of the given points, whose
+    values must be finite.
+
+    The first pair's quotient, best, rules out every pair that cannot beat
+    it: |u(x) - u(y)| <= |u(x)| + max|u|, so no pair farther apart than
+    R(x) = ((|u(x)| + max|u|) / best)**(1/alpha) can.  The points are
+    sorted along their first coordinate, and each row scores only the
+    later points within R of it along that coordinate, in blocks of whole
+    rows of at most _PAIR_CHUNK pairs (or one row).  R is taken for a best
+    1e-9 relative below the true one, far more than the bound's rounding,
+    so no pair that the full scan would pick is ruled out.  Among equal
+    best quotients the first pair in the row-major order of the upper
+    triangle wins.  The count returned is every pair of that triangle,
+    scored or ruled out.
+    """
+    n = len(points)
+    best = _quotients(values[:1], values[1:2], points[:1].T, points[1:2].T,
+                      alpha)[0]
+    order = np.argsort(points[:, 0], kind="stable")
+    v, coords = values[order], points[order].T.copy()
+    # end[k]: one past the last sorted point that row k scores
+    end = np.full(n, n)
+    cut = best * (1.0 - 1e-9)
+    if cut > 0.0:
+        size = np.abs(v)
+        with np.errstate(over="ignore"):
+            reach = ((size + size.max()) / cut) ** (1.0 / alpha)
+        end = np.searchsorted(coords[0], coords[0] + reach, side="right")
+    counts = end - np.arange(1, n + 1)
+    covered = np.cumsum(counts)
+    key, a = 1, 0                   # the pair (0, 1), as row * n + column
     while a < n - 1:
-        cols = n - 1 - a
-        rows = min(max(1, _PAIR_CHUNK // cols), cols)
-        ra, cb = slice(a, a + rows), slice(a + 1, n)
-        diff = np.abs(values[ra, None] - values[None, cb])
-        d = np.sqrt(sum((col[ra, None] - col[None, cb]) ** 2
-                        for col in points.T))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            quot = np.where(d > 0.0, diff / d**alpha, 0.0)
-        quot[np.tri(rows, cols, -1, dtype=bool)] = -1.0
-        i, j = divmod(int(np.argmax(quot)), cols)
-        if best is None or quot[i, j] > best[0]:
-            best = (float(quot[i, j]), points[a + i], points[a + 1 + j])
-        seen += rows * cols - rows * (rows - 1) // 2
-        a += rows
-    return (*best, seen)
+        b = max(a + 1, int(np.searchsorted(
+            covered, covered[a] - counts[a] + _PAIR_CHUNK, side="right")))
+        rows, c = slice(a, b), counts[a:b]
+        ends = np.cumsum(c)
+        # row k's columns k+1 .. end[k]-1, laid end to end
+        cols = np.arange(ends[-1]) + np.repeat(np.arange(a + 1, b + 1)
+                                               - (ends - c), c)
+        a = b
+        if not cols.size:
+            continue
+        quot = _quotients(np.repeat(v[rows], c), v[cols],
+                          np.repeat(coords[:, rows], c, axis=1),
+                          [x[cols] for x in coords], alpha)
+        top = quot.max()
+        if top >= best:
+            hit = np.flatnonzero(quot == top)
+            i = order[rows.start + np.searchsorted(ends, hit, side="right")]
+            j = order[cols[hit]]
+            k = int((np.minimum(i, j) * n + np.maximum(i, j)).min())
+            if top > best or k < key:
+                best, key = top, k
+    return float(best), points[key // n], points[key % n], n * (n - 1) // 2
 
 
 def holder_seminorm(evaluator, alpha: float, sample_budget: int,
@@ -332,7 +381,11 @@ def lp_gradient_norm(result, p: float) -> float:
     field = _field_of(result)
     g = field.grid
     q = cell_gradient_sq(field)
-    return float((2.0 * (g.cell_weight * q ** (p / 2.0)).sum()) ** (1.0 / p))
+    # in place, times the products radial_mass[i] * dphi that make up
+    # g.cell_weight, so the sum keeps the bits of the whole-array form
+    q **= p / 2.0
+    q *= g.radial_mass[:, None] * g.dphi
+    return float((2.0 * q.sum()) ** (1.0 / p))
 
 
 def estimate_morrey_constant(result: SolveResult,

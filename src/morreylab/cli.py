@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import resource
 import sys
@@ -367,7 +368,10 @@ def cmd_verify(params: dict) -> int:
 
 # ---------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built at the first call of a process and
+    reused by every later main() call: parsing leaves it unchanged."""
     parser = _Parser(prog="morreylab",
                      description="Morrey extremal laboratory")
     parser.add_argument("--version", action="version", version=__version__)

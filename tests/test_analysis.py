@@ -5,7 +5,7 @@ import pytest
 
 import morreylab as m
 from morreylab import analysis
-from conftest import synthetic_result
+from conftest import ACC_SPEC, ACC_SPEC_FINE, random_even_field, synthetic_result
 
 
 def medium_grid():
@@ -293,6 +293,121 @@ def test_holder_search_does_not_depend_on_the_pair_chunk(monkeypatch):
         monkeypatch.undo()
 
 
+def full_scan_pair_max(values, points, alpha):
+    """The Hoelder pair scan before pruning: every pair of the upper
+    triangle scored, in blocks of whole rows of at most _PAIR_CHUNK
+    entries, the first best quotient winning."""
+    n, a, best, seen = len(points), 0, None, 0
+    while a < n - 1:
+        cols = n - 1 - a
+        rows = min(max(1, analysis._PAIR_CHUNK // cols), cols)
+        ra, cb = slice(a, a + rows), slice(a + 1, n)
+        diff = np.abs(values[ra, None] - values[None, cb])
+        d = np.sqrt(sum((col[ra, None] - col[None, cb]) ** 2
+                        for col in points.T))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            quot = np.where(d > 0.0, diff / d**alpha, 0.0)
+        quot[np.tri(rows, cols, -1, dtype=bool)] = -1.0
+        i, j = divmod(int(np.argmax(quot)), cols)
+        if best is None or quot[i, j] > best[0]:
+            best = (float(quot[i, j]), points[a + i], points[a + 1 + j])
+        seen += rows * cols - rows * (rows - 1) // 2
+        a += rows
+    return (*best, seen)
+
+
+# alpha = 1 - 2/p: p = 2.5 gives the largest reach exponent 1/alpha
+HOLDER_ALPHAS = [1.0 - 2.0 / p for p in (2.5, 3.0, 4.0, 8.0, 32.0)]
+
+
+def mirrored_pair_cases():
+    """Values odd under y -> -y on points mirrored across the x axis, led
+    by the anchor pair (0, 1), (0, -1) and shuffled: each pair ties
+    exactly with its mirror image, so only the pair order breaks ties."""
+    rng = np.random.default_rng(5)
+    for n in (40, 300):
+        upper = np.column_stack([rng.uniform(-4.0, 4.0, n),
+                                 rng.uniform(0.05, 4.0, n)])
+        vals = np.sin(upper[:, 0]) * upper[:, 1] / (1.0 + upper[:, 1] ** 2)
+        perm = rng.permutation(2 * n)
+        points = np.vstack([upper, upper * [1.0, -1.0]])[perm]
+        values = np.concatenate([vals, -vals])[perm]
+        yield (np.concatenate([[1.0, -1.0], values]),
+               np.vstack([[[0.0, 1.0], [0.0, -1.0]], points]))
+        # a steep bump beats the anchor far from it
+        values = values * 40.0
+        yield (np.concatenate([[1.0, -1.0], values]),
+               np.vstack([[[0.0, 1.0], [0.0, -1.0]], points]))
+
+
+def pruned_scan_cases(alpha):
+    yield from pair_max_cases()
+    yield from mirrored_pair_cases()
+    line = np.linspace(-1.5, 1.5, 301)[:, None]
+    yield np.zeros(301), line                   # best = 0: nothing pruned
+    # the pair at 10 has |u(x) - u(y)| = |u(x)| + max|u| and beats the
+    # first pair by 1e-6 relative, so it sits just inside the bound
+    d = 2.0 / (1.0 + 1e-6) ** (1.0 / alpha)
+    yield (np.array([1.0, -1.0, 0.5, 1.0, -1.0]),
+           np.array([[0.0], [2.0], [5.0], [10.0], [10.0 + d]]))
+
+
+def assert_same_pair_max(got, want):
+    assert (got[0], got[3]) == (want[0], want[3])
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("alpha", HOLDER_ALPHAS)
+def test_pruned_pair_scan_equals_the_full_scan(alpha, monkeypatch):
+    # one row per block also splits exactly tied pairs across blocks
+    for chunk in (analysis._PAIR_CHUNK, 1):
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", chunk)
+        for values, points in pruned_scan_cases(alpha):
+            assert_same_pair_max(analysis._pair_max(values, points, alpha),
+                                 full_scan_pair_max(values, points, alpha))
+
+
+def holder_outputs(full, alpha, budgets):
+    for budget in budgets:
+        h = m.holder_seminorm(full, alpha, budget)
+        yield h.seminorm, h.point_a, h.point_b, h.pairs_evaluated
+
+
+@pytest.mark.parametrize("alpha", HOLDER_ALPHAS)
+def test_holder_search_equals_the_full_scan(alpha, solve_small, monkeypatch):
+    """The whole search, sampled stage and refinement, picks the same pair
+    and counts the same pairs as with every pair scored."""
+    full = m.mirror_to_fullplane(solve_small)
+    pts = np.linspace(-1.5, 1.5, 301)[:, None]
+    budgets = (2, 50, 600, 2000)
+
+    def outputs():
+        yield from holder_outputs(full, alpha, budgets)
+        h = m.holder_seminorm(clamp_evaluator, alpha, 200, sample_points=pts)
+        yield h.seminorm, h.point_a, h.point_b, h.pairs_evaluated
+
+    pruned = list(outputs())
+    monkeypatch.setattr(analysis, "_pair_max", full_scan_pair_max)
+    for got, want in zip(pruned, outputs(), strict=True):
+        assert_same_pair_max(got, want)
+
+
+def test_pruned_scan_scores_few_pairs(solve_small, monkeypatch):
+    """On a solved field the anchor pair rules out most pairs at once."""
+    scored = []
+    quotients = analysis._quotients
+
+    def counted(u, w, x, y, alpha):
+        scored.append(len(u))
+        return quotients(u, w, x, y, alpha)
+
+    monkeypatch.setattr(analysis, "_quotients", counted)
+    monkeypatch.setattr(analysis, "_HOLDER_REFINE_ROUNDS", 0)
+    h = m.holder_seminorm(m.mirror_to_fullplane(solve_small), 0.5, 600)
+    assert h.pairs_evaluated == math.comb(602, 2)
+    assert sum(scored) < h.pairs_evaluated / 3
+
+
 def test_sample_points_list_the_pi_ray_twice():
     # sin(pi) > 0, so the phi = pi nodes come back mirrored; only the
     # phi = 0 ray (y = 0 exactly) is listed once
@@ -352,6 +467,38 @@ def test_lp_norm_refinement_consistency():
         res = synthetic_result(grid, power_law_field(grid, 0.5))
         vals[n_s] = m.lp_gradient_norm(res, 4.0)
     assert abs(vals[225] - vals[113]) / vals[113] < 0.005
+
+
+def whole_array_gradient_sq(field):
+    """cell_gradient_sq as one whole-array expression."""
+    g, v = field.grid, field.values
+    vs = (v[1:, :] - v[:-1, :]) / g.ds
+    us = 0.5 * (vs[:, 1:] + vs[:, :-1])
+    vp = (v[:, 1:] - v[:, :-1]) / g.dphi
+    up = 0.5 * (vp[1:, :] + vp[:-1, :])
+    return (us * us + up * up) * g.em2s_c[:, None]
+
+
+@pytest.mark.parametrize("spec", [ACC_SPEC, ACC_SPEC_FINE],
+                         ids=["577x65", "1153x129"])
+def test_gradient_outputs_equal_the_whole_array_forms(spec):
+    """The strip-wise gradient, the row maxima taken before the root and
+    the in-place weighting keep every bit of the whole-array forms."""
+    field = random_even_field(spec)[1]
+    g = field.grid
+    q = whole_array_gradient_sq(field)
+    assert np.array_equal(m.cell_gradient_sq(field), q)
+    r_c = np.exp(g.s_c)
+    keep = r_c >= 2.0
+    for p in (2.5, 4.0, 8.0, 32.0):
+        res = synthetic_result(g, field.values, p=p)
+        profile, fit = m.gradient_profile(res, (4.0, 512.0))
+        assert np.array_equal(profile.radii, r_c[keep])
+        assert np.array_equal(profile.sup_values,
+                              np.sqrt(q)[keep].max(axis=1))
+        want = float((2.0 * (g.cell_weight * q ** (p / 2.0)).sum())
+                     ** (1.0 / p))
+        assert m.lp_gradient_norm(res, p) == want
 
 
 # ------------------------------------------------------- constant estimate

@@ -11,7 +11,9 @@ import ast
 import gc
 import importlib
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -341,3 +343,22 @@ def test_no_command_loads_scipy_linalg(tmp_path):
     assert flapack == "True"
     loaded = ast.literal_eval(loaded)
     assert not any(loaded.values()), loaded
+
+
+def test_post_solve_smoke_passes_its_checks(tmp_path):
+    # the benchmark's post-solve workload (analyze, barrier_check, verify
+    # --mode full, the cone probe) on tiny grids, with its own correctness
+    # checks, from a copy of the harness so that its results stay outside
+    # the checkout
+    for tree in (PERFBENCH, SRC):
+        shutil.copytree(tree, tmp_path / tree.name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(PERFBENCH.parent / "BENCHMARK.json", tmp_path)
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "post-solve",
+         "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=170)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["analysis.holder_pairs"]["value"] > 0

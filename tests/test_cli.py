@@ -360,6 +360,11 @@ def test_analyze_corrupt_checkpoint(tmp_path):
     assert rc == 1
 
 
+# a stage as save_checkpoint writes it
+_STAGE = {"eps": 1e-6, "iterations": 3, "energy": 0.5, "grad_sup": 1e-10,
+          "converged": True, "line_search_failures": 0, "fallbacks": 0}
+
+
 @pytest.mark.parametrize("edit", [lambda meta: [],
                                   lambda meta: {**meta, "stages": None},
                                   lambda meta: {**meta, "stages": [1]},
@@ -377,13 +382,24 @@ def test_analyze_corrupt_checkpoint(tmp_path):
                                   lambda meta: {k: v for k, v in meta.items()
                                                 if k != "dipole_strength"},
                                   lambda meta: {**meta, "stages": [{"eps": 0.01}]},
-                                  lambda meta: {**meta, "config": {}}],
+                                  lambda meta: {**meta, "config": {}},
+                                  lambda meta: {**meta, "stages": [
+                                      {**_STAGE, "iterations": "three"}]},
+                                  lambda meta: {**meta, "stages": [
+                                      {**_STAGE, "converged": "no"}]},
+                                  lambda meta: {**meta, "stages": [
+                                      {**_STAGE, "grad_sup": None}]},
+                                  lambda meta: {**meta, "config": {
+                                      **meta["config"],
+                                      "eps_schedule": ["0.01"]}}],
                          ids=["list", "null-stages", "non-object-stage",
                               "null-spec", "null-config", "null-p",
                               "p-mismatch", "bad-converged", "int-converged",
                               "null-converged", "null-energy", "text-energy",
                               "p-string", "dipole-string", "no-dipole",
-                              "stage-eps-only", "config-missing-keys"])
+                              "stage-eps-only", "config-missing-keys",
+                              "text-iterations", "text-stage-converged",
+                              "null-grad-sup", "text-eps-schedule"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     """Every value comes from the sidecar, with its JSON type: a missing
     field or a number written as text exits 1, not with a stand-in."""
@@ -685,6 +701,17 @@ OPTIONS = {
     "verify": {"p": ("--p", "float"), "mode": ("--mode", "mode"),
                "out_dir": ("--out-dir", "text")},
 }
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    """main() reuses one parser, and a rejected command line leaves it
+    fit for the next call."""
+    parser = cli._build_parser()
+    assert main(["beta-table", "--no-such-flag", "--out-dir",
+                 str(tmp_path)]) == 1
+    assert main(["beta-table", "--p-values", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert cli._build_parser() is parser
 
 
 def test_option_strings_and_dests_frozen():

@@ -467,6 +467,20 @@ def test_checkpoint_round_trip(tmp_path, solve_small):
     assert loaded.stages[-1].grad_sup == solve_small.stages[-1].grad_sup
 
 
+def test_checkpoint_loads_an_unconverged_stage(tmp_path, solve_small):
+    """A stage that ended unconverged may store grad_sup as Infinity, which
+    JSON reads back as a number."""
+    stage = dataclasses.replace(solve_small.stages[-1], converged=False,
+                                grad_sup=math.inf)
+    result = dataclasses.replace(solve_small, converged=False,
+                                 stages=[*solve_small.stages[:-1], stage])
+    m.save_checkpoint(result, m.SolverConfig(), tmp_path / "ck")
+    assert '"grad_sup": Infinity' in (tmp_path / "ck.json").read_text()
+    loaded = m.load_checkpoint(tmp_path / "ck")[0]
+    assert loaded.stages[-1] == dataclasses.replace(stage, energy_history=[])
+    assert loaded.converged is False
+
+
 def test_checkpoint_rejects_corruption(tmp_path, solve_small):
     base = tmp_path / "ck"
     m.save_checkpoint(solve_small, m.SolverConfig(), base)
