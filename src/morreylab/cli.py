@@ -270,7 +270,7 @@ def cmd_analyze(params: dict) -> int:
         raise UsageError("--checkpoint is required")
     try:
         result, _ = load_checkpoint(params["checkpoint"])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read checkpoint: {exc}") from exc
     if not result.converged:
         print("checkpoint is not converged", file=sys.stderr)

@@ -78,7 +78,6 @@ __all__ = [
     "interpolate",
     "save_field",
     "load_field",
-    "field_to_csv",
 ]
 
 _FIELD_MAGIC = b"# morreylab field v2"
@@ -125,17 +124,32 @@ class GridSpec:
                 "that ln(r_min) is an integer multiple of the spacing")
 
 
+# the JSON type a stored value must have, by the annotation of its
+# dataclass field (a string, under the future import): a float may be
+# written as an integer, NaN or Infinity, but a boolean is no number
+_JSON_TYPES = {
+    "float": lambda x: type(x) in (int, float),
+    "int": lambda x: type(x) is int,
+    "bool": lambda x: type(x) is bool,
+    "tuple": lambda x: (type(x) is list
+                        and all(type(e) in (int, float) for e in x)),
+}
+
+
 def from_fields(cls, data: dict, **given):
     """Dataclass cls from given and the entries of data that name its
-    other fields; other keys are ignored.  A field in neither, defaulted
-    or not, or data that is not a dict raises TypeError."""
+    other fields; other keys are ignored.  Each entry must have the JSON
+    type _JSON_TYPES gives its field's annotation.  Data that is not a
+    dict, or that lacks or mistypes a field, defaulted or not, raises
+    TypeError."""
     if not isinstance(data, dict):
         raise TypeError(f"expected an object, got {type(data).__name__}")
-    names = [f.name for f in fields(cls) if f.name not in given]
-    missing = [name for name in names if name not in data]
-    if missing:
-        raise TypeError(f"{cls.__name__} lacks {', '.join(missing)}")
-    return cls(**{name: data[name] for name in names}, **given)
+    read = [f for f in fields(cls) if f.name not in given]
+    bad = [f.name for f in read
+           if f.name not in data or not _JSON_TYPES[f.type](data[f.name])]
+    if bad:
+        raise TypeError(f"{cls.__name__} lacks or mistypes {', '.join(bad)}")
+    return cls(**{f.name: data[f.name] for f in read}, **given)
 
 
 class LogPolarGrid:
@@ -661,9 +675,3 @@ def load_field(path) -> tuple[ScalarField, dict]:
         raise ValueError("corrupt field dump: non-finite value in the body")
     return ScalarField(build_grid(spec), values), header
 
-
-def field_to_csv(field: ScalarField, path) -> None:
-    """CSV export with columns r, phi, value at every node."""
-    r, phi = np.meshgrid(field.grid.r, field.grid.phi, indexing="ij")
-    write_csv(path, ["r", "phi", "value"],
-              zip(r.ravel(), phi.ravel(), field.values.ravel()))

@@ -390,47 +390,15 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
     return field_path, meta_path
 
 
-def _json_type(*types):
-    """Whether a loaded JSON value has one of the given Python types
-    exactly: a boolean is no int."""
-    return lambda x: type(x) in types
-
-
-_NUMBER, _COUNT, _FLAG = (_json_type(int, float), _json_type(int),
-                          _json_type(bool))
-# the JSON type of every value a checkpoint loads, by where it is stored
-_STORED_TYPES = {
-    "sidecar": {"p": _NUMBER, "energy": _NUMBER, "dipole_strength": _NUMBER,
-                "converged": _FLAG},
-    "config": {"eps_schedule": lambda x: type(x) is list
-               and all(map(_NUMBER, x)), "grad_tol": _NUMBER},
-    "stage": {"eps": _NUMBER, "iterations": _COUNT, "energy": _NUMBER,
-              "grad_sup": _NUMBER, "converged": _FLAG,
-              "line_search_failures": _COUNT, "fallbacks": _COUNT},
-}
-
-
-def _check_stored(data, where: str) -> None:
-    """ValueError unless data is an object holding every value of
-    _STORED_TYPES[where] with its JSON type."""
-    if not isinstance(data, dict):
-        raise ValueError(f"malformed checkpoint: {where} is not an object")
-    bad = [k for k, ok in _STORED_TYPES[where].items() if not ok(data.get(k))]
-    if bad:
-        raise ValueError(f"malformed checkpoint: {where} lacks or mistypes "
-                         f"{', '.join(bad)}")
-
-
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
-    Every field comes from the checkpoint, and one it lacks makes it
-    malformed; a stage's energy_history, which it never stores, loads
-    empty.  The sidecar and the field dump must agree on the grid and on
-    p, and p must pass aronsson.check_p.  Each value of the sidecar, its
-    config and its stages must have the JSON type of _STORED_TYPES: a
-    count is an integer, converged a boolean, and every other value a
-    number (a schedule a list of numbers), never a boolean or text.
+    Every field comes from the checkpoint through grid.from_fields, so a
+    stored value must be present and have the JSON type of its dataclass
+    field's annotation (grid._JSON_TYPES); a stage's energy_history, which
+    a checkpoint never stores, loads empty.  The sidecar and the field
+    dump must agree on the grid and on p, and p must pass
+    aronsson.check_p.
     """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
@@ -439,25 +407,19 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
         raise ValueError(f"not a checkpoint: {path_base}.json")
     if not isinstance(meta.get("stages"), list):
         raise ValueError("checkpoint stages must be a list of objects")
-    _check_stored(meta, "sidecar")
-    _check_stored(meta.get("config"), "config")
-    for stage in meta["stages"]:
-        _check_stored(stage, "stage")
     try:
         field, header = load_field(path_base + ".field")
-        spec = from_fields(GridSpec, meta["spec"])
-        config = from_fields(SolverConfig, meta["config"])
-        stages = [from_fields(StageInfo, d, energy_history=[])
-                  for d in meta["stages"]]
+        spec = from_fields(GridSpec, meta.get("spec"))
+        config = from_fields(SolverConfig, meta.get("config"))
+        result = from_fields(SolveResult, meta, field=field, stages=[
+            from_fields(StageInfo, d, energy_history=[])
+            for d in meta["stages"]])
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc
-    p = check_p(meta["p"])
+    p = result.p = check_p(result.p)
     if spec != field.grid.spec:
         raise ValueError("checkpoint sidecar does not match field dump")
     if header.get("p") != p:
         raise ValueError(f"field dump p={header.get('p')} does not match "
                          f"sidecar p={p}")
-    result = SolveResult(field=field, energy=meta["energy"], stages=stages,
-                         converged=meta["converged"], p=p,
-                         dipole_strength=meta["dipole_strength"])
     return result, config

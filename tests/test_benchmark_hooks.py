@@ -78,7 +78,6 @@ def test_package_namespace_is_the_modules_all():
         "GridSpec", "LogPolarGrid", "ScalarField", "EnergyParams",
         "build_grid", "energy", "energy_gradient", "energy_hessian",
         "cell_gradient_sq", "interpolate", "save_field", "load_field",
-        "field_to_csv",
         "SolverConfig", "StageInfo", "SolveResult", "solve_extremal",
         "FullPlaneField", "mirror_to_fullplane", "save_checkpoint",
         "load_checkpoint",

@@ -391,7 +391,9 @@ _STAGE = {"eps": 1e-6, "iterations": 3, "energy": 0.5, "grad_sup": 1e-10,
                                       {**_STAGE, "grad_sup": None}]},
                                   lambda meta: {**meta, "config": {
                                       **meta["config"],
-                                      "eps_schedule": ["0.01"]}}],
+                                      "eps_schedule": ["0.01"]}},
+                                  lambda meta: {k: v for k, v in meta.items()
+                                                if k != "spec"}],
                          ids=["list", "null-stages", "non-object-stage",
                               "null-spec", "null-config", "null-p",
                               "p-mismatch", "bad-converged", "int-converged",
@@ -399,7 +401,8 @@ _STAGE = {"eps": 1e-6, "iterations": 3, "energy": 0.5, "grad_sup": 1e-10,
                               "p-string", "dipole-string", "no-dipole",
                               "stage-eps-only", "config-missing-keys",
                               "text-iterations", "text-stage-converged",
-                              "null-grad-sup", "text-eps-schedule"])
+                              "null-grad-sup", "text-eps-schedule",
+                              "no-spec"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     """Every value comes from the sidecar, with its JSON type: a missing
     field or a number written as text exits 1, not with a stand-in."""
@@ -437,6 +440,24 @@ def test_analyze_malformed_field_header(edit, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "usage error: cannot read checkpoint")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_s", 81.0), ("r_max", "64"), ("n_phi", True),
+], ids=["float-n-s", "text-r-max", "bool-n-phi"])
+def test_analyze_malformed_field_header_names_the_field(key, value, tmp_path,
+                                                       capsys):
+    """A header value of another JSON type than its GridSpec field exits 1
+    with a message that names the field, not through numpy's error."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    _edit_field_dump(tmp_path / "ckpt.field",
+                     lambda header, body: ({**header, key: value}, body))
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "usage error: cannot read checkpoint: malformed checkpoint: "
+        f"GridSpec lacks or mistypes {key}\n")
 
 
 def _write_v1_text_dump(dump):

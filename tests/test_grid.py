@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -578,19 +577,6 @@ def test_field_dump_rejects_garbage(tmp_path):
         m.save_field(field, path, p=4.0)
         with pytest.raises(ValueError, match="non-finite"):
             m.load_field(path)
-
-
-def test_csv_export_format(tmp_path):
-    g = m.build_grid(m.GridSpec(r_min=math.exp(-1), r_max=math.exp(1),
-                                n_s=3, n_phi=3))
-    field = m.ScalarField(g, np.arange(9.0).reshape(3, 3))
-    path = tmp_path / "field.csv"
-    m.field_to_csv(field, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,phi,value"
-    assert len(lines) == 1 + 9
-    num = r"-?\d\.\d{16}e[+-]\d+"
-    assert re.fullmatch(f"{num},{num},{num}", lines[1])
 
 
 def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):

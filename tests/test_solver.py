@@ -14,7 +14,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 import morreylab as m
-from morreylab import solver
+from morreylab import grid, solver
 from conftest import ACC_SPEC, coo_hessian, random_even_field, warm_refine
 
 
@@ -479,6 +479,25 @@ def test_checkpoint_loads_an_unconverged_stage(tmp_path, solve_small):
     loaded = m.load_checkpoint(tmp_path / "ck")[0]
     assert loaded.stages[-1] == dataclasses.replace(stage, energy_history=[])
     assert loaded.converged is False
+
+
+def test_every_stored_field_has_a_json_type(tmp_path, solve_small):
+    """Every field load_checkpoint reads through grid.from_fields is stored
+    and has an entry in its annotation table, so a new field, or a module
+    without the annotations future import, cannot go unchecked."""
+    m.save_checkpoint(solve_small, m.SolverConfig(), tmp_path / "ck")
+    meta = json.loads((tmp_path / "ck.json").read_text())
+    header = m.load_field(tmp_path / "ck.field")[1]
+    given = {"field", "stages", "energy_history"}   # load_checkpoint's own
+    read = [(cls.__name__, f.name, f.type, f.name in data)
+            for cls, data in [(m.GridSpec, header), (m.GridSpec, meta["spec"]),
+                              (m.SolverConfig, meta["config"]),
+                              (m.StageInfo, meta["stages"][0]),
+                              (m.SolveResult, meta)]
+            for f in dataclasses.fields(cls) if f.name not in given]
+    assert len(read) == 4 + 4 + 2 + 7 + 4
+    assert [r for r in read
+            if not r[3] or r[2] not in grid._JSON_TYPES] == []
 
 
 def test_checkpoint_rejects_corruption(tmp_path, solve_small):
