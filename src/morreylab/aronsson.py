@@ -276,9 +276,10 @@ def invert_phi(params: ConeParams, phi):
     """Solve phi(theta) = phi on the strictly decreasing branch.
 
     phi is a scalar or an array; a scalar gives a float.  Each element is
-    bisected from [-pi/2, pi/2] down to 1e-13, then polished by a single
-    Newton step using the exact derivative; the bracketing is guaranteed
-    by monotonicity.  A phi outside the closed cone, or NaN, is an error.
+    bisected by 45 halvings of [-pi/2, pi/2], to a bracket under 1e-13
+    (pi * 2**-45 is about 8.9e-14), then polished by a single Newton step
+    using the exact derivative; the bracketing is guaranteed by
+    monotonicity.  A phi outside the closed cone, or NaN, is an error.
     """
     phi = np.asarray(phi, dtype=float)
     pm = params.phi_max
@@ -289,12 +290,23 @@ def invert_phi(params: ConeParams, phi):
     # 1-d, since NumPy rounds some 0-d operations differently.  All brackets
     # start equal, so every element takes the scalar bisection's halvings.
     flat = phi.ravel()
-    lo, hi = np.full(flat.shape, -np.pi / 2), np.full(flat.shape, np.pi / 2)
-    while np.any(hi - lo > 1e-13):  # phi(lo) = +pm >= phi >= -pm = phi(hi)
-        mid = 0.5 * (lo + hi)
-        above = _phi_of_theta(params, mid) > flat
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    theta = 0.5 * (lo + hi)
+    bracket = np.empty((2, flat.size))  # rows lo, hi: phi(lo) >= phi >= phi(hi)
+    bracket[0], bracket[1] = -np.pi / 2, np.pi / 2
+    mid, phi_mid = np.empty(flat.size), np.empty(flat.size)
+    moves = np.empty(bracket.shape, dtype=bool)
+    mu, coef = params.mu, (1.0 / params.kappa + 1.0) * params.mu
+    for _ in range(45):
+        np.multiply(np.add(bracket[0], bracket[1], out=mid), 0.5, out=mid)
+        # _phi_of_theta's interior branch, in its order: |mid| < pi/2 here
+        np.tan(mid, out=phi_mid)
+        np.multiply(phi_mid, mu, out=phi_mid)
+        np.arctan(phi_mid, out=phi_mid)
+        np.multiply(phi_mid, coef, out=phi_mid)
+        np.subtract(mid, phi_mid, out=phi_mid)
+        np.greater(phi_mid, flat, out=moves[0])  # mid becomes lo
+        np.logical_not(moves[0], out=moves[1])  # mid becomes hi
+        np.copyto(bracket, mid, where=moves)
+    theta = 0.5 * (bracket[0] + bracket[1])
     theta -= (_phi_of_theta(params, theta) - flat) / _dphi_dtheta(params, theta)
     theta = np.where(flat >= pm, -np.pi / 2, np.where(
         flat <= -pm, np.pi / 2, np.clip(theta, -np.pi / 2, np.pi / 2)))

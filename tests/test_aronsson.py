@@ -279,6 +279,57 @@ def test_invert_phi_array_matches_scalar_calls(kappa, p):
     assert m.invert_phi(params, np.empty(0)).shape == (0,)
 
 
+def tolerance_invert_phi(params, phi):
+    """invert_phi with the bisection run until every bracket is under 1e-13.
+
+    Returns the angles and the number of halvings the loop made.
+    """
+    phi_of, dphi = m.aronsson._phi_of_theta, m.aronsson._dphi_dtheta
+    phi = np.asarray(phi, dtype=float)
+    pm = params.phi_max
+    flat = phi.ravel()
+    lo, hi = np.full(flat.shape, -np.pi / 2), np.full(flat.shape, np.pi / 2)
+    halvings = 0
+    while np.any(hi - lo > 1e-13):
+        mid = 0.5 * (lo + hi)
+        above = phi_of(params, mid) > flat
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        halvings += 1
+    theta = 0.5 * (lo + hi)
+    theta -= (phi_of(params, theta) - flat) / dphi(params, theta)
+    theta = np.where(flat >= pm, -np.pi / 2, np.where(
+        flat <= -pm, np.pi / 2, np.clip(theta, -np.pi / 2, np.pi / 2)))
+    return (theta.reshape(phi.shape) if phi.ndim else float(theta[0])), halvings
+
+
+@pytest.mark.parametrize("p", [2.01, 2.5, 4.0, 8.0, 32.0, 1e6])
+def test_fixed_halvings_equal_the_tolerance_bisection(p):
+    # the fixed count's premise: a bracket of pi * 2**-44 is over 1e-13
+    # and one of pi * 2**-45 under it, whatever the cone and the angles
+    bp = m.beta_p(p)
+    rng = np.random.default_rng(11)
+    for kappa in (1e-100, 1e-3, 0.3, 0.9 * bp, bp, 3.0, 1e3):
+        params = m.ConeParams(p, kappa)  # every pair here is a valid cone
+        pm = params.phi_max
+        for n in (0, 1, 2, 17, 65, 129, 450, 2000):
+            phi = np.concatenate([[0.0, pm, -pm],
+                                  rng.uniform(-pm, pm, max(n - 3, 0))])[:n]
+            expected, halvings = tolerance_invert_phi(params, phi)
+            assert halvings == (45 if n else 0)
+            assert np.array_equal(m.invert_phi(params, phi), expected)
+        for scalar in (pm, -pm, 0.0, 0.37 * pm):
+            expected, halvings = tolerance_invert_phi(params, scalar)
+            assert halvings == 45
+            assert m.invert_phi(params, scalar) == expected
+        square = rng.uniform(-pm, pm, (9, 14))
+        square[0, :3] = pm, -pm, 0.0
+        expected, halvings = tolerance_invert_phi(params, square)
+        assert halvings == 45
+        theta = m.invert_phi(params, square)
+        assert theta.shape == (9, 14)
+        assert np.array_equal(theta, expected)
+
+
 def test_evaluate_w_array_matches_scalar_calls():
     p = 4.0
     prof = m.angular_profile(0.9 * m.beta_p(p), p, 64)

@@ -289,6 +289,35 @@ def test_checkpoint_io_goes_through_the_traced_field_names(monkeypatch,
     assert loaded.field.values.tobytes() == field.values.tobytes()
 
 
+def test_cone_evaluation_inverts_through_the_traced_name(monkeypatch):
+    # perfbench's aronsson.invert_phi_calls (16 per post-solve pass) counts
+    # the calls to aronsson.invert_phi; each cone evaluation inverts its
+    # angles in one call
+    calls = []
+    invert_phi = aronsson.invert_phi
+
+    def counted(*args):
+        calls.append(None)
+        return invert_phi(*args)
+
+    monkeypatch.setattr(aronsson, "invert_phi", counted)
+    p, bp = 4.0, aronsson.beta_p(4.0)
+    g = grid.build_grid(grid.GridSpec(r_min=2.0**-4, r_max=2.0**10,
+                                      n_s=113, n_phi=17))
+    values = np.minimum(1.0, g.r**-bp)[:, None] * np.sin(g.phi)[None, :]
+    result = solver.SolveResult(field=grid.ScalarField(g, values), energy=0.0,
+                                stages=[], converged=True, p=p)
+    analysis.barrier_check(result, beta=0.9 * bp, tau=0.05 * bp)
+    assert len(calls) == 1
+    profile = aronsson.angular_profile(bp, p, 200)
+    aronsson.pharmonic_residual(profile, p, [(1.0, 0.1), (1.5, -0.2)], h=1e-2)
+    assert len(calls) == 2
+    checks.barrier_controls(p)
+    assert len(calls) == 4
+    checks.cone_residual(p)
+    assert len(calls) == 6
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     # setup_s times a fresh `import morreylab`; scipy.sparse alone adds
     # tens of milliseconds to it, and the band Cholesky does not need it
