@@ -30,11 +30,12 @@ print(f"  f at the boundary rays              : {rep['f_endpoints']}")
 
 print()
 print("pointwise evaluation of w = r^-kappa f(phi):")
-print(f"  on the axis   w(1, 0)      = {evaluate_w(profile, 1.0, 0.0):.10f}")
+cone = profile.params
+print(f"  on the axis   w(1, 0)      = {evaluate_w(cone, 1.0, 0.0):.10f}")
 print(f"  homogeneity   w(2,.3)/w(1,.3) = "
-      f"{evaluate_w(profile, 2.0, 0.3) / evaluate_w(profile, 1.0, 0.3):.10f}"
+      f"{evaluate_w(cone, 2.0, 0.3) / evaluate_w(cone, 1.0, 0.3):.10f}"
       f"  (2^-kappa = {2.0**-kappa:.10f})")
-print(f"  boundary ray  w(1, pi/2)   = {evaluate_w(profile, 1.0, np.pi / 2):.1f}")
+print(f"  boundary ray  w(1, pi/2)   = {evaluate_w(cone, 1.0, np.pi / 2):.1f}")
 
 print()
 print("finite-difference p-Laplacian residual at 50 interior points:")

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from morreylab import (GridSpec, beta_p, decay_profile, fit_exponent,
-                       gradient_profile, solve_extremal)
+from morreylab import (GridSpec, beta_p, cell_gradient_sq, decay_profile,
+                       fit_exponent, gradient_profile, solve_extremal)
 
 p = 4.0
 print("=" * 64)
@@ -44,7 +44,8 @@ print(f"  beta_hat = {fit.beta_hat:.4f}   beta_p = {bp:.4f}   "
       f"difference = {fit.beta_hat - bp:+.4f}")
 print(f"  prefactor C_hat = {fit.C_hat:.4f}, rms residual = {fit.rms_residual:.2e}")
 
-gprofile, gfit = gradient_profile(result, (4.0, spec.r_max / 8))
+gprofile, gfit = gradient_profile(result, cell_gradient_sq(result.field),
+                                  (4.0, spec.r_max / 8))
 print(f"gradient-profile exponent = {gfit.beta_hat:.4f} "
       f"(expected near beta_hat + 1 = {fit.beta_hat + 1:.4f})")
 

@@ -4,7 +4,7 @@ The package evaluates the separable singular p-harmonic cone solutions
 exactly, computes the discrete Morrey extremal on the upper half plane by
 convex energy minimization with a pinned unit value, and analyzes the
 result: radial decay exponent, gradient decay, barrier comparison against
-the cone supersolution, and a lower bound for the optimal constant of the
+the cone supersolution, and an estimate of the optimal constant of the
 underlying inequality.  The public names are those of the four modules'
 __all__.
 """

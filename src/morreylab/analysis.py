@@ -10,8 +10,14 @@ contaminates the far field.
 
 The optimal-constant estimate combines the Hoelder seminorm of exponent
 1 - 2/p, searched over point pairs of the mirrored plane, with the L^p
-norm of the gradient; their ratio is a lower bound on the sharp constant
-of the Sobolev-type inequality this field extremizes.
+norm of the gradient; their ratio estimates the sharp constant of the
+Sobolev-type inequality this field extremizes.  The estimate is not a
+lower bound: the norm averages the gradient to cell centers, which reads
+it low, and on the computed 577 x 65 extremal at p = 4 the ratio,
+1.27253, exceeds the bound 2**(2/p) / ||grad u||_p of the exact energy,
+1.26312.  The gradient profile and the norm read one squared cell
+gradient, grid.cell_gradient_sq of the field, which a caller computes
+once and passes to both; the estimate takes the norm.
 
 The barrier comparison transcribes a supersolution argument to exterior
 coordinates: with kappa = beta + tau below the critical exponent, the cone
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aronsson import angular_profile, beta_p, evaluate_w
+from .aronsson import ConeParams, beta_p, evaluate_w
 from .grid import ScalarField, cell_gradient_sq
 from .solver import FullPlaneField, SolveResult, mirror_to_fullplane
 
@@ -43,6 +49,7 @@ __all__ = [
     "gradient_profile",
     "holder_seminorm",
     "lp_gradient_norm",
+    "morrey_estimate",
     "estimate_morrey_constant",
     "barrier_check",
 ]
@@ -53,9 +60,8 @@ _HOLDER_REFINE_ROUNDS = 3
 # this many entries (or one row), so that its temporaries stay small
 _PAIR_CHUNK = 32768
 # inner radius of the barrier annulus (its outer radius is r_max / 8, the
-# end of the fit window) and samples of the barrier's angular profile
+# end of the fit window)
 _BARRIER_R_INNER = 1.0
-_BARRIER_N_THETA = 513
 
 
 class ParameterError(ValueError):
@@ -192,25 +198,34 @@ def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
                     n_points=int(mask.sum()))
 
 
-def gradient_profile(result, window: tuple) -> tuple[DecayProfile, DecayFit]:
+def _grid_of(result, grad_sq: np.ndarray):
+    """The grid of a converged result whose squared cell gradient is
+    grad_sq, checked by its shape."""
+    g = _field_of(result).grid
+    if grad_sq.shape != (g.n_s - 1, g.n_phi - 1):
+        raise ValueError(f"squared cell gradient of shape {grad_sq.shape} "
+                         f"on a grid of {g.n_s - 1} x {g.n_phi - 1} cells")
+    return g
+
+
+def gradient_profile(result, grad_sq: np.ndarray,
+                     window: tuple) -> tuple[DecayProfile, DecayFit]:
     """Arc maxima of |grad u| at cell-center radii >= 2, with a fit.
 
-    The gradient magnitude is the square root of grid.cell_gradient_sq.
-    The fitted exponent is expected near beta_hat + 1 for a
-    field decaying at rate beta_hat.  Cell centers sit strictly inside the
-    node range, so the window end is clipped to an eighth of the outermost
-    cell radius.
+    grad_sq is grid.cell_gradient_sq of the result's field, read and left
+    unchanged; the gradient magnitude is its square root.  The fitted
+    exponent is expected near beta_hat + 1 for a field decaying at rate
+    beta_hat.  Cell centers sit strictly inside the node range, so the
+    window end is clipped to an eighth of the outermost cell radius.
     """
-    field = _field_of(result)
-    g = field.grid
+    g = _grid_of(result, grad_sq)
     r_c = np.exp(g.s_c)
     # r_c increases, so the kept rows are a suffix; sqrt is monotone and
     # correctly rounded, so the root of the row maximum is the row maximum
     # of the roots
     keep = int(np.searchsorted(r_c, 2.0))
-    profile = DecayProfile(
-        radii=r_c[keep:],
-        sup_values=np.sqrt(cell_gradient_sq(field)[keep:].max(axis=1)))
+    profile = DecayProfile(radii=r_c[keep:],
+                           sup_values=np.sqrt(grad_sq[keep:].max(axis=1)))
     cap = profile.radii.max() / 8.0
     window = (float(window[0]), min(float(window[1]), cap))
     return profile, fit_exponent(profile, window)
@@ -372,40 +387,55 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
                         point_b=best_pair[1], pairs_evaluated=pairs_seen)
 
 
-def lp_gradient_norm(result, p: float) -> float:
+def lp_gradient_norm(result, grad_sq: np.ndarray, p: float) -> float:
     """(integral over the mirrored plane of |grad u|**p) ** (1/p).
 
-    Quadrature over half-plane cells with the grid weights, doubled for
-    the odd reflection.
+    grad_sq is grid.cell_gradient_sq of the result's field, read and left
+    unchanged.  Quadrature over half-plane cells with the grid weights,
+    doubled for the odd reflection.  A norm past the float range is inf,
+    with no numpy warning, as the energy kernel reports an overflow:
+    |grad u|**p overflows past about 1e308, as at p = 1000 with a gradient
+    above 2.
     """
-    field = _field_of(result)
-    g = field.grid
-    q = cell_gradient_sq(field)
-    # in place, times the products radial_mass[i] * dphi that make up
-    # g.cell_weight, so the sum keeps the bits of the whole-array form
-    q **= p / 2.0
-    q *= g.radial_mass[:, None] * g.dphi
-    return float((2.0 * q.sum()) ** (1.0 / p))
+    g = _grid_of(result, grad_sq)
+    with np.errstate(over="ignore"):
+        # times the products radial_mass[i] * dphi that make up
+        # g.cell_weight, so the sum keeps the bits of the whole-array form
+        q = grad_sq ** (p / 2.0)
+        q *= g.radial_mass[:, None] * g.dphi
+        return float((2.0 * q.sum()) ** (1.0 / p))
 
 
-def estimate_morrey_constant(result: SolveResult,
-                             sample_budget: int) -> MorreyEstimate:
+def morrey_estimate(result: SolveResult, grad_norm: float,
+                    sample_budget: int) -> MorreyEstimate:
     """Ratio of Hoelder seminorm to gradient p-norm for the mirrored field.
 
-    For any admissible field this ratio is a lower bound on the optimal
-    constant of the inequality; the computed extremal is the candidate
-    that should maximize it.
+    grad_norm is lp_gradient_norm of the result's field.  The ratio
+    estimates the optimal constant of the inequality, and the computed
+    extremal is the candidate that should maximize it; it is not a lower
+    bound (see the module docstring).  A gradient norm that is zero or
+    overflowed to inf raises ValueError, after the Hoelder search has
+    checked sample_budget.
     """
     p = result.p
     alpha = 1.0 - 2.0 / p
     holder = holder_seminorm(mirror_to_fullplane(result), alpha, sample_budget)
-    grad_norm = lp_gradient_norm(result, p)
     if grad_norm <= 0.0:
         raise ValueError("zero gradient norm")
+    if not np.isfinite(grad_norm):
+        raise ValueError(f"the gradient {p:g}-norm overflows the float range")
     return MorreyEstimate(alpha=alpha, seminorm=holder.seminorm,
                           grad_norm=grad_norm,
                           C_estimate=holder.seminorm / grad_norm,
                           argmax_pair=(holder.point_a, holder.point_b))
+
+
+def estimate_morrey_constant(result: SolveResult,
+                             sample_budget: int) -> MorreyEstimate:
+    """morrey_estimate with the gradient p-norm of the result's field."""
+    grad_norm = lp_gradient_norm(
+        result, cell_gradient_sq(_field_of(result)), result.p)
+    return morrey_estimate(result, grad_norm, sample_budget)
 
 
 def barrier_check(result, beta: float, tau: float,
@@ -432,11 +462,11 @@ def barrier_check(result, beta: float, tau: float,
         raise ValueError(
             f"beta + tau = {kappa} is not below the critical exponent {bp}; "
             "no cone barrier exists at that rate")
-    profile = angular_profile(kappa, p, _BARRIER_N_THETA)
-    delta = (profile.params.aperture_L - 1.0) * np.pi / 2.0
+    cone = ConeParams(p, kappa)
+    delta = (cone.aperture_L - 1.0) * np.pi / 2.0
 
     g = field.grid
-    f_ang = evaluate_w(profile, 1.0, g.phi - 0.5 * np.pi)  # f at the grid angles
+    f_ang = evaluate_w(cone, 1.0, g.phi - 0.5 * np.pi)  # f at the grid angles
     c_f = float(f_ang.min())
     if eps is None:
         eps = 1.5 / c_f
@@ -448,8 +478,8 @@ def barrier_check(result, beta: float, tau: float,
     i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / 8.0)))
     if i_out <= i_in:
         raise ValueError("annulus [1, r_max / 8] is empty")
-    sup = np.abs(field.values).max(axis=1)
-    s_in, s_out = float(sup[i_in]), float(sup[i_out])
+    # the arc maxima of |u| at the two rims, the only radii the barrier reads
+    s_in, s_out = (float(np.abs(field.values[i]).max()) for i in (i_in, i_out))
 
     rr = g.r[i_in:i_out + 1]
     barrier = s_out + eps * s_in * (rr[:, None] / g.r[i_in]) ** (-kappa) * f_ang[None, :]

@@ -313,11 +313,12 @@ def invert_phi(params: ConeParams, phi):
     return theta.reshape(phi.shape) if phi.ndim else float(theta[0])
 
 
-def evaluate_w(profile: AngularProfile, r, phi,
+def evaluate_w(params: ConeParams, r, phi,
                radial_exponent: float | None = None):
-    """Evaluate w(r, phi) = r**(-kappa) * f(phi) inside the cone.
+    """Evaluate w(r, phi) = r**(-kappa) * f(phi) inside the cone of params.
 
-    r and phi are scalars or arrays that broadcast together; scalars give
+    f is computed from params alone, so no sampled profile is needed.  r
+    and phi are scalars or arrays that broadcast together; scalars give
     a float.  phi is measured from the cone axis; the boundary rays give 0,
     and a point outside the closed cone or a non-positive r is an error.
     radial_exponent replaces kappa in the radial factor only (the angular
@@ -329,10 +330,10 @@ def evaluate_w(profile: AngularProfile, r, phi,
     valid = np.isfinite(r) & (r > 0)
     if not valid.all():
         raise ValueError(f"r must be positive, got {r.flat[np.argmin(valid)]}")
-    theta = invert_phi(profile.params, phi.ravel())  # 1-d, as in invert_phi
-    k = profile.params.kappa if radial_exponent is None else float(radial_exponent)
+    theta = invert_phi(params, phi.ravel())  # 1-d, as in invert_phi
+    k = params.kappa if radial_exponent is None else float(radial_exponent)
     w = np.where(np.abs(theta) >= np.pi / 2, 0.0,  # boundary ray, exact limit
-                 r.ravel() ** (-k) * _f_of_theta(profile.params, theta))
+                 r.ravel() ** (-k) * _f_of_theta(params, theta))
     return w.reshape(r.shape) if r.ndim else float(w[0])
 
 
@@ -376,7 +377,7 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
     xs = np.stack([x, xp, xm, x, x, xp, xp, xm, xm])
     ys = np.stack([y, y, y, yp, ym, yp, ym, yp, ym])
     c, wxp, wxm, wyp, wym, wpp, wpm, wmp, wmm = evaluate_w(
-        profile, np.hypot(xs, ys), np.arctan2(xs, ys),
+        profile.params, np.hypot(xs, ys), np.arctan2(xs, ys),
         radial_exponent=radial_exponent)
     wx = (wxp - wxm) / (2 * h)
     wy = (wyp - wym) / (2 * h)

@@ -35,11 +35,11 @@ import scipy
 
 from . import __version__, checks
 from .aronsson import angular_profile, aperture_L, beta_p, check_p, kappa_of_L
-from .grid import GridSpec, from_fields, write_csv, write_json
+from .grid import GridSpec, cell_gradient_sq, from_fields, write_csv, write_json
 from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
                      solve_extremal)
-from .analysis import (ParameterError, decay_profile, estimate_morrey_constant,
-                       fit_exponent, gradient_profile)
+from .analysis import (ParameterError, decay_profile, fit_exponent,
+                       gradient_profile, lp_gradient_norm, morrey_estimate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -184,7 +184,7 @@ def cmd_beta_table(params: dict) -> int:
         raise UsageError(str(exc)) from exc
     out_dir = _out_dir(params)
     csv_path = out_dir / "beta_table.csv"
-    write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], rows)
+    write_csv(csv_path, ["p", "beta_p", "aperture_at_beta"], zip(*rows))
     manifest = _write_manifest(out_dir, "beta-table", params, [csv_path], t0)
     print(f"wrote {csv_path} and {manifest}")
     return EXIT_OK
@@ -206,8 +206,8 @@ def cmd_aronsson(params: dict) -> int:
     out_dir = _out_dir(params)
     csv_path = out_dir / "aronsson_profile.csv"
     write_csv(csv_path, ["theta", "phi", "f", "fprime", "g"],
-              zip(profile.theta, profile.phi, profile.f, profile.fprime,
-                  profile.g))
+              [profile.theta, profile.phi, profile.f, profile.fprime,
+               profile.g])
     summary = {
         "p": p,
         "kappa": kappa,
@@ -287,10 +287,12 @@ def cmd_analyze(params: dict) -> int:
             "with 2 <= r_lo < r_hi <= r_max/8")
 
     profile = decay_profile(result)
+    grad_sq = cell_gradient_sq(result.field)    # one gradient pass for both
     try:
         fit = fit_exponent(profile, window)
-        gprofile, gfit = gradient_profile(result, window)
-        morrey = estimate_morrey_constant(result, params["budget"])
+        gprofile, gfit = gradient_profile(result, grad_sq, window)
+        grad_norm = lp_gradient_norm(result, grad_sq, result.p)
+        morrey = morrey_estimate(result, grad_norm, params["budget"])
     except ParameterError as exc:   # a bad --window or --budget
         raise UsageError(str(exc)) from exc
     except ValueError as exc:
@@ -299,9 +301,9 @@ def cmd_analyze(params: dict) -> int:
 
     out_dir = _out_dir(params)
     decay_csv = out_dir / "decay_profile.csv"
-    write_csv(decay_csv, ["r", "S_r"], zip(profile.radii, profile.sup_values))
+    write_csv(decay_csv, ["r", "S_r"], [profile.radii, profile.sup_values])
     grad_csv = out_dir / "gradient_profile.csv"
-    write_csv(grad_csv, ["r", "G_r"], zip(gprofile.radii, gprofile.sup_values))
+    write_csv(grad_csv, ["r", "G_r"], [gprofile.radii, gprofile.sup_values])
     bp = beta_p(result.p)
     fit_json = {
         "p": result.p,

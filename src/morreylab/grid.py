@@ -614,23 +614,28 @@ def open_new(path, mode: str):
     return open(path, mode)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Rows in full-precision scientific notation, 17 significant digits.
+def write_csv(path, header: list[str], columns) -> None:
+    """One column of floats per header name, written row by row in
+    full-precision scientific notation, 17 significant digits.
 
-    A row whose length is not the header's raises ValueError.
+    The whole file is formatted by one % operation over the values as
+    one flat tuple of Python floats, which writes the bytes that
+    formatting each value did.  A column count other than the header's,
+    or columns of unequal lengths, raises ValueError.
     """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns under a header of "
+                         f"{len(header)}")
+    n_rows = columns[0].size if columns else 0
+    for c in columns:
+        if c.shape != (n_rows,):
+            raise ValueError(f"a column of shape {c.shape} beside a first "
+                             f"column of {n_rows} values")
+    values = np.column_stack(columns).ravel().tolist()
     line = ",".join(["%.16e"] * len(header)) + "\n"
     with open_new(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            try:
-                fh.write(line % row)
-            except TypeError:
-                if len(row) != len(header):
-                    raise ValueError(f"a row of {len(row)} values under a "
-                                     f"header of {len(header)}") from None
-                raise
+        fh.write(",".join(header) + "\n" + (line * n_rows) % tuple(values))
 
 
 def write_json(path, obj) -> None:

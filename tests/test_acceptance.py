@@ -118,7 +118,8 @@ def test_criterion_6_gradient_decay(solve_p4, solve_p8):
     ok = True
     for result in (solve_p4, solve_p8):
         fit = m.fit_exponent(m.decay_profile(result), window)
-        _, gfit = m.gradient_profile(result, window)
+        _, gfit = m.gradient_profile(
+            result, m.cell_gradient_sq(result.field), window)
         gap = gfit.beta_hat - (fit.beta_hat + 1.0)
         ok &= abs(gap) <= 0.15
         detail.append(f"p={result.p:g}: gradient exp={gfit.beta_hat:.4f} "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ def test_gradient_profile_synthetic_exponent():
     grid = medium_grid()
     res = synthetic_result(grid, np.exp(-0.5 * grid.s)[:, None]
                            * np.sin(grid.phi)[None, :])
-    profile, fit = m.gradient_profile(res, window=(2.0, 64.0))
+    profile, fit = m.gradient_profile(res, m.cell_gradient_sq(res.field),
+                                       window=(2.0, 64.0))
     # |grad r^{-1/2} sin(phi)| has arc max proportional to r^{-3/2}
     assert abs(fit.beta_hat - 1.5) < 1e-10
     assert fit.rms_residual < 1e-12
@@ -120,14 +122,16 @@ def test_gradient_profile_unit_gradient_field():
     grid = medium_grid()
     res = synthetic_result(grid, np.exp(grid.s)[:, None]
                            * np.sin(grid.phi)[None, :])
-    profile, fit = m.gradient_profile(res, window=(2.0, 64.0))
+    profile, fit = m.gradient_profile(res, m.cell_gradient_sq(res.field),
+                                       window=(2.0, 64.0))
     assert abs(fit.beta_hat) < 1e-10
 
 
 def test_gradient_profile_matches_decay_fit(solve_small):
     profile = m.decay_profile(solve_small)
     fit = m.fit_exponent(profile, (2.0, solve_small.grid.spec.r_max / 8.0))
-    gprofile, gfit = m.gradient_profile(solve_small, (2.0, 7.5))
+    gprofile, gfit = m.gradient_profile(
+        solve_small, m.cell_gradient_sq(solve_small.field), (2.0, 7.5))
     assert abs(gfit.beta_hat - (fit.beta_hat + 1.0)) < 0.2
 
 
@@ -445,7 +449,7 @@ def test_sample_points_are_the_mirrored_mesh_bit_for_bit():
 def test_lp_norm_zero_field():
     grid = medium_grid()
     res = synthetic_result(grid, np.zeros((grid.n_s, grid.n_phi)))
-    assert m.lp_gradient_norm(res, 4.0) == 0.0
+    assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0) == 0.0
 
 
 def test_lp_norm_unit_gradient_closed_form():
@@ -455,7 +459,7 @@ def test_lp_norm_unit_gradient_closed_form():
                            * np.sin(grid.phi)[None, :])
     spec = grid.spec
     exact = (np.pi * (spec.r_max**2 - spec.r_min**2)) ** 0.25
-    got = m.lp_gradient_norm(res, 4.0)
+    got = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0)
     assert abs(got - exact) / exact < 3e-3
 
 
@@ -465,7 +469,7 @@ def test_lp_norm_refinement_consistency():
         grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**10,
                                        n_s=n_s, n_phi=n_phi))
         res = synthetic_result(grid, power_law_field(grid, 0.5))
-        vals[n_s] = m.lp_gradient_norm(res, 4.0)
+        vals[n_s] = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0)
     assert abs(vals[225] - vals[113]) / vals[113] < 0.005
 
 
@@ -492,13 +496,45 @@ def test_gradient_outputs_equal_the_whole_array_forms(spec):
     keep = r_c >= 2.0
     for p in (2.5, 4.0, 8.0, 32.0):
         res = synthetic_result(g, field.values, p=p)
-        profile, fit = m.gradient_profile(res, (4.0, 512.0))
+        profile, fit = m.gradient_profile(res, q, (4.0, 512.0))
         assert np.array_equal(profile.radii, r_c[keep])
         assert np.array_equal(profile.sup_values,
                               np.sqrt(q)[keep].max(axis=1))
         want = float((2.0 * (g.cell_weight * q ** (p / 2.0)).sum())
                      ** (1.0 / p))
-        assert m.lp_gradient_norm(res, p) == want
+        assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), p) == want
+
+
+def test_gradient_inputs_are_checked_against_the_grid():
+    grid = medium_grid()
+    res = synthetic_result(grid, power_law_field(grid, 0.5))
+    q = m.cell_gradient_sq(res.field)
+    for bad in (q[1:], q[:, :-1], q.T):
+        with pytest.raises(ValueError, match="squared cell gradient of shape"):
+            m.lp_gradient_norm(res, bad, 4.0)
+        with pytest.raises(ValueError, match="squared cell gradient of shape"):
+            m.gradient_profile(res, bad, (2.0, 64.0))
+
+
+def test_lp_norm_overflow_is_inf_and_the_estimate_rejects_it():
+    # at p = 1000 a gradient above about 2 overflows |grad u|**p: the norm
+    # is inf with no numpy warning (the suite makes warnings errors), and
+    # the constant estimate rejects it
+    grid = medium_grid()
+    p = 1000.0
+    res = synthetic_result(grid, power_law_field(grid, m.beta_p(p)), p=p)
+    q = m.cell_gradient_sq(res.field)
+    assert q.max() > 4.0
+    assert m.lp_gradient_norm(res, q, p) == math.inf
+    with pytest.raises(ValueError, match="gradient 1000-norm overflows"):
+        m.estimate_morrey_constant(res, sample_budget=50)
+    with pytest.raises(ValueError, match="gradient 1000-norm overflows"):
+        m.morrey_estimate(res, math.inf, sample_budget=50)
+    with pytest.raises(ValueError, match="zero gradient norm"):
+        m.morrey_estimate(res, 0.0, sample_budget=50)
+    # p = 64 is in range on the same field
+    res = synthetic_result(grid, res.field.values, p=64.0)
+    assert math.isfinite(m.lp_gradient_norm(res, q, 64.0))
 
 
 # ------------------------------------------------------- constant estimate
@@ -583,6 +619,56 @@ def test_barrier_rejects_non_finite_inputs(solve_small, name, value):
     kwargs = {"beta": 0.9 * bp, "tau": 0.05 * bp, name: value}
     with pytest.raises(ValueError, match=f"{name}.*must be positive and finite"):
         m.barrier_check(solve_small, **kwargs)
+
+
+def sampled_barrier_check(result, beta, tau, eps):
+    """barrier_check as it was with f read through a 513-sample angular
+    profile: the reference for the check that builds only ConeParams."""
+    field, p = result.field, result.p
+    kappa = beta + tau
+    profile = m.angular_profile(kappa, p, 513)
+    delta = (profile.params.aperture_L - 1.0) * np.pi / 2.0
+    g = field.grid
+    f_ang = m.evaluate_w(profile.params, 1.0, g.phi - 0.5 * np.pi)
+    c_f = float(f_ang.min())
+    if eps is None:
+        eps = 1.5 / c_f
+    i_in = int(np.argmin(np.abs(g.r - 1.0)))
+    i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / 8.0)))
+    sup = np.abs(field.values).max(axis=1)
+    s_in, s_out = float(sup[i_in]), float(sup[i_out])
+    rr = g.r[i_in:i_out + 1]
+    barrier = (s_out + eps * s_in * (rr[:, None] / g.r[i_in]) ** (-kappa)
+               * f_ang[None, :])
+    excess = field.values[i_in:i_out + 1, :] - barrier
+    return m.BarrierReport(beta=beta, tau=tau, eps=float(eps),
+                           violations=int((excess > 0).sum()),
+                           max_violation=float(max(excess.max(), 0.0)),
+                           kappa=kappa, delta=float(delta), c_f=c_f,
+                           r_inner=float(g.r[i_in]),
+                           r_outer=float(g.r[i_out]),
+                           n_points=int(excess.size))
+
+
+BARRIER_SPECS = {
+    "577x65": ACC_SPEC, "1153x129": ACC_SPEC_FINE,
+    "113x17": m.GridSpec(r_min=2.0**-4, r_max=2.0**10, n_s=113, n_phi=17)}
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0])
+@pytest.mark.parametrize("eps", [None, 0.05])
+@pytest.mark.parametrize("name", list(BARRIER_SPECS))
+def test_barrier_report_equals_the_sampled_profile_path(name, eps, p):
+    """The post-solve synthetic grids min(1, r**-b) sin(phi), b a little
+    above beta_p, and barrier_controls' grid with its two decay rates."""
+    grid = m.build_grid(BARRIER_SPECS[name])
+    bp = m.beta_p(p)
+    rates = (bp, 0.1) if name == "113x17" else (1.05 * bp,)
+    for rate in rates:
+        res = synthetic_result(grid, power_law_field(grid, rate), p=p)
+        got = m.barrier_check(res, beta=0.9 * bp, tau=0.05 * bp, eps=eps)
+        want = sampled_barrier_check(res, 0.9 * bp, 0.05 * bp, eps)
+        assert asdict(got) == asdict(want)
 
 
 def test_barrier_rejects_supercritical_rate(solve_small):

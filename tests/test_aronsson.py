@@ -236,22 +236,22 @@ def test_profile_rejects_tiny_sample_count():
 
 def test_evaluate_w_axis_and_homogeneity():
     p, kappa = 4.0, m.beta_p(4.0)
-    prof = m.angular_profile(kappa, p, 64)
-    assert abs(m.evaluate_w(prof, 1.0, 0.0) - axis_value(kappa, p)) < 1e-13
+    cone = m.ConeParams(p, kappa)
+    assert abs(m.evaluate_w(cone, 1.0, 0.0) - axis_value(kappa, p)) < 1e-13
     for phi in (-0.9, -0.3, 0.0, 0.4, 1.1):
-        ratio = m.evaluate_w(prof, 2.0, phi) / m.evaluate_w(prof, 1.0, phi)
+        ratio = m.evaluate_w(cone, 2.0, phi) / m.evaluate_w(cone, 1.0, phi)
         assert abs(ratio - 2.0 ** (-kappa)) < 1e-10
 
 
 def test_evaluate_w_boundary_and_domain():
-    prof = m.angular_profile(1.0, 4.0, 64)
-    edge = prof.params.phi_max
-    assert m.evaluate_w(prof, 1.5, edge) == 0.0
-    assert m.evaluate_w(prof, 1.5, -edge) == 0.0
+    cone = m.ConeParams(4.0, 1.0)
+    edge = cone.phi_max
+    assert m.evaluate_w(cone, 1.5, edge) == 0.0
+    assert m.evaluate_w(cone, 1.5, -edge) == 0.0
     with pytest.raises(ValueError):
-        m.evaluate_w(prof, 1.0, edge * 1.01)
+        m.evaluate_w(cone, 1.0, edge * 1.01)
     with pytest.raises(ValueError):
-        m.evaluate_w(prof, -1.0, 0.0)
+        m.evaluate_w(cone, -1.0, 0.0)
 
 
 def test_phi_inversion_round_trip():
@@ -332,50 +332,50 @@ def test_fixed_halvings_equal_the_tolerance_bisection(p):
 
 def test_evaluate_w_array_matches_scalar_calls():
     p = 4.0
-    prof = m.angular_profile(0.9 * m.beta_p(p), p, 64)
-    pm = prof.params.phi_max
+    cone = m.ConeParams(p, 0.9 * m.beta_p(p))
+    pm = cone.phi_max
     rng = np.random.default_rng(4)
     phi = np.concatenate([[pm, -pm, 0.0], rng.uniform(-pm, pm, 197)])
     r = rng.uniform(0.05, 20.0, phi.size)
     for exponent in (None, 0.7):
-        pairwise = m.evaluate_w(prof, r, phi, radial_exponent=exponent)
+        pairwise = m.evaluate_w(cone, r, phi, radial_exponent=exponent)
         assert np.array_equal(pairwise, [
-            m.evaluate_w(prof, float(a), float(b), radial_exponent=exponent)
+            m.evaluate_w(cone, float(a), float(b), radial_exponent=exponent)
             for a, b in zip(r, phi)])
-        broadcast = m.evaluate_w(prof, 1.7, phi, radial_exponent=exponent)
+        broadcast = m.evaluate_w(cone, 1.7, phi, radial_exponent=exponent)
         assert np.array_equal(broadcast, [
-            m.evaluate_w(prof, 1.7, float(b), radial_exponent=exponent)
+            m.evaluate_w(cone, 1.7, float(b), radial_exponent=exponent)
             for b in phi])
-    grid = m.evaluate_w(prof, r[:5, None], phi[None, :7])
+    grid = m.evaluate_w(cone, r[:5, None], phi[None, :7])
     assert grid.shape == (5, 7)
-    assert grid[3, 6] == m.evaluate_w(prof, float(r[3]), float(phi[6]))
+    assert grid[3, 6] == m.evaluate_w(cone, float(r[3]), float(phi[6]))
     assert pairwise[0] == pairwise[1] == 0.0
 
 
 @pytest.mark.parametrize("where", [0, 7, -1])
 def test_array_calls_reject_one_bad_element(where):
-    prof = m.angular_profile(1.0, 4.0, 64)
-    pm = prof.params.phi_max
+    cone = m.ConeParams(4.0, 1.0)
+    pm = cone.phi_max
     for bad in (1.01 * pm, -1.01 * pm, float("nan"), float("inf")):
         phi = np.linspace(-pm, pm, 12)
         phi[where] = bad
         with pytest.raises(ValueError):
-            m.invert_phi(prof.params, phi)
+            m.invert_phi(cone, phi)
         with pytest.raises(ValueError):
-            m.evaluate_w(prof, 1.0, phi)
+            m.evaluate_w(cone, 1.0, phi)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         r = np.linspace(0.5, 2.0, 12)
         r[where] = bad
         with pytest.raises(ValueError):
-            m.evaluate_w(prof, r, 0.1)
+            m.evaluate_w(cone, r, 0.1)
 
 
 def test_nan_angle_is_a_domain_error():
-    prof = m.angular_profile(1.0, 4.0, 64)
+    cone = m.ConeParams(4.0, 1.0)
     with pytest.raises(ValueError):
-        m.invert_phi(prof.params, float("nan"))
+        m.invert_phi(cone, float("nan"))
     with pytest.raises(ValueError):
-        m.evaluate_w(prof, 1.0, float("nan"))
+        m.evaluate_w(cone, 1.0, float("nan"))
 
 
 # ------------------------------------------------- p-harmonicity residuals
@@ -446,7 +446,7 @@ def nine_call_residual(profile, p, pts, h, radial_exponent=None):
     r, phi = pts[:, 0], pts[:, 1]
 
     def w(x, y):
-        return m.evaluate_w(profile, np.hypot(x, y), np.arctan2(x, y),
+        return m.evaluate_w(profile.params, np.hypot(x, y), np.arctan2(x, y),
                             radial_exponent=radial_exponent)
 
     x, y = r * np.sin(phi), r * np.cos(phi)

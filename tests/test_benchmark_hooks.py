@@ -84,7 +84,7 @@ def test_package_namespace_is_the_modules_all():
         "DecayProfile", "DecayFit", "HolderResult", "MorreyEstimate",
         "BarrierReport", "ParameterError", "decay_profile", "fit_exponent",
         "gradient_profile", "holder_seminorm", "lp_gradient_norm",
-        "estimate_morrey_constant", "barrier_check",
+        "morrey_estimate", "estimate_morrey_constant", "barrier_check",
     }
 
 

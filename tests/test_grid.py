@@ -581,7 +581,7 @@ def test_field_dump_rejects_garbage(tmp_path):
 
 def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
     # the dump is two text lines, then the values as raw little-endian
-    # float64 in row-major order; one % operation per CSV row writes the
+    # float64 in row-major order; one % operation per CSV file writes the
     # bytes that formatting each value did
     g = m.build_grid(small_spec(41, 9))
     values = np.random.default_rng(4).standard_normal((g.n_s, g.n_phi))
@@ -593,15 +593,45 @@ def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
         b"# morreylab field v2\n"
         + json.dumps(header, sort_keys=True).encode() + b"\n"
         + values.astype("<f8").tobytes())
-    rows = list(zip(values[:, 0], values[:, 3], values[:, 4]))
-    grid_module.write_csv(tmp_path / "f.csv", ["a", "b", "c"], rows)
+    columns = [values[:, 0], values[:, 3], values[:, 4]]
+    grid_module.write_csv(tmp_path / "f.csv", ["a", "b", "c"], columns)
     assert (tmp_path / "f.csv").read_text() == "a,b,c\n" + "".join(
-        ",".join(f"{x:.16e}" for x in row) + "\n" for row in rows)
-    # the row format is the header's, so a ragged row raises
-    for ragged in (rows[:2] + [rows[2][:2]], rows[:2] + [rows[2] + (1.0,)]):
-        with pytest.raises(ValueError, match="a row of [24] values under a "
+        ",".join(f"{x:.16e}" for x in row) + "\n" for row in zip(*columns))
+    # the row format is the header's, so a column too many or too few
+    # raises, and so do columns of unequal lengths
+    for wrong in (columns[:2], columns + [columns[0]]):
+        with pytest.raises(ValueError, match="[24] columns under a "
                                              "header of 3"):
+            grid_module.write_csv(tmp_path / "r.csv", ["a", "b", "c"], wrong)
+    for ragged in (columns[:2] + [columns[2][:-1]],
+                   columns[:2] + [np.append(columns[2], 1.0)]):
+        with pytest.raises(ValueError, match=r"a column of shape \(4[02],\) "
+                                             "beside a first column of 41"):
             grid_module.write_csv(tmp_path / "r.csv", ["a", "b", "c"], ragged)
+
+
+def test_csv_file_equals_the_per_value_join(tmp_path):
+    # one % over the whole file writes the bytes of formatting each value
+    # on its own, for signed zeros, subnormals and values near overflow,
+    # whether the columns come as arrays, as lists of Python floats or as a
+    # one-shot iterator
+    rng = np.random.default_rng(9)
+    a = np.concatenate([[-0.0, 5e-324, 1e300, -1e300, -5e-324, 0.0],
+                        rng.standard_normal(7)])
+    b = -a[::-1] * 3.0
+    c = np.exp(20.0 * rng.standard_normal(a.size))
+    rows = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    want = "x,y,z\n" + "".join(
+        ",".join(f"{x:.16e}" for x in row) + "\n" for row in rows)
+    path = tmp_path / "f.csv"
+    for columns in ([a, b, c], [a.tolist(), b.tolist(), c.tolist()],
+                    zip(*rows)):
+        grid_module.write_csv(path, ["x", "y", "z"], columns)
+        assert path.read_text() == want
+    assert "-0.0000000000000000e+00" in want and "4.9406564584124654e-324" in want
+    # no rows: the header alone
+    grid_module.write_csv(path, ["x", "y"], [[], np.empty(0)])
+    assert path.read_text() == "x,y\n"
 
 
 def test_open_new_replaces_links(tmp_path):
