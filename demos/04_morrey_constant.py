@@ -14,8 +14,7 @@ import numpy as np
 
 from morreylab import (GridSpec, ScalarField, SolveResult, barrier_check,
                        beta_p, cell_gradient_sq, holder_seminorm,
-                       lp_gradient_norm, mirror_to_fullplane, morrey_estimate,
-                       solve_extremal)
+                       mirror_to_fullplane, morrey_estimate, solve_extremal)
 
 p = 4.0
 spec = GridSpec(r_min=2.0**-4, r_max=2.0**10, n_s=225, n_phi=33)
@@ -35,9 +34,9 @@ print(f"Hoelder search (alpha = {alpha}): seminorm = {search.seminorm:.8f}")
 print(f"  pinned-pair value 2^(2/p)          = {2.0 ** (2.0 / p):.8f}")
 print(f"  argmax pair: {search.point_a} and {search.point_b}")
 
-grad_norm = lp_gradient_norm(result, cell_gradient_sq(result.field), p)
-est = morrey_estimate(result, grad_norm, sample_budget=400)
-print(f"gradient p-norm over the mirrored plane: {grad_norm:.6f}")
+# the norm and alpha take p from the result
+est = morrey_estimate(result, cell_gradient_sq(result.field), sample_budget=400)
+print(f"gradient p-norm over the mirrored plane: {est.grad_norm:.6f}")
 print(f"constant estimate: {est.C_estimate:.6f}")
 
 print()

@@ -17,7 +17,7 @@ it low, and on the computed 577 x 65 extremal at p = 4 the ratio,
 1.27253, exceeds the bound 2**(2/p) / ||grad u||_p of the exact energy,
 1.26312.  The gradient profile and the norm read one squared cell
 gradient, grid.cell_gradient_sq of the field, which a caller computes
-once and passes to both; the estimate takes the norm.
+once and passes to both; the estimate computes the norm from it.
 
 The barrier comparison transcribes a supersolution argument to exterior
 coordinates: with kappa = beta + tau below the critical exponent, the cone
@@ -168,12 +168,16 @@ def decay_profile(result) -> DecayProfile:
 def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
     """Fit ln S_r = ln C - beta ln r by least squares on a radius window.
 
-    The window must satisfy r_lo < r_hi, r_lo >= 2 and r_hi <= max(radii)/8
-    and contain at least 10 profile radii, else ParameterError is raised;
-    a sup value inside it that is not positive raises ValueError.
+    The window must have finite bounds r_lo < r_hi, r_lo >= 2 and
+    r_hi <= max(radii)/8 and contain at least 10 profile radii, else
+    ParameterError is raised; a sup value inside it that is not positive
+    raises ValueError.
     """
     r_lo, r_hi = float(window[0]), float(window[1])
     radii, sup = profile.radii, profile.sup_values
+    for name, bound in (("start", r_lo), ("end", r_hi)):
+        if not np.isfinite(bound):
+            raise ParameterError(f"window {name} must be finite, got {bound}")
     if r_lo >= r_hi:
         raise ParameterError("window must satisfy r_lo < r_hi")
     if r_lo < 2.0:
@@ -387,17 +391,17 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
                         point_b=best_pair[1], pairs_evaluated=pairs_seen)
 
 
-def lp_gradient_norm(result, grad_sq: np.ndarray, p: float) -> float:
+def lp_gradient_norm(result, grad_sq: np.ndarray) -> float:
     """(integral over the mirrored plane of |grad u|**p) ** (1/p).
 
-    grad_sq is grid.cell_gradient_sq of the result's field, read and left
-    unchanged.  Quadrature over half-plane cells with the grid weights,
-    doubled for the odd reflection.  A norm past the float range is inf,
-    with no numpy warning, as the energy kernel reports an overflow:
-    |grad u|**p overflows past about 1e308, as at p = 1000 with a gradient
-    above 2.
+    p is result.p, and grad_sq is grid.cell_gradient_sq of the result's
+    field, read and left unchanged.  Quadrature over half-plane cells with
+    the grid weights, doubled for the odd reflection.  A norm past the
+    float range is inf, with no numpy warning, as the energy kernel reports
+    an overflow: |grad u|**p overflows past about 1e308, as at p = 1000
+    with a gradient above 2.
     """
-    g = _grid_of(result, grad_sq)
+    g, p = _grid_of(result, grad_sq), result.p
     with np.errstate(over="ignore"):
         # times the products radial_mass[i] * dphi that make up
         # g.cell_weight, so the sum keeps the bits of the whole-array form
@@ -406,17 +410,18 @@ def lp_gradient_norm(result, grad_sq: np.ndarray, p: float) -> float:
         return float((2.0 * q.sum()) ** (1.0 / p))
 
 
-def morrey_estimate(result: SolveResult, grad_norm: float,
+def morrey_estimate(result: SolveResult, grad_sq: np.ndarray,
                     sample_budget: int) -> MorreyEstimate:
     """Ratio of Hoelder seminorm to gradient p-norm for the mirrored field.
 
-    grad_norm is lp_gradient_norm of the result's field.  The ratio
-    estimates the optimal constant of the inequality, and the computed
-    extremal is the candidate that should maximize it; it is not a lower
-    bound (see the module docstring).  A gradient norm that is zero or
-    overflowed to inf raises ValueError, after the Hoelder search has
-    checked sample_budget.
+    grad_sq is grid.cell_gradient_sq of the result's field, from which the
+    norm is lp_gradient_norm.  The ratio estimates the optimal constant of
+    the inequality, and the computed extremal is the candidate that should
+    maximize it; it is not a lower bound (see the module docstring).  A
+    gradient norm that is zero or overflowed to inf raises ValueError,
+    after the Hoelder search has checked sample_budget.
     """
+    grad_norm = lp_gradient_norm(result, grad_sq)
     p = result.p
     alpha = 1.0 - 2.0 / p
     holder = holder_seminorm(mirror_to_fullplane(result), alpha, sample_budget)
@@ -432,10 +437,9 @@ def morrey_estimate(result: SolveResult, grad_norm: float,
 
 def estimate_morrey_constant(result: SolveResult,
                              sample_budget: int) -> MorreyEstimate:
-    """morrey_estimate with the gradient p-norm of the result's field."""
-    grad_norm = lp_gradient_norm(
-        result, cell_gradient_sq(_field_of(result)), result.p)
-    return morrey_estimate(result, grad_norm, sample_budget)
+    """morrey_estimate from the squared cell gradient of the result's field."""
+    return morrey_estimate(result, cell_gradient_sq(_field_of(result)),
+                           sample_budget)
 
 
 def barrier_check(result, beta: float, tau: float,

@@ -313,17 +313,13 @@ def invert_phi(params: ConeParams, phi):
     return theta.reshape(phi.shape) if phi.ndim else float(theta[0])
 
 
-def evaluate_w(params: ConeParams, r, phi,
-               radial_exponent: float | None = None):
+def evaluate_w(params: ConeParams, r, phi):
     """Evaluate w(r, phi) = r**(-kappa) * f(phi) inside the cone of params.
 
     f is computed from params alone, so no sampled profile is needed.  r
     and phi are scalars or arrays that broadcast together; scalars give
     a float.  phi is measured from the cone axis; the boundary rays give 0,
     and a point outside the closed cone or a non-positive r is an error.
-    radial_exponent replaces kappa in the radial factor only (the angular
-    profile is kept), which deliberately breaks p-harmonicity; it is used
-    as a negative control in residual checks.
     """
     r, phi = np.broadcast_arrays(np.asarray(r, dtype=float),
                                  np.asarray(phi, dtype=float))
@@ -331,9 +327,8 @@ def evaluate_w(params: ConeParams, r, phi,
     if not valid.all():
         raise ValueError(f"r must be positive, got {r.flat[np.argmin(valid)]}")
     theta = invert_phi(params, phi.ravel())  # 1-d, as in invert_phi
-    k = params.kappa if radial_exponent is None else float(radial_exponent)
     w = np.where(np.abs(theta) >= np.pi / 2, 0.0,  # boundary ray, exact limit
-                 r.ravel() ** (-k) * _f_of_theta(params, theta))
+                 r.ravel() ** (-params.kappa) * _f_of_theta(params, theta))
     return w.reshape(r.shape) if r.ndim else float(w[0])
 
 
@@ -341,6 +336,7 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
                        h: float, radial_exponent: float | None = None) -> float:
     """Max finite-difference p-Laplacian residual of w over interior points.
 
+    p must be the p of profile, whose cone w is; another p is an error.
     sample_points is a non-empty sequence of (r, phi) pairs strictly inside
     the cone; for a single point pass [(r, phi)].  A point whose margin is
     too small for the stencil is rejected.  Uses the normalized form
@@ -350,19 +346,23 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
     which vanishes exactly where w is p-harmonic and is homogeneous of
     degree -(kappa+2), so scaling (r, h) -> (2r, 2h) scales the residual
     by 2**-(kappa+2).  Second-order centered stencils give O(h**2) decay
-    of the residual for the exact solution.  radial_exponent is as in
-    evaluate_w.
+    of the residual for the exact solution.  radial_exponent replaces kappa
+    in w's radial factor only, which deliberately breaks p-harmonicity; it
+    is used as a negative control.
     """
     pts = np.asarray(list(sample_points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
     p = check_p(p)
+    params = profile.params
+    if p != params.p:
+        raise ValueError(f"p={p} is not the p={params.p} of the profile's cone")
     h = float(h)
     if not 0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     r, phi = pts[:, 0], pts[:, 1]
     margin = np.minimum(r, r * np.sin(np.minimum(
-        profile.params.phi_max - np.abs(phi), np.pi / 2)))
+        params.phi_max - np.abs(phi), np.pi / 2)))
     too_close = ~(margin > 0) | (math.sqrt(2.0) * h > margin / 2.0)
     if too_close.any():
         i = np.argmax(too_close)
@@ -370,15 +370,16 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
             f"step h={h} too large for the interior margin {margin[i]:.3e} "
             f"at (r={r[i]}, phi={phi[i]})")
 
-    # the centre and its eight neighbours in one evaluate_w call, whose
-    # bisection then runs once; plane coordinates, cone axis along +y
+    # the centre and its eight neighbours in one evaluate_w call at r = 1,
+    # whose radial factor 1.0**(-kappa) is exactly 1; plane coordinates,
+    # cone axis along +y
     x, y = r * np.sin(phi), r * np.cos(phi)
     xp, xm, yp, ym = x + h, x - h, y + h, y - h
     xs = np.stack([x, xp, xm, x, x, xp, xp, xm, xm])
     ys = np.stack([y, y, y, yp, ym, yp, ym, yp, ym])
-    c, wxp, wxm, wyp, wym, wpp, wpm, wmp, wmm = evaluate_w(
-        profile.params, np.hypot(xs, ys), np.arctan2(xs, ys),
-        radial_exponent=radial_exponent)
+    k = params.kappa if radial_exponent is None else float(radial_exponent)
+    c, wxp, wxm, wyp, wym, wpp, wpm, wmp, wmm = (
+        np.hypot(xs, ys) ** (-k) * evaluate_w(params, 1.0, np.arctan2(xs, ys)))
     wx = (wxp - wxm) / (2 * h)
     wy = (wyp - wym) / (2 * h)
     wxx = (wxp - 2 * c + wxm) / (h * h)

@@ -28,6 +28,7 @@ import json
 import resource
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy
@@ -39,7 +40,7 @@ from .grid import GridSpec, cell_gradient_sq, from_fields, write_csv, write_json
 from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
                      solve_extremal)
 from .analysis import (ParameterError, decay_profile, fit_exponent,
-                       gradient_profile, lp_gradient_norm, morrey_estimate)
+                       gradient_profile, morrey_estimate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,8 +292,7 @@ def cmd_analyze(params: dict) -> int:
     try:
         fit = fit_exponent(profile, window)
         gprofile, gfit = gradient_profile(result, grad_sq, window)
-        grad_norm = lp_gradient_norm(result, grad_sq, result.p)
-        morrey = morrey_estimate(result, grad_norm, params["budget"])
+        morrey = morrey_estimate(result, grad_sq, params["budget"])
     except ParameterError as exc:   # a bad --window or --budget
         raise UsageError(str(exc)) from exc
     except ValueError as exc:
@@ -308,22 +308,12 @@ def cmd_analyze(params: dict) -> int:
     fit_json = {
         "p": result.p,
         "beta_p": bp,
-        "beta_hat": fit.beta_hat,
-        "C_hat": fit.C_hat,
+        **asdict(fit),
         "beta_hat_minus_beta_p": fit.beta_hat - bp,
-        "window": list(fit.window),
-        "rms_residual": fit.rms_residual,
-        "n_points": fit.n_points,
         "gradient_exponent": gfit.beta_hat,
         "gradient_exponent_minus_expected": gfit.beta_hat - (fit.beta_hat + 1.0),
-        "morrey": {
-            "alpha": morrey.alpha,
-            "seminorm": morrey.seminorm,
-            "grad_norm": morrey.grad_norm,
-            "C_estimate": morrey.C_estimate,
-            "argmax_pair": [list(morrey.argmax_pair[0]),
-                            list(morrey.argmax_pair[1])],
-        },
+        "morrey": {**asdict(morrey),
+                   "argmax_pair": [list(x) for x in morrey.argmax_pair]},
     }
     json_path = out_dir / "fit_summary.json"
     write_json(json_path, fit_json)

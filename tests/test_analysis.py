@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import asdict
 
@@ -449,7 +450,7 @@ def test_sample_points_are_the_mirrored_mesh_bit_for_bit():
 def test_lp_norm_zero_field():
     grid = medium_grid()
     res = synthetic_result(grid, np.zeros((grid.n_s, grid.n_phi)))
-    assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0) == 0.0
+    assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field)) == 0.0
 
 
 def test_lp_norm_unit_gradient_closed_form():
@@ -459,7 +460,7 @@ def test_lp_norm_unit_gradient_closed_form():
                            * np.sin(grid.phi)[None, :])
     spec = grid.spec
     exact = (np.pi * (spec.r_max**2 - spec.r_min**2)) ** 0.25
-    got = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0)
+    got = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field))
     assert abs(got - exact) / exact < 3e-3
 
 
@@ -469,7 +470,7 @@ def test_lp_norm_refinement_consistency():
         grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**10,
                                        n_s=n_s, n_phi=n_phi))
         res = synthetic_result(grid, power_law_field(grid, 0.5))
-        vals[n_s] = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), 4.0)
+        vals[n_s] = m.lp_gradient_norm(res, m.cell_gradient_sq(res.field))
     assert abs(vals[225] - vals[113]) / vals[113] < 0.005
 
 
@@ -502,7 +503,7 @@ def test_gradient_outputs_equal_the_whole_array_forms(spec):
                               np.sqrt(q)[keep].max(axis=1))
         want = float((2.0 * (g.cell_weight * q ** (p / 2.0)).sum())
                      ** (1.0 / p))
-        assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field), p) == want
+        assert m.lp_gradient_norm(res, m.cell_gradient_sq(res.field)) == want
 
 
 def test_gradient_inputs_are_checked_against_the_grid():
@@ -511,7 +512,7 @@ def test_gradient_inputs_are_checked_against_the_grid():
     q = m.cell_gradient_sq(res.field)
     for bad in (q[1:], q[:, :-1], q.T):
         with pytest.raises(ValueError, match="squared cell gradient of shape"):
-            m.lp_gradient_norm(res, bad, 4.0)
+            m.lp_gradient_norm(res, bad)
         with pytest.raises(ValueError, match="squared cell gradient of shape"):
             m.gradient_profile(res, bad, (2.0, 64.0))
 
@@ -525,19 +526,46 @@ def test_lp_norm_overflow_is_inf_and_the_estimate_rejects_it():
     res = synthetic_result(grid, power_law_field(grid, m.beta_p(p)), p=p)
     q = m.cell_gradient_sq(res.field)
     assert q.max() > 4.0
-    assert m.lp_gradient_norm(res, q, p) == math.inf
+    assert m.lp_gradient_norm(res, q) == math.inf
     with pytest.raises(ValueError, match="gradient 1000-norm overflows"):
         m.estimate_morrey_constant(res, sample_budget=50)
     with pytest.raises(ValueError, match="gradient 1000-norm overflows"):
-        m.morrey_estimate(res, math.inf, sample_budget=50)
+        m.morrey_estimate(res, q, sample_budget=50)
     with pytest.raises(ValueError, match="zero gradient norm"):
-        m.morrey_estimate(res, 0.0, sample_budget=50)
+        m.morrey_estimate(res, np.zeros_like(q), sample_budget=50)
+    # the Hoelder search checks its budget before the norm is checked
+    for grad_sq in (q, np.zeros_like(q)):
+        with pytest.raises(m.ParameterError, match="sample_budget"):
+            m.morrey_estimate(res, grad_sq, sample_budget=1)
     # p = 64 is in range on the same field
     res = synthetic_result(grid, res.field.values, p=64.0)
-    assert math.isfinite(m.lp_gradient_norm(res, q, 64.0))
+    assert math.isfinite(m.lp_gradient_norm(res, q))
 
 
 # ------------------------------------------------------- constant estimate
+
+def test_norm_and_estimate_read_p_from_the_result():
+    """No analysis input can disagree with another: p comes from the
+    result, and the estimate computes its norm from the gradient."""
+    assert list(inspect.signature(m.lp_gradient_norm).parameters) == [
+        "result", "grad_sq"]
+    assert list(inspect.signature(m.morrey_estimate).parameters) == [
+        "result", "grad_sq", "sample_budget"]
+    grid = medium_grid()
+    values = power_law_field(grid, 0.5)
+    for p in (4.0, 8.0):
+        res = synthetic_result(grid, values, p=p)
+        q = m.cell_gradient_sq(res.field)
+        norm = m.lp_gradient_norm(res, q)
+        assert norm == float(
+            (2.0 * (grid.cell_weight * q ** (p / 2.0)).sum()) ** (1.0 / p))
+        est = m.morrey_estimate(res, q, sample_budget=50)
+        assert (est.alpha, est.grad_norm) == (1.0 - 2.0 / p, norm)
+        assert est.C_estimate == est.seminorm / norm
+        assert np.array_equal(m.cell_gradient_sq(res.field), q)
+        assert repr(asdict(m.estimate_morrey_constant(res, 50))) == \
+            repr(asdict(est))
+
 
 def test_morrey_estimate_lower_bound_ordering(solve_small):
     est = m.estimate_morrey_constant(solve_small, sample_budget=300)

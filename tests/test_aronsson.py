@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -331,25 +332,34 @@ def test_fixed_halvings_equal_the_tolerance_bisection(p):
 
 
 def test_evaluate_w_array_matches_scalar_calls():
+    # w is the cone of params alone: no exponent can disagree with kappa
+    assert list(inspect.signature(m.evaluate_w).parameters) == [
+        "params", "r", "phi"]
     p = 4.0
     cone = m.ConeParams(p, 0.9 * m.beta_p(p))
     pm = cone.phi_max
     rng = np.random.default_rng(4)
     phi = np.concatenate([[pm, -pm, 0.0], rng.uniform(-pm, pm, 197)])
     r = rng.uniform(0.05, 20.0, phi.size)
-    for exponent in (None, 0.7):
-        pairwise = m.evaluate_w(cone, r, phi, radial_exponent=exponent)
-        assert np.array_equal(pairwise, [
-            m.evaluate_w(cone, float(a), float(b), radial_exponent=exponent)
-            for a, b in zip(r, phi)])
-        broadcast = m.evaluate_w(cone, 1.7, phi, radial_exponent=exponent)
-        assert np.array_equal(broadcast, [
-            m.evaluate_w(cone, 1.7, float(b), radial_exponent=exponent)
-            for b in phi])
+    pairwise = m.evaluate_w(cone, r, phi)
+    assert np.array_equal(pairwise, [
+        m.evaluate_w(cone, float(a), float(b)) for a, b in zip(r, phi)])
+    broadcast = m.evaluate_w(cone, 1.7, phi)
+    assert np.array_equal(broadcast, [
+        m.evaluate_w(cone, 1.7, float(b)) for b in phi])
+    # at r = 1 the radial factor is exactly 1, so a caller that applies
+    # the radial factor itself (pharmonic_residual, with kappa or its
+    # control exponent) rounds as evaluate_w does
+    angular = m.evaluate_w(cone, 1.0, phi)
+    assert np.array_equal(angular, [m.evaluate_w(cone, 1.0, float(b))
+                                    for b in phi])
+    assert np.array_equal(r ** (-cone.kappa) * angular, pairwise)
+    assert np.array_equal(np.full(phi.size, 1.7) ** (-cone.kappa) * angular,
+                          broadcast)
     grid = m.evaluate_w(cone, r[:5, None], phi[None, :7])
     assert grid.shape == (5, 7)
     assert grid[3, 6] == m.evaluate_w(cone, float(r[3]), float(phi[6]))
-    assert pairwise[0] == pairwise[1] == 0.0
+    assert pairwise[0] == pairwise[1] == angular[0] == angular[1] == 0.0
 
 
 @pytest.mark.parametrize("where", [0, 7, -1])
@@ -440,14 +450,33 @@ def test_residual_over_points_matches_pointwise_calls():
                                     radial_exponent=exponent) == max(pointwise)
 
 
+def test_residual_rejects_a_p_other_than_the_profiles():
+    """The stencil's (p - 2) and the cone w share one p: p = 8 on a p = 4
+    profile is an error, not a residual of about 1.2."""
+    prof = m.angular_profile(m.beta_p(4.0), 4.0, 200)
+    pts = interior_points(20, prof.params.phi_max)
+    with pytest.raises(ValueError, match=re.escape(
+            "p=8.0 is not the p=4.0 of the profile's cone")):
+        m.pharmonic_residual(prof, 8.0, pts, h=1e-3)
+    with pytest.raises(ValueError, match="p must be finite and > 2"):
+        m.pharmonic_residual(prof, 2.0, pts, h=1e-3)
+    assert m.pharmonic_residual(prof, 4, pts, h=1e-3) == \
+        m.pharmonic_residual(prof, 4.0, pts, h=1e-3) < 1e-4
+
+
 def nine_call_residual(profile, p, pts, h, radial_exponent=None):
-    """pharmonic_residual's stencil with one evaluate_w call per offset."""
+    """pharmonic_residual's stencil with one evaluate_w call per offset,
+    each at the offset's own radius, or at r = 1 times the control's
+    radial factor."""
     pts = np.asarray(pts, dtype=float)
     r, phi = pts[:, 0], pts[:, 1]
 
     def w(x, y):
-        return m.evaluate_w(profile.params, np.hypot(x, y), np.arctan2(x, y),
-                            radial_exponent=radial_exponent)
+        if radial_exponent is None:
+            return m.evaluate_w(profile.params, np.hypot(x, y),
+                                np.arctan2(x, y))
+        return (np.hypot(x, y) ** -radial_exponent
+                * m.evaluate_w(profile.params, 1.0, np.arctan2(x, y)))
 
     x, y = r * np.sin(phi), r * np.cos(phi)
     c = w(x, y)

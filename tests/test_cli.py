@@ -6,6 +6,7 @@ import math
 import os
 import re
 import string
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import morreylab as m
 from morreylab import analysis, aronsson, checks, cli, grid, solver
 from morreylab.cli import main
+from conftest import ACC_SPEC, ACC_SPEC_FINE
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
 
@@ -504,6 +506,19 @@ def test_analyze_bad_flag_is_usage_error(flags, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("window, name", [("nan,64", "start"),
+                                          ("4,nan", "end")])
+def test_analyze_nan_window_bound_is_named(window, name, tmp_path, capsys):
+    """A NaN bound is named as such, not counted as an empty window."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--window", window, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"usage error: window {name} must be finite, got nan\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_empty_default_window_is_usage_error(tmp_path, capsys):
     """With no --window, an r_max/8 at or below 4 empties the default
     window (4, r_max/8); the message names it, not a window never given."""
@@ -587,11 +602,11 @@ def test_analyze_makes_one_cell_gradient_pass(tmp_path, monkeypatch):
         seen.append(("profile", grad_sq))
         return profile(result, grad_sq, window)
 
-    def normed(result, grad_sq, p):
+    def normed(result, grad_sq):
         before = grad_sq.copy()
-        value = norm(result, grad_sq, p)
+        value = norm(result, grad_sq)
         assert np.array_equal(grad_sq, before)
-        g = result.grid
+        g, p = result.grid, result.p
         assert value == float(
             (2.0 * (g.cell_weight * before ** (p / 2.0)).sum()) ** (1.0 / p))
         seen.append(("norm", grad_sq))
@@ -973,6 +988,83 @@ def test_verify_calls_layers_through_their_modules(tmp_path, monkeypatch):
     solves = [args[0] for name, args in seen if name == "solve_extremal"]
     assert [(spec.n_s, spec.n_phi) for spec in solves] == [(145, 33)]
     assert sum(name == "pharmonic_residual" for name, _ in seen) == 2
+
+
+def hand_listed_fit_summary(result, window, budget):
+    """fit_summary.json's dict as cmd_analyze once listed it, field by
+    field, from the library's analysis calls."""
+    profile = m.decay_profile(result)
+    grad_sq = m.cell_gradient_sq(result.field)
+    fit = m.fit_exponent(profile, window)
+    gprofile, gfit = m.gradient_profile(result, grad_sq, window)
+    morrey = m.morrey_estimate(result, grad_sq, budget)
+    bp = m.beta_p(result.p)
+    return {
+        "p": result.p,
+        "beta_p": bp,
+        "beta_hat": fit.beta_hat,
+        "C_hat": fit.C_hat,
+        "beta_hat_minus_beta_p": fit.beta_hat - bp,
+        "window": list(fit.window),
+        "rms_residual": fit.rms_residual,
+        "n_points": fit.n_points,
+        "gradient_exponent": gfit.beta_hat,
+        "gradient_exponent_minus_expected": gfit.beta_hat - (fit.beta_hat + 1.0),
+        "morrey": {
+            "alpha": morrey.alpha,
+            "seminorm": morrey.seminorm,
+            "grad_norm": morrey.grad_norm,
+            "C_estimate": morrey.C_estimate,
+            "argmax_pair": [list(morrey.argmax_pair[0]),
+                            list(morrey.argmax_pair[1])],
+        },
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "solve_p4", "solve_p8", *(f"synthetic-{p}-{size}" for p in (4.0, 8.0)
+                              for size in ("577x65", "1153x129"))])
+def test_fit_summary_equals_the_hand_listed_dict(case, request, tmp_path):
+    """fit_summary.json, built from the fit's and the estimate's dataclass
+    fields, has the bytes of the dict that listed each field by hand."""
+    if case.startswith("solve_"):
+        result = request.getfixturevalue(case)
+    else:
+        _, p, size = case.split("-")
+        spec = ACC_SPEC if size == "577x65" else ACC_SPEC_FINE
+        g = m.build_grid(spec)
+        b = 1.05 * m.beta_p(float(p))
+        values = np.minimum(1.0, g.r ** -b)[:, None] * np.sin(g.phi)[None, :]
+        result = m.SolveResult(field=m.ScalarField(g, values), energy=0.0,
+                               stages=[], converged=True, p=float(p))
+    m.save_checkpoint(result, m.SolverConfig(), tmp_path / "ckpt")
+    loaded = m.load_checkpoint(tmp_path / "ckpt")[0]
+    for window, budget in ((None, 600), ((3.0, 100.0), 200)):
+        out = tmp_path / f"out-{budget}"
+        flags = ["--window", "%r,%r" % window] if window else []
+        assert main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--budget", str(budget), *flags,
+                     "--out-dir", str(out)]) == 0
+        want = hand_listed_fit_summary(
+            loaded, window or (4.0, loaded.grid.spec.r_max / 8.0), budget)
+        grid.write_json(tmp_path / f"want-{budget}.json", want)
+        assert ((out / "fit_summary.json").read_bytes()
+                == (tmp_path / f"want-{budget}.json").read_bytes())
+
+
+def test_one_version(capsys):
+    """pyproject.toml's [project] version is the package's __version__ and
+    what --version prints; a regex, since tomllib needs Python 3.11."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text,
+                        re.MULTILINE | re.DOTALL).group(1)
+    declared = re.findall(r'^version\s*=\s*"([^"]+)"\s*$', project,
+                          re.MULTILINE)
+    assert declared == [m.__version__]
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{m.__version__}\n"
 
 
 def test_unknown_command_usage():
