@@ -8,10 +8,13 @@ Subcommands
     verify       the suites of checks.py; full mode adds the residual
                  refinement and a coarse solve with its fit
 
-Every run writes a manifest JSON listing the command, the full effective
-parameter set, the artifact paths, the elapsed time, the numpy and scipy
-versions and the process's peak resident set size.  Parameters may come
-from a JSON config file (--config) keyed by the flag names with
+A run that writes its data files (exit 0, solve's exit 2 and verify's
+exit 3) also writes a manifest JSON listing the command, the full
+effective parameter set, the artifact paths, the elapsed time, the numpy
+and scipy versions and the process's peak resident set size.  A usage
+error and analyze's exit-2 paths come before --out-dir is made and write
+nothing; an error raised mid-computation writes no manifest.  Parameters
+may come from a JSON config file (--config) keyed by the flag names with
 underscores; explicit flags win.  Data files carry no timestamps, so
 identical invocations produce byte-identical outputs; only the manifest
 records time.
@@ -98,14 +101,13 @@ _PARAMS = {
     "beta-table": {"p_values": (_float_list, "2.5,3,4,8,16,1000,1000000"),
                    "out_dir": (_text, ".")},
     "aronsson": {"p": (_float, 4.0), "kappa": (_float, None),
-                 "L": (_float, None), "n_samples": (_int, 1001),
-                 "out_dir": (_text, ".")},
+                 "L": (_float, None), "out_dir": (_text, ".")},
     "solve": {"p": (_float, 4.0), "r_min": (_float, 2.0**-6),
               "r_max": (_float, 2.0**12), "n_s": (_int, 577),
-              "n_phi": (_int, 65), "grad_tol": (_float, 1e-9),
+              "n_phi": (_int, 65), "grad_tol": (_float, SolverConfig.grad_tol),
               "out_dir": (_text, ".")},
     "analyze": {"checkpoint": (_text, None), "window": (_float_list, None),
-                "budget": (_int, 600), "out_dir": (_text, ".")},
+                "out_dir": (_text, ".")},
     "verify": {"p": (_float, 4.0), "mode": (_choice("quick", "full"), "quick"),
                "out_dir": (_text, ".")},
 }
@@ -201,7 +203,7 @@ def cmd_aronsson(params: dict) -> int:
     try:
         kappa = (params["kappa"] if params["kappa"] is not None
                  else kappa_of_L(params["L"], p))
-        profile = angular_profile(kappa, p, params["n_samples"])
+        profile = angular_profile(kappa, p, 1001)  # the CLI's one size
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc)) from exc
     out_dir = _out_dir(params)
@@ -287,13 +289,13 @@ def cmd_analyze(params: dict) -> int:
             f"for the checkpoint's r_max = {r_max:g}; pass --window r_lo,r_hi "
             "with 2 <= r_lo < r_hi <= r_max/8")
 
-    profile = decay_profile(result)
     grad_sq = cell_gradient_sq(result.field)    # one gradient pass for both
     try:
+        profile = decay_profile(result)
         fit = fit_exponent(profile, window)
         gprofile, gfit = gradient_profile(result, grad_sq, window)
-        morrey = morrey_estimate(result, grad_sq, params["budget"])
-    except ParameterError as exc:   # a bad --window or --budget
+        morrey = morrey_estimate(result, grad_sq, 600)  # the CLI's one budget
+    except ParameterError as exc:   # a bad --window
         raise UsageError(str(exc)) from exc
     except ValueError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)

@@ -270,9 +270,6 @@ class ScalarField:
                 f"({grid.n_s}, {grid.n_phi})")
         self.values = values
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def apply_dirichlet(self) -> "ScalarField":
         """Zero the constrained nodes and set the pinned node to 1, in place."""
         self.values[self.grid.constrained_mask()] = 0.0

@@ -45,7 +45,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from types import SimpleNamespace
@@ -375,14 +375,12 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
     meta = {
         "format": "morreylab-checkpoint",
         "version": 1,
-        "p": result.p,
+        **{f.name: getattr(result, f.name) for f in fields(SolveResult)
+           if f.name not in ("field", "stages")},
         "spec": asdict(result.grid.spec),
         "config": asdict(config),
-        "energy": result.energy,
-        "converged": result.converged,
         "u_min": float(result.field.values.min()),
         "u_max": float(result.field.values.max()),
-        "dipole_strength": result.dipole_strength,
         "stages": [{k: v for k, v in asdict(st).items()
                     if k != "energy_history"} for st in result.stages],
     }

@@ -344,7 +344,7 @@ m.save_checkpoint(m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
                   m.SolverConfig(), out + "/ckpt")
 runs = {
     "beta-table": ["beta-table", "--p-values", "3,4"],
-    "aronsson": ["aronsson", "--p", "4", "--kappa", "1.0", "--n-samples", "65"],
+    "aronsson": ["aronsson", "--p", "4", "--kappa", "1.0"],
     "verify quick": ["verify", "--p", "4", "--mode", "quick"],
     "analyze": ["analyze", "--checkpoint", out + "/ckpt", "--window", "2,7.5"],
     "solve": ["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",

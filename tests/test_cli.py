@@ -6,6 +6,8 @@ import math
 import os
 import re
 import string
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -66,11 +68,11 @@ def test_beta_table_deterministic(tmp_path):
 
 def test_aronsson_by_kappa(tmp_path):
     rc = main(["aronsson", "--p", "4", "--kappa", "1.0",
-               "--n-samples", "201", "--out-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == 0
     header, rows = read_csv(tmp_path / "aronsson_profile.csv")
     assert header == ["theta", "phi", "f", "fprime", "g"]
-    assert len(rows) == 201
+    assert len(rows) == 1001
     summary = json.loads((tmp_path / "aronsson_summary.json").read_text())
     assert summary["invariants"]["identity_max_abs_err"] < 1e-12
     assert summary["invariants"]["power_combination_rel_spread"] < 1e-10
@@ -331,20 +333,25 @@ def test_non_finite_solve_parameter_is_usage_error(flags, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _naming(key, value, given_as, tmp_path):
+    """The name a usage error must give for key, and the arguments that set
+    it as a flag or, as an older manifest's replayed parameters do, in a
+    config file."""
+    flag = "--" + key.replace("_", "-")
+    if given_as == "flag":
+        return flag, [flag, str(value)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    return key, ["--config", str(cfg)]
+
+
 @pytest.mark.parametrize("key, value", [
     ("energy_rel_tol", 1e-12), ("max_iters", 100),
     ("eps_schedule", "1e-2,1e-3,1e-4,1e-5,1e-6"), ("tag", "x")])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_retired_solve_parameter_is_usage_error(key, value, given_as,
                                                 tmp_path, capsys):
-    # an older manifest's parameters replay as a config that names the key
-    flag = "--" + key.replace("_", "-")
-    if given_as == "flag":
-        name, extra = flag, [flag, str(value)]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        name, extra = key, ["--config", str(cfg)]
+    name, extra = _naming(key, value, given_as, tmp_path)
     with mock.patch.object(cli, "solve_extremal",
                            side_effect=AssertionError("solve was called")):
         rc = main(SOLVE_49 + extra + ["--out-dir", str(tmp_path)])
@@ -352,6 +359,29 @@ def test_retired_solve_parameter_is_usage_error(key, value, given_as,
     assert rc == 1
     assert err.startswith("usage error:")
     assert name in err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"], "budget", 600),
+    (["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"], "budget", 1),
+    (["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"], "budget", -5),
+    (["aronsson", "--p", "4", "--kappa", "1.0"], "n_samples", 1001),
+], ids=["analyze-budget=600", "analyze-budget=1", "analyze-budget=-5",
+        "aronsson-n_samples=1001"])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_retired_analysis_parameter_is_usage_error(argv, key, value, given_as,
+                                                   tmp_path, capsys):
+    """analyze's Hoelder budget (600) and aronsson's row count (1001) are
+    fixed; naming either, at any value, is refused before --out-dir."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    argv = [str(tmp_path / "ckpt") if a == "CKPT" else a for a in argv]
+    name, extra = _naming(key, value, given_as, tmp_path)
+    rc = main(argv + extra + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:")
+    assert name in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_corrupt_checkpoint(tmp_path):
@@ -494,8 +524,8 @@ def test_analyze_rejects_a_dump_of_the_wrong_size_or_version(
 
 
 @pytest.mark.parametrize("flags", [
-    ("--budget", "1"), ("--budget", "-5"), ("--window", "8,4"),
-    ("--window", "1,16"), ("--window", "4,nan"), ("--window", ","),
+    ("--window", "8,4"), ("--window", "1,16"), ("--window", "4,nan"),
+    ("--window", ","),
 ], ids="=".join)
 def test_analyze_bad_flag_is_usage_error(flags, tmp_path, capsys):
     _write_synthetic_checkpoint(tmp_path / "ckpt")
@@ -544,6 +574,24 @@ def test_analyze_degenerate_field_is_numerical_failure(tmp_path, capsys):
     assert rc == 2
     assert "profile must be positive inside the fit window" in \
         capsys.readouterr().err
+
+
+def test_analyze_field_without_the_circle_maximum_is_analysis_failure(
+        tmp_path, capsys):
+    """A field whose arc maxima rise past r = 10 fails decay_profile's
+    maximum-on-the-circle check: an analysis failure, exit 2, no out-dir."""
+    g = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**8, n_s=97,
+                                n_phi=17))
+    values = np.minimum(1.0, g.r**-0.5)[:, None] * np.sin(g.phi)[None, :]
+    values[g.r > 10.0] *= 1.5
+    m.save_checkpoint(m.SolveResult(field=m.ScalarField(g, values), energy=0.0,
+                                    stages=[], converged=True, p=4.0),
+                      m.SolverConfig(), tmp_path / "ckpt")
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("analysis failed: arc maximum")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("p", [64.0, 1000.0])
@@ -746,7 +794,7 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 @pytest.mark.parametrize("argv, data_files", [
     (["beta-table", "--p-values", "3,4,8"], ["beta_table.csv"]),
-    (["aronsson", "--p", "4", "--kappa", "1.0", "--n-samples", "201"],
+    (["aronsson", "--p", "4", "--kappa", "1.0"],
      ["aronsson_profile.csv", "aronsson_summary.json"]),
     (["verify", "--p", "4", "--mode", "quick"], ["verify_report.json"]),
     (["solve", "--p", "4", "--r-min", "0.0625", "--r-max", "256",
@@ -802,8 +850,7 @@ OPTIONS = {
     "beta-table": {"p_values": ("--p-values", "floats"),
                    "out_dir": ("--out-dir", "text")},
     "aronsson": {"p": ("--p", "float"), "kappa": ("--kappa", "float"),
-                 "L": ("--L", "float"), "n_samples": ("--n-samples", "int"),
-                 "out_dir": ("--out-dir", "text")},
+                 "L": ("--L", "float"), "out_dir": ("--out-dir", "text")},
     "solve": {"p": ("--p", "float"), "r_min": ("--r-min", "float"),
               "r_max": ("--r-max", "float"), "n_s": ("--n-s", "int"),
               "n_phi": ("--n-phi", "int"),
@@ -811,7 +858,7 @@ OPTIONS = {
               "out_dir": ("--out-dir", "text")},
     "analyze": {"checkpoint": ("--checkpoint", "text"),
                 "window": ("--window", "floats"),
-                "budget": ("--budget", "int"), "out_dir": ("--out-dir", "text")},
+                "out_dir": ("--out-dir", "text")},
     "verify": {"p": ("--p", "float"), "mode": ("--mode", "mode"),
                "out_dir": ("--out-dir", "text")},
 }
@@ -826,6 +873,10 @@ def test_parser_is_built_once_per_process(tmp_path):
     assert main(["beta-table", "--p-values", "4",
                  "--out-dir", str(tmp_path)]) == 0
     assert cli._build_parser() is parser
+
+
+def test_solve_grad_tol_default_is_the_solver_configs():
+    assert cli._PARAMS["solve"]["grad_tol"][1] == m.SolverConfig().grad_tol
 
 
 def test_option_strings_and_dests_frozen():
@@ -990,14 +1041,14 @@ def test_verify_calls_layers_through_their_modules(tmp_path, monkeypatch):
     assert sum(name == "pharmonic_residual" for name, _ in seen) == 2
 
 
-def hand_listed_fit_summary(result, window, budget):
+def hand_listed_fit_summary(result, window):
     """fit_summary.json's dict as cmd_analyze once listed it, field by
-    field, from the library's analysis calls."""
+    field, from the library's analysis calls at its budget of 600."""
     profile = m.decay_profile(result)
     grad_sq = m.cell_gradient_sq(result.field)
     fit = m.fit_exponent(profile, window)
     gprofile, gfit = m.gradient_profile(result, grad_sq, window)
-    morrey = m.morrey_estimate(result, grad_sq, budget)
+    morrey = m.morrey_estimate(result, grad_sq, 600)
     bp = m.beta_p(result.p)
     return {
         "p": result.p,
@@ -1039,17 +1090,37 @@ def test_fit_summary_equals_the_hand_listed_dict(case, request, tmp_path):
                                stages=[], converged=True, p=float(p))
     m.save_checkpoint(result, m.SolverConfig(), tmp_path / "ckpt")
     loaded = m.load_checkpoint(tmp_path / "ckpt")[0]
-    for window, budget in ((None, 600), ((3.0, 100.0), 200)):
-        out = tmp_path / f"out-{budget}"
+    for k, window in enumerate((None, (3.0, 100.0))):
+        out = tmp_path / f"out-{k}"
         flags = ["--window", "%r,%r" % window] if window else []
         assert main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
-                     "--budget", str(budget), *flags,
-                     "--out-dir", str(out)]) == 0
+                     *flags, "--out-dir", str(out)]) == 0
         want = hand_listed_fit_summary(
-            loaded, window or (4.0, loaded.grid.spec.r_max / 8.0), budget)
-        grid.write_json(tmp_path / f"want-{budget}.json", want)
+            loaded, window or (4.0, loaded.grid.spec.r_max / 8.0))
+        grid.write_json(tmp_path / f"want-{k}.json", want)
         assert ((out / "fit_summary.json").read_bytes()
-                == (tmp_path / f"want-{budget}.json").read_bytes())
+                == (tmp_path / f"want-{k}.json").read_bytes())
+
+
+def test_module_entry_runs_the_cli(tmp_path):
+    """python -m morreylab is the CLI: --version, and a beta-table with the
+    bytes of an in-process run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "morreylab", *argv],
+                              env=env, capture_output=True, text=True)
+
+    out = run("--version")
+    assert out.returncode == 0 and out.stdout == m.__version__ + "\n"
+    out = run("beta-table", "--p-values", "3", "--out-dir", str(tmp_path / "a"))
+    assert out.returncode == 0, out.stderr
+    assert main(["beta-table", "--p-values", "3",
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "beta_table.csv").read_bytes()
+            == (tmp_path / "b" / "beta_table.csv").read_bytes())
 
 
 def test_one_version(capsys):

@@ -387,7 +387,8 @@ def test_gradient_at_dirichlet_and_pinned_nodes():
     grad = m.energy_gradient(field, params).values
     h = 1e-4
     for node in ((20, 0), g.pin_index):
-        up, dn = field.copy(), field.copy()
+        up = m.ScalarField(g, field.values.copy())
+        dn = m.ScalarField(g, field.values.copy())
         up.values[node] += h
         dn.values[node] -= h
         fd = (m.energy(up, params) - m.energy(dn, params)) / (2 * h)
@@ -400,7 +401,7 @@ def test_gradient_locality_bit_identical():
     field, _ = random_interior_field(g)
     params = m.EnergyParams(p=4.0, eps=0.1)
     before = m.energy_gradient(field, params).values
-    poke = field.copy()
+    poke = m.ScalarField(g, field.values.copy())
     pi, pj = 20, 8
     poke.values[pi, pj] += 0.5
     after = m.energy_gradient(poke, params).values

@@ -467,6 +467,14 @@ def test_checkpoint_round_trip(tmp_path, solve_small):
     assert loaded.stages[-1].grad_sup == solve_small.stages[-1].grad_sup
 
 
+def test_sidecar_keys_are_the_results_stored_fields(tmp_path, solve_small):
+    m.save_checkpoint(solve_small, m.SolverConfig(), tmp_path / "ck")
+    meta = json.loads((tmp_path / "ck.json").read_text())
+    stored = {f.name for f in dataclasses.fields(m.SolveResult)}
+    assert set(meta) == (stored - {"field", "stages"}) | {
+        "format", "version", "spec", "config", "u_min", "u_max", "stages"}
+
+
 def test_checkpoint_loads_an_unconverged_stage(tmp_path, solve_small):
     """A stage that ended unconverged may store grad_sup as Infinity, which
     JSON reads back as a number."""
