@@ -187,11 +187,6 @@ def _f_of_theta(params: ConeParams, theta):
     return _base(params, theta) ** (-(params.kappa + 1.0) / 2.0) * np.cos(theta)
 
 
-def _fprime_of_theta(params: ConeParams, theta):
-    return params.kappa * _base(params, theta) ** (-(params.kappa + 1.0) / 2.0) \
-        * np.sin(theta)
-
-
 @dataclass
 class AngularProfile:
     """Sampled angular data of one cone solution.
@@ -259,9 +254,11 @@ def angular_profile(kappa: float, p: float, n_samples: int) -> AngularProfile:
     theta[0], theta[-1] = -np.pi / 2, np.pi / 2
 
     phi = _phi_of_theta(params, theta)
-    f = _f_of_theta(params, theta)
-    fprime = _fprime_of_theta(params, theta)
-    g = params.kappa**2 * _base(params, theta) ** (-params.kappa)
+    base = _base(params, theta)
+    power = base ** (-(params.kappa + 1.0) / 2.0)     # as in _f_of_theta
+    f = power * np.cos(theta)
+    fprime = params.kappa * power * np.sin(theta)
+    g = params.kappa**2 * base ** (-params.kappa)
 
     # analytic endpoint limits (cos(pi/2) is not exactly zero in floating point)
     phi[0], phi[-1] = params.phi_max, -params.phi_max

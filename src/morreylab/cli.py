@@ -275,9 +275,6 @@ def cmd_analyze(params: dict) -> int:
         result, _ = load_checkpoint(params["checkpoint"])
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read checkpoint: {exc}") from exc
-    if not result.converged:
-        print("checkpoint is not converged", file=sys.stderr)
-        return EXIT_NUMERICAL
     r_max = result.grid.spec.r_max
     window = (tuple(_floats(params["window"])) if params["window"]
               else (4.0, r_max / 8.0))

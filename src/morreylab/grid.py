@@ -229,15 +229,11 @@ class LogPolarGrid:
         return (w, em, jac), (pin, nodes, w_pin, em_pin, pin_jac), (col, d, col - d)
 
     def constrained_mask(self) -> np.ndarray:
-        """Boolean mask of Dirichlet edge nodes plus the pinned node.
-
-        On a quarter grid (the pin on the last column) the axis column is
-        free apart from the pin.
-        """
-        m = np.zeros((self.n_s, self.n_phi), dtype=bool)
-        m[:, -1] = self.j_pin < self.n_phi - 1
-        m[0, :] = m[-1, :] = m[:, 0] = True
-        m[self.i_pin, self.j_pin] = True
+        """Boolean mask of the Dirichlet nodes, every node outside the
+        free_box, plus the pinned node."""
+        m = np.ones((self.n_s, self.n_phi), dtype=bool)
+        m[self.free_box()] = False
+        m[self.pin_index] = True
         return m
 
     def free_box(self) -> tuple[slice, slice]:

@@ -217,20 +217,20 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
     gradient at the pinned node, half the dipole strength."""
     quarter = field.grid
     box = quarter.free_box()
-    box_shape = field.values[box].shape
-    constrained = quarter.constrained_mask()
     history = [2.0 * energy(field, params)]
     fallbacks, search_failed = 0, False
     while True:
         g = energy_gradient(field, params).values
         pin_force = float(g[quarter.pin_index])
-        g[constrained] = 0.0
-        # the half plane's gradient is g off the axis column, 2 g on it
+        g[quarter.pin_index] = 0.0
+        g = g[box]
+        # the half plane's gradient is g off the axis column, 2 g on it;
+        # the box's last column is the quarter's axis
         grad_sup = float(max(np.abs(g).max(), 2.0 * np.abs(g[:, -1]).max()))
         if grad_sup <= grad_tol or len(history) - 1 == _MAX_ITERS_PER_STAGE:
             break
         # the free box in row-major order, the Hessian band's node order
-        g_f = g[box].ravel()
+        g_f = g.ravel()
         try:
             direction = splu(energy_hessian(field, params)).solve(-g_f)
             slope = 2.0 * float(g_f @ direction)
@@ -243,7 +243,7 @@ def _newton_stage(field: ScalarField, params: EnergyParams,
         e_now, step = history[-1], 1.0
         for _ in range(_MAX_HALVINGS):
             trial = field.values.copy()
-            trial[box] += (step * direction).reshape(box_shape)
+            trial[box] += (step * direction).reshape(g.shape)
             trial_field = ScalarField(quarter, trial)
             e_trial = 2.0 * energy(trial_field, params)
             if e_trial <= (e_now + _ARMIJO_C * step * slope

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -63,6 +66,14 @@ def random_even_field(spec: m.GridSpec, seed: int = 3):
     uq.apply_dirichlet()
     half = m.ScalarField(grid, np.hstack([uq.values, uq.values[:, -2::-1]]))
     return uq, half
+
+
+def read_report(path) -> dict:
+    """A report (verify_report.json, fit_summary.json) parsed as strict
+    JSON: a NaN, Infinity or -Infinity in it is an error."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name} in {path}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def synthetic_result(grid: m.LogPolarGrid, values: np.ndarray,

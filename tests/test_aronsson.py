@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import morreylab as m
+from morreylab import aronsson
 
 P_GRID = [2.5, 3.0, 4.0, 8.0, 16.0, 1e3, 1e6]
 KAPPA_GRID = [0.1, 0.3, 0.5, 1.0, 2.0, 5.0]
@@ -214,6 +215,20 @@ def test_profile_symmetries_and_positivity():
     assert np.allclose(prof.fprime, -prof.fprime[::-1], atol=1e-14)
     assert np.all(prof.f[1:-1] > 0)
     assert np.all(prof.g > 0)
+
+
+@pytest.mark.parametrize("kappa, p", [(1e-3, 2.5), (1.0, 4.0), (80.0, 1000.0)])
+def test_profile_fprime_equals_its_closed_form_bit_for_bit(kappa, p):
+    # f and f' share one power of the base; f' keeps the bits of its own
+    # closed form, kappa base**(-(kappa+1)/2) sin(theta), at every sample
+    # inside the ends, whose values are the analytic limits
+    prof = m.angular_profile(kappa, p, 101)
+    params, theta = prof.params, prof.theta
+    fprime = params.kappa * aronsson._base(params, theta) \
+        ** (-(params.kappa + 1.0) / 2.0) * np.sin(theta)
+    assert np.array_equal(prof.fprime[1:-1], fprime[1:-1])
+    assert np.array_equal(prof.f[1:-1],
+                          aronsson._f_of_theta(params, theta)[1:-1])
 
 
 @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.0, 80.0, 100.0, 1000.0])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import morreylab as m
 from morreylab import analysis, aronsson, checks, cli, grid, solver
 from morreylab.cli import main
-from conftest import ACC_SPEC, ACC_SPEC_FINE
+from conftest import ACC_SPEC, ACC_SPEC_FINE, read_report
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
 
@@ -143,7 +143,7 @@ def test_solve_and_analyze_pipeline(tmp_path):
     rc = main(["analyze", "--checkpoint", str(tmp_path / "solve"),
                "--out-dir", str(tmp_path)])
     assert rc == 0
-    fit = json.loads((tmp_path / "fit_summary.json").read_text())
+    fit = read_report(tmp_path / "fit_summary.json")
     assert abs(fit["beta_p"] - m.beta_p(4.0)) < 1e-12
     assert abs(fit["beta_hat"] - fit["beta_p"]) < 0.2
     assert fit["morrey"]["C_estimate"] > 0
@@ -384,6 +384,17 @@ def test_retired_analysis_parameter_is_usage_error(argv, key, value, given_as,
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_leaves_the_converged_check_to_analysis(tmp_path, capsys):
+    """An unconverged checkpoint fails in the analysis layer, as every
+    other bad field does: exit 2, and no out-dir is made."""
+    _write_synthetic_checkpoint(tmp_path / "ckpt", converged=False)
+    rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "analysis failed: result is not converged\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_corrupt_checkpoint(tmp_path):
     (tmp_path / "junk.json").write_text("{]")
     (tmp_path / "junk.field").write_text("nonsense\n")
@@ -619,11 +630,7 @@ def test_analyze_large_p_norm_overflow_is_numerical_failure(p, tmp_path,
         assert not (out / "fit_summary.json").exists()
     else:
         assert rc == 0 and err == ""
-
-        def reject(name):
-            raise ValueError(f"not strict JSON: {name}")
-        fit = json.loads((out / "fit_summary.json").read_text(),
-                         parse_constant=reject)
+        fit = read_report(out / "fit_summary.json")
         assert round(fit["morrey"]["C_estimate"], 5) == 0.98877
 
 
@@ -711,11 +718,12 @@ def test_analyze_accepts_retired_sidecar_keys(tmp_path):
                 == (tmp_path / "new" / name).read_bytes())
 
 
-def _write_synthetic_checkpoint(base, p=4.0, stages=(), r_max=2.0**6):
+def _write_synthetic_checkpoint(base, p=4.0, stages=(), r_max=2.0**6,
+                               converged=True):
     grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=r_max, n_s=81, n_phi=17))
     values = np.minimum(1.0, grid.r**-0.5)[:, None] * np.sin(grid.phi)[None, :]
     result = m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
-                           stages=list(stages), converged=True, p=p)
+                           stages=list(stages), converged=converged, p=p)
     m.save_checkpoint(result, m.SolverConfig(), base)
 
 
@@ -957,7 +965,7 @@ def test_verify_quick_passes(tmp_path):
     rc = main(["verify", "--p", "4", "--mode", "quick",
                "--out-dir", str(tmp_path)])
     assert rc == 0
-    report = json.loads((tmp_path / "verify_report.json").read_text())
+    report = read_report(tmp_path / "verify_report.json")
     assert report["pass"] is True
     assert report["aronsson_identities"]["identity_max_abs_err"] < 1e-10
     assert report["barrier_synthetic"]["slow_decay_report"]["violations"] > 0
@@ -973,9 +981,9 @@ def test_verify_fails_where_the_gradient_check_overflows(tmp_path):
     rc = main(["verify", "--p", "256", "--mode", "quick",
                "--out-dir", str(tmp_path)])
     assert report["pass"] is False
-    assert math.isnan(report["max_rel_error"])
+    assert report["max_rel_error"] is None
     assert rc == 3
-    report = json.loads((tmp_path / "verify_report.json").read_text())
+    report = read_report(tmp_path / "verify_report.json")
     assert report["gradient_consistency"]["pass"] is False
     assert report["aronsson_identities"]["pass"] is True
 
@@ -1003,7 +1011,7 @@ def test_verify_fails_on_perturbed_profile(tmp_path, monkeypatch):
     rc = main(["verify", "--p", "4", "--mode", "quick",
                "--out-dir", str(tmp_path)])
     assert rc == 3
-    report = json.loads((tmp_path / "verify_report.json").read_text())
+    report = read_report(tmp_path / "verify_report.json")
     assert report["aronsson_identities"]["pass"] is False
     assert report["pass"] is False
 
@@ -1013,9 +1021,25 @@ def test_verify_full_includes_coarse_solve(p, tmp_path):
     rc = main(["verify", "--p", str(p), "--mode", "full",
                "--out-dir", str(tmp_path)])
     assert rc == 0
-    report = json.loads((tmp_path / "verify_report.json").read_text())
+    report = read_report(tmp_path / "verify_report.json")
     assert report["coarse_solve"]["pass"] is True
     assert abs(report["coarse_solve"]["beta_hat"] - m.beta_p(p)) < 0.15
+
+
+@pytest.mark.parametrize("p", [24.0, 48.0])
+def test_verify_full_reports_a_coarse_field_analysis_rejects(p, tmp_path):
+    """At p = 24 the coarse solve converges off the maximum-on-the-circle
+    property, at p = 48 it does not converge: the analysis layer rejects
+    both fields, and the suite fails with beta_hat null instead of ending
+    the command without a report."""
+    rc = main(["verify", "--p", str(p), "--mode", "full",
+               "--out-dir", str(tmp_path)])
+    assert rc == 3
+    report = read_report(tmp_path / "verify_report.json")
+    assert report["coarse_solve"]["converged"] is (p == 24.0)
+    assert report["coarse_solve"]["beta_hat"] is None
+    assert report["coarse_solve"]["pass"] is False
+    assert report["pass"] is False
 
 
 def test_verify_calls_layers_through_their_modules(tmp_path, monkeypatch):

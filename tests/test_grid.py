@@ -307,6 +307,24 @@ def test_quarter_grid_columns_and_constraints():
     assert grid.constrained_mask()[:, -1].all()
 
 
+@pytest.mark.parametrize("n_phi", [3, 5, 17])
+def test_constrained_mask_is_outside_the_free_box_plus_the_pin(n_phi):
+    # free_box alone names the free nodes: every other node is Dirichlet
+    # (the rims r_min, r_max and phi = 0, and phi = pi on a half plane)
+    grid = m.build_grid(m.GridSpec(r_min=2.0**-4, r_max=2.0**4, n_s=17,
+                                   n_phi=n_phi))
+    for g in (grid, grid.quarter()):
+        free = np.zeros((g.n_s, g.n_phi), dtype=bool)
+        free[g.free_box()] = True
+        free[g.pin_index] = False
+        assert np.array_equal(g.constrained_mask(), ~free)
+        dirichlet = np.zeros_like(free)
+        dirichlet[[0, -1]] = dirichlet[:, 0] = True
+        dirichlet[:, -1] |= g is grid
+        dirichlet[g.pin_index] = True
+        assert np.array_equal(g.constrained_mask(), dirichlet)
+
+
 def test_a_quarter_holds_none_of_its_half_planes_tables():
     # a grid keeps its kernel tables after its first kernel call; a quarter
     # taken from a half plane that has them evaluates, to the last bit, as

@@ -399,7 +399,9 @@ def test_stage_reports_half_plane_quantities(monkeypatch):
     # F = 2 E_quarter is the half-plane energy of the mirrored field; the
     # stop test reads the half-plane gradient, twice the quarter's on the
     # axis column; the dipole strength is the half plane's too.  Two steps
-    # per stage leave all of them far from roundoff.
+    # per stage leave all of them far from roundoff.  The stage reads the
+    # sup from the quarter's free box with the pin's entry zeroed: to the
+    # bit the sup over the quarter with its Dirichlet rims and pin masked.
     monkeypatch.setattr(solver, "_MAX_ITERS_PER_STAGE", 2)
     cfg = m.SolverConfig(eps_schedule=(1e-2, 1e-3), grad_tol=1e-30)
     result = m.solve_extremal(TINY_SPEC, 4.0, cfg)
@@ -411,6 +413,14 @@ def test_stage_reports_half_plane_quantities(monkeypatch):
     g[result.grid.constrained_mask()] = 0.0
     assert math.isclose(stage.grad_sup, np.abs(g).max(), rel_tol=1e-12)
     assert math.isclose(stage.energy, m.energy(field, params), rel_tol=1e-14)
+    quarter = result.grid.quarter()
+    gq = m.energy_gradient(m.ScalarField(
+        quarter, field.values[:, :quarter.n_phi].copy()), params).values
+    masked = np.zeros(gq.shape, dtype=bool)
+    masked[[0, -1]] = masked[:, 0] = True
+    masked[quarter.pin_index] = True
+    gq[masked] = 0.0
+    assert stage.grad_sup == max(np.abs(gq).max(), 2.0 * np.abs(gq[:, -1]).max())
 
 
 def test_solved_fields_are_exactly_even(solve_small, solve_p4, solve_p8,
