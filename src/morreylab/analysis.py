@@ -35,7 +35,7 @@ import numpy as np
 
 from .aronsson import ConeParams, beta_p, evaluate_w
 from .grid import ScalarField, cell_gradient_sq
-from .solver import FullPlaneField, SolveResult, mirror_to_fullplane
+from .solver import SolveResult, mirror_to_fullplane
 
 __all__ = [
     "ParameterError",
@@ -323,8 +323,7 @@ def _pair_max(values: np.ndarray, points: np.ndarray, alpha: float):
     return float(best), points[key // n], points[key % n], n * (n - 1) // 2
 
 
-def holder_seminorm(evaluator, alpha: float, sample_budget: int,
-                    sample_points: np.ndarray | None = None) -> HolderResult:
+def holder_seminorm(evaluator, alpha: float, sample_budget: int) -> HolderResult:
     """Search the Hoelder quotient sup |u(x)-u(y)| / |x-y|**alpha.
 
     Two stages: all pairs from the candidate points thinned to the budget
@@ -335,9 +334,11 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     increases, but the result can: the refinement starts from that stage's
     best pair, and a larger budget may move it to a pair that refines less.
 
-    evaluator is either a FullPlaneField (candidates default to its grid
-    nodes) or any callable taking an (m, d) array of points; in the latter
-    case sample_points is required.
+    The search reads four members of evaluator, as a FullPlaneField has
+    them: evaluate and contains, which take an (m, d) array of points, and
+    its list of sample_count candidate points, of which sample_points(index)
+    builds the given positions.  Refinement points outside contains are
+    dropped.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -346,27 +347,15 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
         raise ParameterError(
             f"sample_budget must be at least 2, got {sample_budget}")
 
-    if isinstance(evaluator, FullPlaneField):
-        evaluate, domain = evaluator.evaluate, evaluator.contains
-    else:
-        evaluate, domain = evaluator, None
-    if sample_points is not None:
-        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        if pts.shape[0] < 2:
-            raise ValueError("need at least two candidate points")
-        chosen = pts[_bit_reversed_order(len(pts), sample_budget)]
-    elif domain is not None:
-        # only the kept nodes are built
-        chosen = evaluator.sample_points(
-            _bit_reversed_order(evaluator.sample_count, sample_budget))
-    else:
-        raise ValueError("sample_points required for a bare evaluator")
+    # only the kept candidates are built
+    chosen = evaluator.sample_points(
+        _bit_reversed_order(evaluator.sample_count, sample_budget))
     dim = chosen.shape[1]
 
     anchor = np.zeros((2, dim))
     anchor[0, -1], anchor[1, -1] = 1.0, -1.0
     chosen = np.vstack([anchor, chosen])
-    vals = np.asarray(evaluate(chosen), dtype=float)
+    vals = np.asarray(evaluator.evaluate(chosen), dtype=float)
     best, pa, pb, pairs_seen = _pair_max(vals, chosen, alpha)
     best_pair = (pa.copy(), pb.copy())
 
@@ -378,10 +367,9 @@ def holder_seminorm(evaluator, alpha: float, sample_budget: int,
     for _ in range(_HOLDER_REFINE_ROUNDS):
         cand = np.vstack([best_pair[0] + scale * cloud,
                           best_pair[1] + scale * cloud])
-        if domain is not None:
-            cand = cand[domain(cand)]
+        cand = cand[evaluator.contains(cand)]
         cand = np.vstack([best_pair[0], best_pair[1], cand])
-        vals = np.asarray(evaluate(cand), dtype=float)
+        vals = np.asarray(evaluator.evaluate(cand), dtype=float)
         q, pa, pb, n = _pair_max(vals, cand, alpha)
         pairs_seen += n
         if q > best:

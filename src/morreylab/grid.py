@@ -638,23 +638,24 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def save_field(field: ScalarField, path, p: float) -> None:
-    """Write a field dump: the magic line, the JSON header line, then the
-    n_s * n_phi nodal values as raw little-endian float64, row-major."""
-    header = {"format": "morreylab-field", "version": 2,
-              "p": p, **asdict(field.grid.spec)}
+def save_field(field: ScalarField, path) -> None:
+    """Write a field dump: the magic line, the grid's GridSpec as a JSON
+    header line, then the n_s * n_phi nodal values as raw little-endian
+    float64, row-major."""
+    header = json.dumps(asdict(field.grid.spec), sort_keys=True).encode()
     with open_new(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC + b"\n"
-                 + json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(_FIELD_MAGIC + b"\n" + header + b"\n")
         fh.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
-def load_field(path) -> tuple[ScalarField, dict]:
-    """Read a field dump; returns the field and its header dict.
+def load_field(path) -> ScalarField:
+    """Read a field dump.
 
-    Another magic line (a version 1 text dump among them), a body that is
-    not exactly n_s * n_phi float64 values or a non-finite value is
-    rejected.  The values are the saved ones, bit for bit.
+    The header's GridSpec fields give the grid; other keys, such as the
+    p, format and version that older dumps stored, are ignored.  Another
+    magic line (a version 1 text dump among them), a body that is not
+    exactly n_s * n_phi float64 values or a non-finite value is rejected.
+    The values are the saved ones, bit for bit.
     """
     with open(path, "rb") as fh:
         magic = fh.readline(len(_FIELD_MAGIC) + 1).rstrip(b"\n")
@@ -662,8 +663,7 @@ def load_field(path) -> tuple[ScalarField, dict]:
             raise ValueError(f"not a field dump: {path} starts with "
                              f"{magic.decode(errors='replace')!r}, expected "
                              f"{_FIELD_MAGIC.decode()!r}")
-        header = json.loads(fh.readline())
-        spec = from_fields(GridSpec, header)
+        spec = from_fields(GridSpec, json.loads(fh.readline()))
         body = bytearray(8 * spec.n_s * spec.n_phi)
         if fh.readinto(body) != len(body) or fh.read(1):
             raise ValueError(f"corrupt field dump: the body is not {len(body)} "
@@ -671,5 +671,5 @@ def load_field(path) -> tuple[ScalarField, dict]:
     values = np.frombuffer(body, dtype="<f8").reshape(spec.n_s, spec.n_phi)
     if not np.all(np.isfinite(values)):
         raise ValueError("corrupt field dump: non-finite value in the body")
-    return ScalarField(build_grid(spec), values), header
+    return ScalarField(build_grid(spec), values)
 

@@ -371,13 +371,12 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
     """Write <base>.field and <base>.json; returns the two paths."""
     path_base = str(path_base)
     field_path, meta_path = path_base + ".field", path_base + ".json"
-    save_field(result.field, field_path, p=result.p)
+    save_field(result.field, field_path)
     meta = {
         "format": "morreylab-checkpoint",
         "version": 1,
         **{f.name: getattr(result, f.name) for f in fields(SolveResult)
            if f.name not in ("field", "stages")},
-        "spec": asdict(result.grid.spec),
         "config": asdict(config),
         "u_min": float(result.field.values.min()),
         "u_max": float(result.field.values.max()),
@@ -391,12 +390,13 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
 def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     """Read a checkpoint written by save_checkpoint.
 
-    Every field comes from the checkpoint through grid.from_fields, so a
-    stored value must be present and have the JSON type of its dataclass
-    field's annotation (grid._JSON_TYPES); a stage's energy_history, which
-    a checkpoint never stores, loads empty.  The sidecar and the field
-    dump must agree on the grid and on p, and p must pass
-    aronsson.check_p.
+    The field and its grid come from the field dump, everything else from
+    the sidecar, each value stored once.  Every field is read through
+    grid.from_fields, so a stored value must be present and have the JSON
+    type of its dataclass field's annotation (grid._JSON_TYPES), and keys
+    that name no field, such as the spec older sidecars stored, are
+    ignored; a stage's energy_history, which a checkpoint never stores,
+    loads empty.  p must pass aronsson.check_p.
     """
     path_base = str(path_base)
     with open(path_base + ".json") as fh:
@@ -406,18 +406,12 @@ def load_checkpoint(path_base) -> tuple[SolveResult, SolverConfig]:
     if not isinstance(meta.get("stages"), list):
         raise ValueError("checkpoint stages must be a list of objects")
     try:
-        field, header = load_field(path_base + ".field")
-        spec = from_fields(GridSpec, meta.get("spec"))
+        field = load_field(path_base + ".field")
         config = from_fields(SolverConfig, meta.get("config"))
         result = from_fields(SolveResult, meta, field=field, stages=[
             from_fields(StageInfo, d, energy_history=[])
             for d in meta["stages"]])
     except TypeError as exc:    # a missing or wrong-typed field, e.g. null
         raise ValueError(f"malformed checkpoint: {exc}") from exc
-    p = result.p = check_p(result.p)
-    if spec != field.grid.spec:
-        raise ValueError("checkpoint sidecar does not match field dump")
-    if header.get("p") != p:
-        raise ValueError(f"field dump p={header.get('p')} does not match "
-                         f"sidecar p={p}")
+    result.p = check_p(result.p)
     return result, config

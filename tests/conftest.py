@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ def synthetic_result(grid: m.LogPolarGrid, values: np.ndarray,
     """Wrap a closed-form field as a converged result for analysis tests."""
     return m.SolveResult(field=m.ScalarField(grid, values), energy=0.0,
                          stages=[], converged=True, p=p)
+
+
+def listed_evaluator(evaluate, points) -> SimpleNamespace:
+    """An evaluator for analysis.holder_seminorm whose candidates are the
+    rows of points: evaluate as given, a domain that contains every point,
+    and sample_points(index) the rows at index."""
+    points = np.asarray(points, dtype=float)
+    return SimpleNamespace(
+        evaluate=evaluate, sample_count=len(points),
+        contains=lambda pts: np.ones(len(pts), dtype=bool),
+        sample_points=lambda index: points[index])
 
 
 def band_matrix(band: np.ndarray) -> sp.csr_matrix:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 import morreylab as m
-from conftest import ACC_SPEC
+from conftest import ACC_SPEC, listed_evaluator
 from morreylab import checks
 
 
@@ -181,7 +181,7 @@ def test_criterion_9_one_dimensional_fixture():
 
     clamp = lambda pts: np.clip(np.atleast_2d(pts)[:, 0], -1.0, 1.0)
     pts = np.linspace(-1.5, 1.5, 301)[:, None]
-    found = m.holder_seminorm(clamp, alpha, 200, sample_points=pts)
+    found = m.holder_seminorm(listed_evaluator(clamp, pts), alpha, 200)
     ok = abs(found.seminorm - 2.0 ** (1.0 / p)) < 1e-6
     ok &= abs(found.seminorm - oracle) < 1e-6
     report(9, "one-dimensional clamp fixture", ok,

@@ -7,7 +7,8 @@ import pytest
 
 import morreylab as m
 from morreylab import analysis
-from conftest import ACC_SPEC, ACC_SPEC_FINE, random_even_field, synthetic_result
+from conftest import (ACC_SPEC, ACC_SPEC_FINE, listed_evaluator,
+                      random_even_field, synthetic_result)
 
 
 def medium_grid():
@@ -158,7 +159,8 @@ def test_holder_1d_clamp_fixture():
     oracle = brute_force_seminorm(alpha)
     assert abs(oracle - 2.0 ** (1.0 / p)) < 1e-6
     pts = np.linspace(-1.5, 1.5, 301)[:, None]
-    found = m.holder_seminorm(clamp_evaluator, alpha, 200, sample_points=pts)
+    found = m.holder_seminorm(listed_evaluator(clamp_evaluator, pts), alpha,
+                              200)
     assert abs(found.seminorm - oracle) < 1e-6
     assert abs(abs(found.point_a[0]) - 1.0) < 1e-9
     assert abs(abs(found.point_b[0]) - 1.0) < 1e-9
@@ -171,7 +173,7 @@ def test_holder_1d_clamp_fixture():
 def test_holder_constant_field_zero():
     const = lambda pts: np.zeros(len(np.atleast_2d(pts)))
     pts = np.linspace(-2.0, 2.0, 64)[:, None]
-    found = m.holder_seminorm(const, 0.5, 50, sample_points=pts)
+    found = m.holder_seminorm(listed_evaluator(const, pts), 0.5, 50)
     assert found.seminorm == 0.0
 
 
@@ -213,8 +215,6 @@ def test_holder_budget_validation(solve_small):
         m.holder_seminorm(full, 0.5, 1)
     with pytest.raises(ValueError):
         m.holder_seminorm(full, 1.5, 100)
-    with pytest.raises(ValueError):
-        m.holder_seminorm(clamp_evaluator, 0.5, 10)   # no sample points
 
 
 def full_bit_reversed_order(n):
@@ -383,12 +383,13 @@ def test_holder_search_equals_the_full_scan(alpha, solve_small, monkeypatch):
     """The whole search, sampled stage and refinement, picks the same pair
     and counts the same pairs as with every pair scored."""
     full = m.mirror_to_fullplane(solve_small)
-    pts = np.linspace(-1.5, 1.5, 301)[:, None]
+    clamp = listed_evaluator(clamp_evaluator,
+                             np.linspace(-1.5, 1.5, 301)[:, None])
     budgets = (2, 50, 600, 2000)
 
     def outputs():
         yield from holder_outputs(full, alpha, budgets)
-        h = m.holder_seminorm(clamp_evaluator, alpha, 200, sample_points=pts)
+        h = m.holder_seminorm(clamp, alpha, 200)
         yield h.seminorm, h.point_a, h.point_b, h.pairs_evaluated
 
     pruned = list(outputs())

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -205,7 +206,7 @@ def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     # every stage reaches grad_tol; none ends early on a stalled energy
     assert all(stage["converged"] for stage in meta["stages"])
     assert meta["u_min"] < 0.0 or meta["u_max"] > 1.0
-    field, _ = m.load_field(tmp_path / "solve.field")
+    field = m.load_field(tmp_path / "solve.field")
     assert (meta["u_min"], meta["u_max"]) == (field.values.min(),
                                               field.values.max())
 
@@ -411,10 +412,8 @@ _STAGE = {"eps": 1e-6, "iterations": 3, "energy": 0.5, "grad_sup": 1e-10,
 @pytest.mark.parametrize("edit", [lambda meta: [],
                                   lambda meta: {**meta, "stages": None},
                                   lambda meta: {**meta, "stages": [1]},
-                                  lambda meta: {**meta, "spec": None},
                                   lambda meta: {**meta, "config": None},
                                   lambda meta: {**meta, "p": None},
-                                  lambda meta: {**meta, "p": 8.0},
                                   lambda meta: {**meta, "converged": "false"},
                                   lambda meta: {**meta, "converged": 1},
                                   lambda meta: {**meta, "converged": None},
@@ -434,18 +433,15 @@ _STAGE = {"eps": 1e-6, "iterations": 3, "energy": 0.5, "grad_sup": 1e-10,
                                       {**_STAGE, "grad_sup": None}]},
                                   lambda meta: {**meta, "config": {
                                       **meta["config"],
-                                      "eps_schedule": ["0.01"]}},
-                                  lambda meta: {k: v for k, v in meta.items()
-                                                if k != "spec"}],
+                                      "eps_schedule": ["0.01"]}}],
                          ids=["list", "null-stages", "non-object-stage",
-                              "null-spec", "null-config", "null-p",
-                              "p-mismatch", "bad-converged", "int-converged",
-                              "null-converged", "null-energy", "text-energy",
-                              "p-string", "dipole-string", "no-dipole",
-                              "stage-eps-only", "config-missing-keys",
-                              "text-iterations", "text-stage-converged",
-                              "null-grad-sup", "text-eps-schedule",
-                              "no-spec"])
+                              "null-config", "null-p", "bad-converged",
+                              "int-converged", "null-converged", "null-energy",
+                              "text-energy", "p-string", "dipole-string",
+                              "no-dipole", "stage-eps-only",
+                              "config-missing-keys", "text-iterations",
+                              "text-stage-converged", "null-grad-sup",
+                              "text-eps-schedule"])
 def test_analyze_malformed_checkpoint_sidecar(edit, tmp_path, capsys):
     """Every value comes from the sidecar, with its JSON type: a missing
     field or a number written as text exits 1, not with a stand-in."""
@@ -504,9 +500,11 @@ def test_analyze_malformed_field_header_names_the_field(key, value, tmp_path,
 
 
 def _write_v1_text_dump(dump):
-    """The version 1 layout: the same two lines, then %.17g text rows."""
-    field, header = m.load_field(dump)
-    header["version"] = 1
+    """The version 1 layout: the magic line, a JSON header with the format,
+    the version, p and the grid, then %.17g text rows."""
+    field = m.load_field(dump)
+    header = {"format": "morreylab-field", "version": 1, "p": 4.0,
+              **dataclasses.asdict(field.grid.spec)}
     dump.write_text("# morreylab field v1\n" + json.dumps(header, sort_keys=True)
                     + "\n" + "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
                                      for row in field.values))
@@ -681,8 +679,8 @@ def test_analyze_makes_one_cell_gradient_pass(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, math.inf])
 def test_analyze_checkpoint_with_invalid_p_is_usage_error(p, tmp_path, capsys):
-    """A p outside (2, inf) on which the field dump and the sidecar agree
-    makes the checkpoint malformed, not the analysis a numerical failure."""
+    """A sidecar p outside (2, inf) makes the checkpoint malformed, not the
+    analysis a numerical failure."""
     _write_synthetic_checkpoint(tmp_path / "ckpt", p=p)
     rc = main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
                "--window", "2,7.5", "--out-dir", str(tmp_path / "out")])
@@ -692,30 +690,45 @@ def test_analyze_checkpoint_with_invalid_p_is_usage_error(p, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_analyze_accepts_retired_sidecar_keys(tmp_path):
-    """A sidecar with the keys of older versions loads and analyzes alike."""
+def test_analyze_accepts_retired_sidecar_keys(tmp_path, capsys):
+    """A checkpoint in an older layout loads to an equal result and analyzes
+    to the same bytes: a sidecar with retired keys and the grid's spec, and
+    a field dump whose header also holds p, the format and the version."""
     _write_synthetic_checkpoint(tmp_path / "ckpt", stages=[
         solver.StageInfo(eps=eps, iterations=3, energy=0.5, grad_sup=1e-10,
                          converged=True, line_search_failures=0, fallbacks=0,
                          energy_history=[]) for eps in (1e-2, 1e-3)])
-    argv = ["analyze", "--checkpoint", str(tmp_path / "ckpt"), "--window", "2,7.5"]
-    assert main(argv + ["--out-dir", str(tmp_path / "new")]) == 0
-    loaded = m.load_checkpoint(tmp_path / "ckpt")[0].stages
+    out, names = tmp_path / "out", ("decay_profile.csv",
+                                    "gradient_profile.csv", "fit_summary.json")
+    argv = ["analyze", "--checkpoint", str(tmp_path / "ckpt"), "--window",
+            "2,7.5", "--out-dir", str(out)]
+    want, want_config = m.load_checkpoint(tmp_path / "ckpt")
+    assert main(argv) == 0
+    outputs = {name: (out / name).read_bytes() for name in names}
+    stdout = capsys.readouterr().out
     sidecar = tmp_path / "ckpt.json"
     meta = json.loads(sidecar.read_text())
     meta["pin_value"] = 1.0
+    meta["spec"] = dataclasses.asdict(want.grid.spec)
     meta["config"].update(armijo_c=1e-4, max_halvings=60,
                           energy_rel_tol=1e-12, max_iters_per_stage=100)
     for stage in meta["stages"]:
         stage.update(energy_drift_from_prev=1e-6, predicted_drift_bound=2e-6)
     sidecar.write_text(json.dumps(meta))
+    _edit_field_dump(tmp_path / "ckpt.field", lambda header, body: (
+        {"format": "morreylab-field", "version": 2, "p": 4.0, **header}, body))
     result, config = m.load_checkpoint(tmp_path / "ckpt")
-    assert config == m.SolverConfig()
-    assert result.stages == loaded and len(loaded) == 2
-    assert main(argv + ["--out-dir", str(tmp_path / "old")]) == 0
-    for name in ("decay_profile.csv", "gradient_profile.csv", "fit_summary.json"):
-        assert ((tmp_path / "old" / name).read_bytes()
-                == (tmp_path / "new" / name).read_bytes())
+    assert config == want_config == m.SolverConfig()
+    assert result.grid.spec == want.grid.spec
+    assert np.array_equal(result.field.values, want.field.values)
+    assert result.stages == want.stages and len(want.stages) == 2
+    assert result.converged is want.converged
+    assert np.array_equal(
+        [result.p, result.energy, result.dipole_strength],
+        [want.p, want.energy, want.dipole_strength], equal_nan=True)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+    assert {name: (out / name).read_bytes() for name in names} == outputs
 
 
 def _write_synthetic_checkpoint(base, p=4.0, stages=(), r_max=2.0**6,

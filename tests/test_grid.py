@@ -576,9 +576,8 @@ def test_field_dump_round_trip(tmp_path):
     g = m.build_grid(small_spec(41, 9))
     field, _ = random_interior_field(g)
     path = tmp_path / "field.txt"
-    m.save_field(field, path, p=4.0)
-    loaded, header = m.load_field(path)
-    assert header["p"] == 4.0
+    m.save_field(field, path)
+    loaded = m.load_field(path)
     assert loaded.grid.spec == g.spec
     assert np.array_equal(loaded.values, field.values)
 
@@ -593,7 +592,7 @@ def test_field_dump_rejects_garbage(tmp_path):
     field, _ = random_interior_field(g)
     for value in ("nan", "inf", "-inf"):
         field.values[5, 3] = float(value)
-        m.save_field(field, path, p=4.0)
+        m.save_field(field, path)
         with pytest.raises(ValueError, match="non-finite"):
             m.load_field(path)
 
@@ -605,9 +604,8 @@ def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
     g = m.build_grid(small_spec(41, 9))
     values = np.random.default_rng(4).standard_normal((g.n_s, g.n_phi))
     values[3, :5] = [-0.0, 5e-324, 1e300, -1e300, -5e-324]
-    m.save_field(m.ScalarField(g, values), tmp_path / "f.field", p=4.0)
-    header = {"format": "morreylab-field", "version": 2, "p": 4.0,
-              "r_min": 2.0**-4, "r_max": 2.0**6, "n_s": 41, "n_phi": 9}
+    m.save_field(m.ScalarField(g, values), tmp_path / "f.field")
+    header = {"r_min": 2.0**-4, "r_max": 2.0**6, "n_s": 41, "n_phi": 9}
     assert (tmp_path / "f.field").read_bytes() == (
         b"# morreylab field v2\n"
         + json.dumps(header, sort_keys=True).encode() + b"\n"
@@ -733,8 +731,11 @@ def test_field_dump_round_trips_bitwise(tmp_path_factory, data):
     spec = data.draw(_FUZZ_SPECS)
     values = data.draw(_field_values(spec))
     p = data.draw(st.floats(2.0, 1e16, exclude_min=True))
-    path = tmp_path_factory.mktemp("dump") / "f.field"
-    m.save_field(m.ScalarField(m.build_grid(spec), values), path, p=p)
-    loaded, header = m.load_field(path)
-    assert loaded.grid.spec == spec and header["p"] == p
-    assert loaded.values.tobytes() == values.tobytes()
+    base = tmp_path_factory.mktemp("dump") / "f"
+    result = m.SolveResult(field=m.ScalarField(m.build_grid(spec), values),
+                           energy=0.0, stages=[], converged=True, p=p)
+    m.save_checkpoint(result, m.SolverConfig(), base)
+    # the grid and the values come back from the dump, p from the sidecar
+    loaded = m.load_checkpoint(base)[0]
+    assert loaded.grid.spec == spec and loaded.p == p
+    assert loaded.field.values.tobytes() == values.tobytes()

@@ -482,7 +482,32 @@ def test_sidecar_keys_are_the_results_stored_fields(tmp_path, solve_small):
     meta = json.loads((tmp_path / "ck.json").read_text())
     stored = {f.name for f in dataclasses.fields(m.SolveResult)}
     assert set(meta) == (stored - {"field", "stages"}) | {
-        "format", "version", "spec", "config", "u_min", "u_max", "stages"}
+        "format", "version", "config", "u_min", "u_max", "stages"}
+
+
+def _dump_header(path) -> dict:
+    """The JSON header line of a field dump."""
+    return json.loads(Path(path).read_bytes().split(b"\n", 2)[1])
+
+
+def test_dump_header_holds_the_grid_and_nothing_of_the_sidecar(tmp_path,
+                                                                solve_small):
+    """Each checkpoint value is stored once: the field dump's header is the
+    grid's GridSpec, and none of its keys is also a sidecar key, at any
+    depth of the sidecar."""
+    def keys(obj):
+        if isinstance(obj, dict):
+            return set(obj).union(*map(keys, obj.values()))
+        if isinstance(obj, list):
+            return set().union(*map(keys, obj))
+        return set()
+    m.save_checkpoint(solve_small, m.SolverConfig(), tmp_path / "ck")
+    header = _dump_header(tmp_path / "ck.field")
+    meta = json.loads((tmp_path / "ck.json").read_text())
+    assert header == dataclasses.asdict(solve_small.grid.spec)
+    assert list(header) == sorted(
+        f.name for f in dataclasses.fields(m.GridSpec))
+    assert "p" in meta and set(header).isdisjoint(keys(meta))
 
 
 def test_checkpoint_loads_an_unconverged_stage(tmp_path, solve_small):
@@ -505,15 +530,15 @@ def test_every_stored_field_has_a_json_type(tmp_path, solve_small):
     without the annotations future import, cannot go unchecked."""
     m.save_checkpoint(solve_small, m.SolverConfig(), tmp_path / "ck")
     meta = json.loads((tmp_path / "ck.json").read_text())
-    header = m.load_field(tmp_path / "ck.field")[1]
+    header = _dump_header(tmp_path / "ck.field")
     given = {"field", "stages", "energy_history"}   # load_checkpoint's own
     read = [(cls.__name__, f.name, f.type, f.name in data)
-            for cls, data in [(m.GridSpec, header), (m.GridSpec, meta["spec"]),
+            for cls, data in [(m.GridSpec, header),
                               (m.SolverConfig, meta["config"]),
                               (m.StageInfo, meta["stages"][0]),
                               (m.SolveResult, meta)]
             for f in dataclasses.fields(cls) if f.name not in given]
-    assert len(read) == 4 + 4 + 2 + 7 + 4
+    assert len(read) == 4 + 2 + 7 + 4
     assert [r for r in read
             if not r[3] or r[2] not in grid._JSON_TYPES] == []
 
