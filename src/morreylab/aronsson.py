@@ -55,14 +55,16 @@ _KAPPA_MIN = 1e-100
 
 
 def check_p(p: float) -> float:
-    """p as a float; p must be finite and > 2.
+    """p as a float; p must lie in (2, 2**53).
 
     The package's one test of p: Morrey's inequality in the plane needs
-    p > n = 2, and so do the cone family and the energy kernel.
+    p > n = 2, and so do the cone family and the energy kernel.  Below
+    2**53, p - 1 and p - 2 are exact, so the cone's a = (p-1)/(p-2)
+    exceeds 1; NaN and inf fail the comparison.
     """
     p = float(p)
-    if not (math.isfinite(p) and p > 2.0):
-        raise ValueError(f"p must be finite and > 2, got {p}")
+    if not 2.0 < p < 2.0**53:
+        raise ValueError(f"p must be in (2, 2**53), got {p}")
     return p
 
 
@@ -123,7 +125,8 @@ class ConeParams:
     Constructed from (p, kappa); a, mu and the aperture are derived here,
     once, and validated against the defining identities, the aperture
     identity relative to the size of (L+1)**2 so that wide cones pass.
-    kappa must be finite and at least 1e-100.
+    p must pass check_p, which makes a > 1; kappa must be finite and at
+    least 1e-100.
     """
 
     p: float
@@ -142,8 +145,6 @@ class ConeParams:
                    "aperture_L": mu * (1.0 + 1.0 / kappa) - 1.0}
         for name, value in derived.items():  # the dataclass is frozen
             object.__setattr__(self, name, value)
-        if self.a <= 1.0:  # p > 2, but p - 1 and p - 2 round alike
-            raise ValueError(f"a = (p-1)/(p-2) must exceed 1, got {a} at p={p}")
         if not (0.0 < self.mu < 1.0):
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         scale = max(1.0, (self.aperture_L + 1.0) ** 2 / 4.0)
@@ -162,15 +163,11 @@ class ConeParams:
 
 
 def _phi_of_theta(params: ConeParams, theta):
-    """Angular coordinate phi(theta); array-safe, exact limits at the ends."""
-    theta = np.asarray(theta, dtype=float)
+    """Angular coordinate phi(theta) for theta strictly inside
+    (-pi/2, pi/2); array-safe.  The ends' values +-phi_max are set by
+    angular_profile, and invert_phi evaluates only bracket midpoints."""
     coef = (1.0 / params.kappa + 1.0) * params.mu
-    interior = np.abs(theta) < np.pi / 2
-    return np.where(
-        interior,
-        theta - coef * np.arctan(params.mu * np.tan(np.where(interior, theta, 0.0))),
-        theta - np.sign(theta) * coef * (np.pi / 2),
-    )
+    return theta - coef * np.arctan(params.mu * np.tan(theta))
 
 
 def _dphi_dtheta(params: ConeParams, theta):
@@ -350,7 +347,6 @@ def pharmonic_residual(profile: AngularProfile, p: float, sample_points,
     pts = np.asarray(list(sample_points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("sample_points must be a non-empty list of (r, phi) pairs")
-    p = check_p(p)
     params = profile.params
     if p != params.p:
         raise ValueError(f"p={p} is not the p={params.p} of the profile's cone")

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -655,7 +656,10 @@ def load_field(path) -> ScalarField:
     p, format and version that older dumps stored, are ignored.  Another
     magic line (a version 1 text dump among them), a body that is not
     exactly n_s * n_phi float64 values or a non-finite value is rejected.
-    The values are the saved ones, bit for bit.
+    The body's length is checked against the file's size first, so a
+    header that claims more nodes than the file holds is rejected before
+    a buffer is allocated for them.  The values are the saved ones, bit
+    for bit.
     """
     with open(path, "rb") as fh:
         magic = fh.readline(len(_FIELD_MAGIC) + 1).rstrip(b"\n")
@@ -664,10 +668,12 @@ def load_field(path) -> ScalarField:
                              f"{magic.decode(errors='replace')!r}, expected "
                              f"{_FIELD_MAGIC.decode()!r}")
         spec = from_fields(GridSpec, json.loads(fh.readline()))
-        body = bytearray(8 * spec.n_s * spec.n_phi)
-        if fh.readinto(body) != len(body) or fh.read(1):
-            raise ValueError(f"corrupt field dump: the body is not {len(body)} "
+        size = 8 * spec.n_s * spec.n_phi
+        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+            raise ValueError(f"corrupt field dump: the body is not {size} "
                              f"bytes, {spec.n_s} x {spec.n_phi} float64 values")
+        body = bytearray(size)
+        fh.readinto(body)
     values = np.frombuffer(body, dtype="<f8").reshape(spec.n_s, spec.n_phi)
     if not np.all(np.isfinite(values)):
         raise ValueError("corrupt field dump: non-finite value in the body")

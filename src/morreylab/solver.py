@@ -143,22 +143,23 @@ class SolveResult:
 
 
 def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
-    """Start in the expected decay regime: f(r) sin(phi), where
+    """Start in the expected decay regime: f(r) sin(phi) on grid (the
+    solve passes its quarter), where
 
         f(r) = min((r - r_min) / (1 - r_min),
                    (r^-beta_p - r_max^-beta_p) / (1 - r_max^-beta_p))
 
     rises linearly from 0 at r_min to 1 at the pin radius r = 1 and decays
-    at the critical rate beyond it, to 0 at r_max.  apply_dirichlet changes
-    no node of the quarter, so the start has no boundary layer: at p = 4 on
-    the 577 x 65 grid over [2^-6, 2^12] its energy is 0.485 against the
-    minimum's 0.198, at p = 8 0.212 against 0.0641.
+    at the critical rate beyond it, to 0 at r_max.  The constraints are
+    left to solve_extremal, and they change no node of the quarter, so the
+    start has no boundary layer: at p = 4 on the 577 x 65 grid over
+    [2^-6, 2^12] its energy is 0.485 against the minimum's 0.198, at p = 8
+    0.212 against 0.0641.
     """
     r, decay = grid.r, grid.r ** (-beta_p(p))
     radial = np.minimum((r - r[0]) / (1.0 - r[0]),
                         (decay - decay[-1]) / (1.0 - decay[-1]))
-    values = radial[:, None] * np.sin(grid.phi)[None, :]
-    return ScalarField(grid, values).apply_dirichlet()
+    return ScalarField(grid, radial[:, None] * np.sin(grid.phi)[None, :])
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -280,11 +281,12 @@ def solve_extremal(spec: GridSpec, p: float,
     grid = build_grid(spec)
     if initial is not None and initial.grid.spec != spec:
         raise ValueError("initial field lives on a different grid")
-    start = (initial if initial is not None else _initial_field(grid, p)).values
     # every kernel call of the solve reads the quarter's kernel tables; the
     # result keeps the half plane only, so they go when the solve returns
     quarter = grid.quarter()
-    field = ScalarField(quarter, start[:, :quarter.n_phi].copy()).apply_dirichlet()
+    start = (initial.values[:, :quarter.n_phi].copy() if initial is not None
+             else _initial_field(quarter, p).values)
+    field = ScalarField(quarter, start).apply_dirichlet()
 
     stages: list[StageInfo] = []
     for eps in config.eps_schedule:
@@ -368,7 +370,8 @@ def mirror_to_fullplane(result: SolveResult) -> FullPlaneField:
 
 
 def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tuple[str, str]:
-    """Write <base>.field and <base>.json; returns the two paths."""
+    """Write <base>.field, the field dump, and <base>.json, the record of
+    the solve, which holds no field value; returns the two paths."""
     path_base = str(path_base)
     field_path, meta_path = path_base + ".field", path_base + ".json"
     save_field(result.field, field_path)
@@ -378,8 +381,6 @@ def save_checkpoint(result: SolveResult, config: SolverConfig, path_base) -> tup
         **{f.name: getattr(result, f.name) for f in fields(SolveResult)
            if f.name not in ("field", "stages")},
         "config": asdict(config),
-        "u_min": float(result.field.values.min()),
-        "u_max": float(result.field.values.max()),
         "stages": [{k: v for k, v in asdict(st).items()
                     if k != "energy_history"} for st in result.stages],
     }

@@ -132,7 +132,8 @@ def test_solve_and_analyze_pipeline(tmp_path):
     assert (tmp_path / "solve.field").exists()
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["converged"] is True
-    assert (meta["u_min"], meta["u_max"]) == (0.0, 1.0)
+    u = m.load_field(tmp_path / "solve.field").values
+    assert (u.min(), u.max()) == (0.0, 1.0)
     manifest = json.loads((tmp_path / "solve_manifest.json").read_text())
     assert set(manifest) == {"command", "parameters", "artifacts",
                              "wall_clock_seconds", "version", "numpy_version",
@@ -205,10 +206,8 @@ def test_solve_maximum_principle_violation_exit_code(tmp_path, capsys):
     assert meta["converged"] is True
     # every stage reaches grad_tol; none ends early on a stalled energy
     assert all(stage["converged"] for stage in meta["stages"])
-    assert meta["u_min"] < 0.0 or meta["u_max"] > 1.0
-    field = m.load_field(tmp_path / "solve.field")
-    assert (meta["u_min"], meta["u_max"]) == (field.values.min(),
-                                              field.values.max())
+    u = m.load_field(tmp_path / "solve.field").values
+    assert u.min() < 0.0 or u.max() > 1.0
 
 
 def test_solve_large_p_coarse_grid_keeps_the_maximum_principle(tmp_path):
@@ -219,7 +218,8 @@ def test_solve_large_p_coarse_grid_keeps_the_maximum_principle(tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["converged"] is True
-    assert 0.0 <= meta["u_min"] and meta["u_max"] <= 1.0
+    u = m.load_field(tmp_path / "solve.field").values
+    assert 0.0 <= u.min() and u.max() <= 1.0
 
 
 def test_solve_energy_overflow_is_not_a_raw_warning(tmp_path, monkeypatch,
@@ -259,8 +259,8 @@ def test_solve_large_p_reports_its_fallbacks(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"300 gradient-step fallback(s) in stage(s) {stages}",
         "solver did not converge; partial outputs retained"]
-    meta = json.loads((tmp_path / "solve.json").read_text())
-    assert 0.0 <= meta["u_min"] and meta["u_max"] <= 1.0
+    u = m.load_field(tmp_path / "solve.field").values
+    assert 0.0 <= u.min() and u.max() <= 1.0
 
 
 def test_solve_usage_error(tmp_path):
@@ -282,15 +282,35 @@ def test_invalid_p_is_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--p", "1e17"],
-    ["aronsson", "--p", "1e17", "--L", "1"],
-    ["beta-table", "--p-values", "1e17"],
-], ids=" ".join)
+    [command, *flags]
+    for p in ("9007199254740992", "1e16", "10000000000000002", "1e17")
+    for command, *flags in (("verify", "--p", p),
+                            ("aronsson", "--p", p, "--L", "1"),
+                            ("beta-table", "--p-values", p),
+                            ("solve", "--p", p),
+                            ("analyze", "--checkpoint", p))], ids=" ".join)
 def test_p_outside_the_cone_domain_is_usage_error(argv, tmp_path, capsys):
-    # a = (p-1)/(p-2) rounds to 1 beyond p of about 1.8e16
+    """Every command rejects p = 2**53, 1e16, 1e16 + 2 and 1e17 with
+    check_p's message before it makes --out-dir; analyze reads p from the
+    sidecar of a checkpoint written with it.  Above 2**53 the cone's
+    a = (p-1)/(p-2) > 1 test once passed every other float, and solve and
+    analyze took any finite p."""
+    p = float(argv[2])
+    if argv[0] == "analyze":
+        _write_synthetic_checkpoint(tmp_path / "ckpt", p=p)
+        argv = argv[:2] + [str(tmp_path / "ckpt"), "--window", "2,7.5"]
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("usage error: a = (p-1)/(p-2)")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.endswith(f"p must be in (2, 2**53), got {p}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_beta_table_takes_p_just_below_2_to_the_53(tmp_path):
+    assert main(["beta-table", "--p-values", "9e15,9007199254740991",
+                 "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "beta_table.csv")
+    assert [row[0] for row in rows] == [9e15, 2.0**53 - 1]
 
 
 @pytest.mark.parametrize("p_values", [",", ""])
@@ -793,6 +813,27 @@ def test_out_dir_that_is_a_file_is_usage_error(argv, tmp_path, capsys,
     assert main(argv + ["--out-dir", str(taken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot make --out-dir {taken}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["beta-table"], "beta_table.csv"),
+    (["analyze", "--checkpoint", "CKPT", "--window", "2,7.5"],
+     "gradient_profile.csv"),
+    (["verify", "--mode", "quick"], "verify_report.json"),
+    (["beta-table"], "beta_table_manifest.json"),
+], ids=["beta-table", "analyze", "verify", "manifest"])
+def test_unwritable_output_is_usage_error(argv, blocked, tmp_path, capsys):
+    # a directory at one output's path: the write fails with an OSError,
+    # which exits 1 like an out-dir that cannot be made
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    argv = [str(tmp_path / "ckpt") if a == "CKPT" else a for a in argv]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write outputs: ")
+    assert str(out / blocked) in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,13 +148,15 @@ def test_energy_matches_per_cell_reference(p):
     assert abs(got - ref) < 1e-13 * abs(ref)
 
 
-@pytest.mark.parametrize("p", [2.0, 1.5, -3.0, math.nan, math.inf])
+@pytest.mark.parametrize("p", [2.0, 1.5, -3.0, math.nan, math.inf,
+                               2.0**53, 1e16, 1e16 + 2, 1e17])
 def test_one_rule_rejects_p(p):
-    # check_p is the package's one test of p; the energy and the cone
-    # family both defer to it
+    # check_p is the package's one test of p, both ends of its domain; the
+    # energy and the cone family both defer to it
     for make in (m.check_p, lambda p: m.EnergyParams(p=p, eps=0.0),
                  lambda p: m.ConeParams(p, 0.5)):
-        with pytest.raises(ValueError, match="p must be finite and > 2"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be in (2, 2**53), got {p}")):
             make(p)
 
 
@@ -597,6 +604,52 @@ def test_field_dump_rejects_garbage(tmp_path):
             m.load_field(path)
 
 
+_CLAIMING_DUMP_PROBE = """
+import json, sys
+import morreylab as m
+from morreylab import grid
+
+def peak_rss_kb():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh
+                        if line.startswith("VmHWM:")).split()[1])
+
+# 3997 x 1001 float64 values are 32,007,976 bytes; the body holds 16
+header = {"n_phi": 1001, "n_s": 3997, "r_max": 2.0**12, "r_min": 2.0**-6}
+with open(sys.argv[1], "wb") as fh:
+    fh.write(grid._FIELD_MAGIC + b"\\n" + json.dumps(header).encode() + b"\\n"
+             + bytes(16))
+before = peak_rss_kb()
+try:
+    m.load_field(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+print((peak_rss_kb() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS from /proc")
+def test_field_dump_body_is_checked_before_it_is_allocated(tmp_path):
+    """A dump whose header claims 30.5 MB of values and whose file holds
+    16 bytes fails on its size without the process's peak RSS growing by
+    the claim.  The load runs in a fresh process, whose VmHWM starts at
+    its exec: ru_maxrss would start at the forking process's RSS, and
+    tracemalloc would count GridSpec's np.empty probe, which touches no
+    page."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _CLAIMING_DUMP_PROBE,
+                          str(tmp_path / "claims.field")], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    message, rise_mb = out.stdout.splitlines()
+    assert message == ("corrupt field dump: the body is not 32007976 bytes, "
+                       "3997 x 1001 float64 values")
+    assert float(rise_mb) < 8.0
+
+
 def test_field_and_csv_rows_match_the_per_value_writer(tmp_path):
     # the dump is two text lines, then the values as raw little-endian
     # float64 in row-major order; one % operation per CSV file writes the
@@ -730,7 +783,7 @@ def test_interpolate_exact_at_nodes_and_rejects_bad_queries(data):
 def test_field_dump_round_trips_bitwise(tmp_path_factory, data):
     spec = data.draw(_FUZZ_SPECS)
     values = data.draw(_field_values(spec))
-    p = data.draw(st.floats(2.0, 1e16, exclude_min=True))
+    p = data.draw(st.floats(2.0, 2.0**53, exclude_min=True, exclude_max=True))
     base = tmp_path_factory.mktemp("dump") / "f"
     result = m.SolveResult(field=m.ScalarField(m.build_grid(spec), values),
                            energy=0.0, stages=[], converged=True, p=p)
