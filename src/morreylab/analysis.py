@@ -4,9 +4,10 @@ The radial sup-profile S_r of a half-plane field is the arc maximum of |u|
 at each grid radius; for the computed extremal it coincides with the
 supremum over the whole exterior of the circle, which is asserted.  A
 power-law fit of (ln r, ln S_r) over a trusted window estimates the decay
-exponent; the window keeps away from the pinning circle (r_lo >= 2) and
-from the truncation circle (r_hi <= r_max/8) where the imposed zero
-contaminates the far field.
+exponent; the window keeps away from the pinning circle (r_lo >= 2,
+_WINDOW_FLOOR) and from the truncation circle (r_hi <= r_max/8, with 8
+the factor _TRUNCATION) where the imposed zero contaminates the far
+field.  The default window, default_window, starts at 4, _WINDOW_START.
 
 The optimal-constant estimate combines the Hoelder seminorm of exponent
 1 - 2/p, searched over point pairs of the mirrored plane, with the L^p
@@ -35,7 +36,7 @@ import numpy as np
 
 from .aronsson import ConeParams, beta_p, evaluate_w
 from .grid import ScalarField, cell_gradient_sq
-from .solver import SolveResult, mirror_to_fullplane
+from .solver import FullPlaneField, SolveResult
 
 __all__ = [
     "ParameterError",
@@ -45,6 +46,7 @@ __all__ = [
     "MorreyEstimate",
     "BarrierReport",
     "decay_profile",
+    "default_window",
     "fit_exponent",
     "gradient_profile",
     "holder_seminorm",
@@ -59,8 +61,13 @@ _HOLDER_REFINE_ROUNDS = 3
 # the Hoelder search scores its pairs in blocks of whole rows of at most
 # this many entries (or one row), so that its temporaries stay small
 _PAIR_CHUNK = 32768
-# inner radius of the barrier annulus (its outer radius is r_max / 8, the
-# end of the fit window)
+# a fit window keeps r_lo >= _WINDOW_FLOOR and r_hi <= r_max / _TRUNCATION
+# (see the module docstring); the default one starts at _WINDOW_START
+_WINDOW_FLOOR = 2.0
+_WINDOW_START = 4.0
+_TRUNCATION = 8.0
+# inner radius of the barrier annulus (its outer radius is r_max /
+# _TRUNCATION, the end of the default window)
 _BARRIER_R_INNER = 1.0
 
 
@@ -165,6 +172,19 @@ def decay_profile(result) -> DecayProfile:
     return DecayProfile(radii=g.r[i1:], sup_values=sup)
 
 
+def default_window(r_max: float) -> tuple[float, float]:
+    """The trusted window (4, r_max/8) of a grid out to r_max; where it is
+    empty, ParameterError, worded for analyze, whose checkpoint sets r_max."""
+    end = r_max / _TRUNCATION
+    if _WINDOW_START >= end:
+        raise ParameterError(
+            f"the default window ({_WINDOW_START:g}, r_max/{_TRUNCATION:g}) = "
+            f"({_WINDOW_START:g}, {end:g}) is empty for the checkpoint's "
+            f"r_max = {r_max:g}; pass --window r_lo,r_hi with "
+            f"{_WINDOW_FLOOR:g} <= r_lo < r_hi <= r_max/{_TRUNCATION:g}")
+    return _WINDOW_START, end
+
+
 def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
     """Fit ln S_r = ln C - beta ln r by least squares on a radius window.
 
@@ -180,10 +200,12 @@ def fit_exponent(profile: DecayProfile, window: tuple) -> DecayFit:
             raise ParameterError(f"window {name} must be finite, got {bound}")
     if r_lo >= r_hi:
         raise ParameterError("window must satisfy r_lo < r_hi")
-    if r_lo < 2.0:
-        raise ParameterError(f"window start must be >= 2, got {r_lo}")
-    if r_hi > radii.max() / 8.0 * (1.0 + 1e-9):
-        raise ParameterError(f"window end must be <= {radii.max() / 8.0} "
+    if r_lo < _WINDOW_FLOOR:
+        raise ParameterError(
+            f"window start must be >= {_WINDOW_FLOOR:g}, got {r_lo}")
+    end = radii.max() / _TRUNCATION
+    if r_hi > end * (1.0 + 1e-9):
+        raise ParameterError(f"window end must be <= {end} "
                              "(an eighth of the outermost radius)")
     mask = (radii >= r_lo) & (radii <= r_hi)
     if mask.sum() < 10:
@@ -227,10 +249,10 @@ def gradient_profile(result, grad_sq: np.ndarray,
     # r_c increases, so the kept rows are a suffix; sqrt is monotone and
     # correctly rounded, so the root of the row maximum is the row maximum
     # of the roots
-    keep = int(np.searchsorted(r_c, 2.0))
+    keep = int(np.searchsorted(r_c, _WINDOW_FLOOR))
     profile = DecayProfile(radii=r_c[keep:],
                            sup_values=np.sqrt(grad_sq[keep:].max(axis=1)))
-    cap = profile.radii.max() / 8.0
+    cap = profile.radii.max() / _TRUNCATION
     window = (float(window[0]), min(float(window[1]), cap))
     return profile, fit_exponent(profile, window)
 
@@ -409,10 +431,11 @@ def morrey_estimate(result: SolveResult, grad_sq: np.ndarray,
     gradient norm that is zero or overflowed to inf raises ValueError,
     after the Hoelder search has checked sample_budget.
     """
-    grad_norm = lp_gradient_norm(result, grad_sq)
+    grad_norm = lp_gradient_norm(result, grad_sq)  # checks the result
     p = result.p
     alpha = 1.0 - 2.0 / p
-    holder = holder_seminorm(mirror_to_fullplane(result), alpha, sample_budget)
+    holder = holder_seminorm(FullPlaneField(result.field), alpha,
+                             sample_budget)
     if grad_norm <= 0.0:
         raise ValueError("zero gradient norm")
     if not np.isfinite(grad_norm):
@@ -467,9 +490,10 @@ def barrier_check(result, beta: float, tau: float,
         raise ValueError(f"eps must be positive and finite, got {eps}")
 
     i_in = int(np.argmin(np.abs(g.r - _BARRIER_R_INNER)))
-    i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / 8.0)))
+    i_out = int(np.argmin(np.abs(g.r - g.spec.r_max / _TRUNCATION)))
     if i_out <= i_in:
-        raise ValueError("annulus [1, r_max / 8] is empty")
+        raise ValueError(f"annulus [{_BARRIER_R_INNER:g}, "
+                         f"r_max / {_TRUNCATION:g}] is empty")
     # the arc maxima of |u| at the two rims, the only radii the barrier reads
     s_in, s_out = (float(np.abs(field.values[i]).max()) for i in (i_in, i_out))
 

@@ -115,8 +115,9 @@ def coarse_solve(p: float) -> dict:
     v = result.field.values
     bounds_ok = bool(v.min() >= 0.0 and v.max() <= 1.0)
     try:
-        beta_hat = analysis.fit_exponent(analysis.decay_profile(result),
-                                         (4.0, spec.r_max / 8.0)).beta_hat
+        beta_hat = analysis.fit_exponent(
+            analysis.decay_profile(result),
+            analysis.default_window(spec.r_max)).beta_hat
     except ValueError:
         beta_hat = None
     bp = aronsson.beta_p(p)

@@ -38,13 +38,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy
-import scipy
 
-from . import __version__, checks
+from . import __version__, analysis, checks
 from .aronsson import angular_profile, aperture_L, beta_p, check_p, kappa_of_L
 from .grid import GridSpec, cell_gradient_sq, from_fields, write_csv, write_json
 from .solver import (SolverConfig, load_checkpoint, save_checkpoint,
-                     solve_extremal)
+                     scipy_module, solve_extremal)
 from .analysis import (ParameterError, decay_profile, fit_exponent,
                        gradient_profile, morrey_estimate)
 
@@ -157,7 +156,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict,
         "wall_clock_seconds": time.perf_counter() - t0,
         "version": __version__,
         "numpy_version": numpy.__version__,
-        "scipy_version": scipy.__version__,
+        "scipy_version": scipy_module("scipy.version").version,
         # ru_maxrss counts KiB on Linux and bytes on macOS
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / (2**20 if sys.platform == "darwin" else 2**10),
@@ -292,16 +291,13 @@ def cmd_analyze(params: dict) -> int:
         result, _ = load_checkpoint(params["checkpoint"])
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read checkpoint: {exc}") from exc
-    r_max = result.grid.spec.r_max
-    window = (tuple(_floats(params["window"])) if params["window"]
-              else (4.0, r_max / 8.0))
+    try:
+        window = (tuple(_floats(params["window"])) if params["window"]
+                  else analysis.default_window(result.grid.spec.r_max))
+    except ParameterError as exc:   # an empty default window
+        raise UsageError(str(exc)) from exc
     if len(window) != 2:
         raise UsageError("--window must be 'r_lo,r_hi'")
-    if not params["window"] and window[0] >= window[1]:
-        raise UsageError(
-            f"the default window (4, r_max/8) = (4, {r_max / 8.0:g}) is empty "
-            f"for the checkpoint's r_max = {r_max:g}; pass --window r_lo,r_hi "
-            "with 2 <= r_lo < r_hi <= r_max/8")
 
     grad_sq = cell_gradient_sq(result.field)    # one gradient pass for both
     try:

@@ -40,6 +40,7 @@ on the descent path.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import math
@@ -47,7 +48,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,23 +166,32 @@ def _initial_field(grid: LogPolarGrid, p: float) -> ScalarField:
 _FLAPACK = "scipy.linalg._flapack"
 
 
+def scipy_module(name: str):
+    """The scipy module of the given dotted name, run from its file under
+    scipy's directory, which importlib.util.find_spec finds without running
+    any package __init__: scipy's costs about 10 ms and 23 modules of a
+    fresh process, scipy.linalg's about 0.3 s more.  The module is not
+    registered in sys.modules.  Where no file is found, or running it
+    raises ImportError, it is imported the ordinary way."""
+    where = os.path.join(find_spec("scipy").submodule_search_locations[0],
+                         *name.split(".")[1:-1])
+    spec = PathFinder.find_spec(name, [where])
+    if spec is not None:
+        module = module_from_spec(spec)
+        with contextlib.suppress(ImportError):
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(name)
+
+
 def _flapack():
     """scipy.linalg._flapack, the LAPACK extension behind scipy.linalg's
-    banded Cholesky, loaded by path: the package __init__, about 0.3 s of a
-    fresh process against under 10 ms for the extension, never runs.  It is
+    banded Cholesky, loaded by scipy_module in under 10 ms.  It is
     registered under its own name, so a later `import scipy.linalg` reuses
-    it; where no file is found it is imported the ordinary way."""
+    it."""
     module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
-    import scipy
-    spec = PathFinder.find_spec(_FLAPACK,
-                                [os.path.join(scipy.__path__[0], "linalg")])
-    if spec is None:
-        return importlib.import_module(_FLAPACK)
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_FLAPACK] = module
+    if module is None:
+        module = sys.modules[_FLAPACK] = scipy_module(_FLAPACK)
     return module
 
 

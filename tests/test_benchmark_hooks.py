@@ -82,7 +82,8 @@ def test_package_namespace_is_the_modules_all():
         "FullPlaneField", "mirror_to_fullplane", "save_checkpoint",
         "load_checkpoint",
         "DecayProfile", "DecayFit", "HolderResult", "MorreyEstimate",
-        "BarrierReport", "ParameterError", "decay_profile", "fit_exponent",
+        "BarrierReport", "ParameterError", "decay_profile", "default_window",
+        "fit_exponent",
         "gradient_profile", "holder_seminorm", "lp_gradient_norm",
         "morrey_estimate", "estimate_morrey_constant", "barrier_check",
     }
@@ -330,10 +331,18 @@ def test_import_leaves_scipy_sparse_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-_LINALG_PROBE = """
+_SCIPY_PROBE = """
+import json
 import sys
 from morreylab import cli
-loaded = {"import": "scipy.linalg" in sys.modules}
+
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy"
+                  and k != "scipy.linalg._flapack")
+
+
+loaded, versions = {"import": scipy_loaded()}, {}
 import numpy as np
 import morreylab as m
 out = sys.argv[1]
@@ -353,24 +362,33 @@ runs = {
 }
 for name, argv in runs.items():
     assert cli.main(argv + ["--out-dir", out]) == 0, name
-    loaded[name] = "scipy.linalg" in sys.modules
+    loaded[name] = scipy_loaded()
+    manifest = out + "/" + argv[0].replace("-", "_") + "_manifest.json"
+    with open(manifest) as fh:
+        versions[name] = json.load(fh)["scipy_version"]
 print("scipy.linalg._flapack" in sys.modules)
 print(loaded)
+print(versions)
 """
 
 
 def test_no_command_loads_scipy_linalg(tmp_path):
-    # the scipy.linalg package import is about 0.3 s of a fresh process;
-    # solver.splu loads only its LAPACK extension, scipy.linalg._flapack
+    # the scipy.linalg package import is about 0.3 s of a fresh process and
+    # scipy's own about 10 ms; solver.splu loads only the LAPACK extension
+    # scipy.linalg._flapack, and the manifest reads scipy's version.py
+    import scipy
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _LINALG_PROBE, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    flapack, loaded = out.stdout.splitlines()[-2:]
+    flapack, loaded, versions = out.stdout.splitlines()[-3:]
     assert flapack == "True"
     loaded = ast.literal_eval(loaded)
     assert not any(loaded.values()), loaded
+    versions = ast.literal_eval(versions)
+    assert len(versions) == 6
+    assert set(versions.values()) == {scipy.__version__}, versions
 
 
 def test_post_solve_smoke_passes_its_checks(tmp_path):

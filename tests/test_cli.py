@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import morreylab as m
 from morreylab import analysis, aronsson, checks, cli, grid, solver
 from morreylab.cli import main
-from conftest import ACC_SPEC, ACC_SPEC_FINE, read_report
+from conftest import ACC_SPEC, ACC_SPEC_FINE, read_report, synthetic_result
 
 NUM = r"-?\d\.\d{16}e[+-]\d+"
 
@@ -590,6 +590,36 @@ def test_analyze_empty_default_window_is_usage_error(tmp_path, capsys):
         "the checkpoint's r_max = 16; pass --window r_lo,r_hi with "
         "2 <= r_lo < r_hi <= r_max/8\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_default_window_is_read_where_it_is_stated(tmp_path, monkeypatch):
+    """analyze without --window and verify's coarse solve both fit over
+    analysis.default_window of their grid's r_max, looked up at the call."""
+    sentinel, asked = (2.5, 7.5), []
+    monkeypatch.setattr(analysis, "default_window",
+                        lambda r_max: asked.append(r_max) or sentinel)
+    _write_synthetic_checkpoint(tmp_path / "ckpt")
+    assert main(["analyze", "--checkpoint", str(tmp_path / "ckpt"),
+                 "--out-dir", str(tmp_path)]) == 0
+    fit = json.loads((tmp_path / "fit_summary.json").read_text())
+    assert fit["window"] == list(sentinel)
+
+    fit_exponent, windows = analysis.fit_exponent, []
+
+    def recorded(profile, window):
+        windows.append(window)
+        return fit_exponent(profile, window)
+
+    def synthetic_solve(spec, p):
+        g = m.build_grid(spec)
+        return synthetic_result(g, np.minimum(1.0, g.r**-0.5)[:, None]
+                                * np.sin(g.phi)[None, :], p)
+
+    monkeypatch.setattr(analysis, "fit_exponent", recorded)
+    monkeypatch.setattr(solver, "solve_extremal", synthetic_solve)
+    checks.coarse_solve(4.0)
+    assert windows == [sentinel]
+    assert asked == [2.0**6, 2.0**8]
 
 
 def test_analyze_degenerate_field_is_numerical_failure(tmp_path, capsys):

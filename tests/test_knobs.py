@@ -9,10 +9,15 @@ declared with init=False is not settable and is not counted.
 
 src_line_tally counts the lines of src/, with and without docstrings;
 the line count has no bound.  `PYTHONPATH=src python tests/test_knobs.py`
-prints both line counts and the settable values.
+prints both line counts and the settable values, and the modules a fresh
+`import morreylab.cli` loads beyond numpy: their number and any scipy
+module among them.  That report has no bound either.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from morreylab import cli
@@ -78,6 +83,18 @@ def src_line_tally() -> tuple[int, int]:
     return total, outside
 
 
+def cli_startup_modules() -> list[str]:
+    """The modules a fresh interpreter loads for `import morreylab.cli`
+    after numpy, from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); "
+         "import morreylab.cli; print(sorted(set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout)
+
+
 def test_settable_values_do_not_grow():
     src, cli_params = src_settable_values(), cli_settable_values()
     assert src + cli_params == MAX_SETTABLE, (
@@ -91,3 +108,7 @@ if __name__ == "__main__":
     print(f"src/ lines: {total:,}, {outside:,} outside docstrings")
     print(f"settable values: {src} in src/ plus {cli_params} CLI parameters "
           f"= {src + cli_params}")
+    modules = cli_startup_modules()
+    scipy = [name for name in modules if name.split(".")[0] == "scipy"]
+    print(f"`import morreylab.cli` loads {len(modules)} modules beyond numpy, "
+          f"scipy ones: {', '.join(scipy) or 'none'}")

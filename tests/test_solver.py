@@ -294,6 +294,18 @@ import morreylab as m
 from morreylab import solver
 if sys.argv[1] == "no-file":
     solver.PathFinder = SimpleNamespace(find_spec=lambda name, path: None)
+if sys.argv[1] == "load-fails":
+    from importlib.machinery import ModuleSpec
+
+    class FailingLoader:
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            raise ImportError("the extension does not load")
+
+    solver.PathFinder = SimpleNamespace(
+        find_spec=lambda name, path: ModuleSpec(name, FailingLoader()))
 spec = m.GridSpec(r_min=2.0**-6, r_max=2.0**12, n_s=145, n_phi=33)
 grid = m.build_grid(spec)
 quarter = grid.quarter()
@@ -312,11 +324,13 @@ print(paid, scipy.linalg.lapack._flapack is sys.modules["scipy.linalg._flapack"]
 """
 
 
-@pytest.mark.parametrize("how, paid", [("by-path", False), ("no-file", True)])
+@pytest.mark.parametrize("how, paid", [("by-path", False), ("no-file", True),
+                                       ("load-fails", True)])
 def test_lapack_load_is_shared_with_scipy_linalg(how, paid):
     # by path, splu leaves scipy.linalg unimported and a later import of it
-    # reuses the same _flapack; where no file is found, the ordinary import
-    # gives the same module, with scipy.linalg's import paid
+    # reuses the same _flapack; where no file is found, or loading it raises
+    # ImportError, the ordinary import gives the same module, with
+    # scipy.linalg's import paid
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", _LOAD_PROBE, how], env=env,
